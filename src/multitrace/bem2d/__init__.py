@@ -2,8 +2,7 @@
 
 from .assembly import (BemOperatorSet, CouplingSet, DiscreteCalderon,
                        KernelParams, assemble_calderon_2d, assemble_coupling,
-                       assemble_operators, block_diag2, cross_block,
-                       mass_matrix, trace_flip)
+                       assemble_operators, cross_block, mass_matrix)
 from .kernels import (kernel_2d, kernel_normal_derivative,
                       kernel_radial_deriv)
 from .mesh import (BoundaryMesh, load_mesh, make_circle, make_square,
@@ -13,8 +12,8 @@ from .quadrature import gauss01, log_gauss01
 __all__ = [
     "BemOperatorSet", "BoundaryMesh", "CouplingSet", "DiscreteCalderon",
     "KernelParams", "assemble_calderon_2d", "assemble_coupling",
-    "assemble_operators", "block_diag2", "cross_block", "gauss01",
+    "assemble_operators", "cross_block", "gauss01",
     "kernel_2d", "kernel_normal_derivative", "kernel_radial_deriv",
     "load_mesh", "log_gauss01", "make_circle", "make_square",
-    "make_three_domain", "mass_matrix", "save_mesh", "trace_flip",
+    "make_three_domain", "mass_matrix", "save_mesh",
 ]

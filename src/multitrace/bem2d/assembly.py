@@ -312,6 +312,10 @@ class DiscreteCalderon:
     def dim(self):
         return self.P.shape[0]
 
+    @property
+    def curves(self):
+        return (self.mesh,)
+
     def operator(self):
         """Coefficient-space operator ``M_block^{-1} P``."""
         return scipy.linalg.solve(self.M_block, self.P, assume_a="pos")
@@ -320,21 +324,6 @@ class DiscreteCalderon:
         """Spectral norm of ``Q^2 - Q`` for ``Q = M_block^{-1} P``."""
         Q = self.operator()
         return float(np.linalg.norm(Q @ Q - Q, 2))
-
-
-def block_diag2(M):
-    n = M.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=M.dtype)
-    out[:n, :n] = M
-    out[n:, n:] = M
-    return out
-
-
-def trace_flip(n):
-    """Coefficient matrix of the trace-convention flip (v, q) -> (v, -q)."""
-    d = np.ones(2 * n)
-    d[n:] = -1.0
-    return np.diag(d)
 
 
 def assemble_calderon_2d(mesh, params, side="interior", operators=None):
@@ -352,19 +341,10 @@ def assemble_calderon_2d(mesh, params, side="interior", operators=None):
         raise ValueError("operator set was assembled on a different mesh")
     V, K, Kt, W, M = (ops.single_layer, ops.double_layer,
                       ops.adj_double_layer, ops.hypersingular, ops.mass)
-    n = mesh.n_nodes
-    P = 0.5 * block_diag2(M)
-    if side == "interior":
-        P[:n, :n] += -K
-        P[:n, n:] += V
-        P[n:, :n] += W
-        P[n:, n:] += Kt
-    else:
-        P[:n, :n] += K
-        P[:n, n:] += V
-        P[n:, :n] += W
-        P[n:, n:] += -Kt
-    return DiscreteCalderon(P, block_diag2(M), side, mesh, params)
+    k = 1.0 if side == "interior" else -1.0     # double-layer sign
+    M_block = scipy.linalg.block_diag(M, M)
+    P = 0.5 * M_block + np.block([[-k * K, V], [W, k * Kt]])
+    return DiscreteCalderon(P, M_block, side, mesh, params)
 
 
 def cross_block(obs_mesh, src_mesh, a, obs_normal_sign=1.0,
@@ -419,12 +399,30 @@ def cross_block(obs_mesh, src_mesh, a, obs_normal_sign=1.0,
 
 @dataclass(frozen=True)
 class CouplingSet:
-    """Blocks of the middle-subdomain projector on two disjoint curves."""
+    """Blocks of the middle-subdomain projector on two disjoint curves.
+
+    As a subdomain record it is ``P = [[P1~, R12], [R21, P2~]]`` over the
+    curves ``(inner, outer)``, with the matching block-diagonal mass.
+    """
 
     R12: np.ndarray
     R21: np.ndarray
     P1_tilde: DiscreteCalderon
     P2_tilde: DiscreteCalderon
+
+    @property
+    def P(self):
+        return np.block([[self.P1_tilde.P, self.R12],
+                         [self.R21, self.P2_tilde.P]])
+
+    @property
+    def M_block(self):
+        return scipy.linalg.block_diag(self.P1_tilde.M_block,
+                                       self.P2_tilde.M_block)
+
+    @property
+    def curves(self):
+        return (self.P1_tilde.mesh, self.P2_tilde.mesh)
 
 
 def assemble_coupling(inner_mesh, outer_mesh, params):

@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,32 +23,47 @@ from . import interval1d, line1d, spectra
 from .bem2d import (KernelParams, assemble_calderon_2d, assemble_coupling,
                     assemble_operators, make_circle, make_square,
                     make_three_domain)
-from .linalg import SingularMatrixError, eig_dense
+from .linalg import DIMENSION_CAP, SingularMatrixError, eig_dense
 
-MODES = ("1d-2dom", "1d-3dom", "1d-bounded", "schwarz-equiv",
-         "spectrum-2d", "spectrum-2d-3dom", "sweep")
-SWEEP_KINDS = ("1d", "1d-3dom", "2d", "2d-3dom")
 GEOMETRIES = ("circle", "square", "annulus")
 
-_DEFAULTS = {
-    "a": [1.0],
-    "sigma": [0.1],
-    "geometry": None,
-    "n_elements": 128,
-    "radii": [0.5, 1.0],
-    "gamma": 0.5,
-    "alpha": 1.0,
-    "beta": 0.0,
-    "alpha2": 0.0,
-    "beta2": 1.0,
-    "start": [1.0, -0.4, 0.3, 2.0],
-    "steps": 12,
-    "sigma_min": -0.95,
-    "sigma_max": 3.0,
-    "eps": 0.05,
-    "quad_order": 8,
-    "kind": "1d",
-    "out": "mtf-out",
+
+def _split_list(text, cast):
+    if isinstance(text, (list, tuple)):
+        return [cast(v) for v in text]
+    return [cast(tok) for tok in str(text).split(",") if tok != ""]
+
+
+def _floats(values):
+    return _split_list(values, float)
+
+
+def _complexes(values):
+    """Complex literals; values with zero imaginary part stay real."""
+    out = [complex(v.replace(" ", "")) for v in _split_list(values, str)]
+    return [c if c.imag != 0 else c.real for c in out]
+
+
+# config field -> (default, cast of file and flag values)
+_FIELDS = {
+    "a": ([1.0], _floats),
+    "sigma": ([0.1], _complexes),
+    "geometry": (None, lambda v: v),
+    "n_elements": (128, int),
+    "radii": ([0.5, 1.0], _floats),
+    "gamma": (0.5, float),
+    "alpha": (1.0, float),
+    "beta": (0.0, float),
+    "alpha2": (0.0, float),
+    "beta2": (1.0, float),
+    "start": ([1.0, -0.4, 0.3, 2.0], _floats),
+    "steps": (12, int),
+    "sigma_min": (-0.95, float),
+    "sigma_max": (3.0, float),
+    "eps": (0.05, float),
+    "quad_order": (8, int),
+    "kind": ("1d", str),
+    "out": ("mtf-out", str),
 }
 
 
@@ -90,6 +106,11 @@ class RunReport:
     timings: dict = field(default_factory=dict)
     files: list = field(default_factory=list)
 
+    def record(self, path):
+        """Register an artifact; returns ``path``."""
+        self.files.append(str(path))
+        return path
+
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -103,17 +124,6 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     return obj
-
-
-def _parse_complex_list(values):
-    out = []
-    for v in values:
-        try:
-            c = complex(str(v).replace(" ", ""))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse relaxation parameter {v!r}") from exc
-        out.append(c if c.imag != 0 else c.real)
-    return out
 
 
 def _build_parser():
@@ -149,12 +159,6 @@ def _build_parser():
     return p
 
 
-def _split_list(text, cast):
-    if isinstance(text, (list, tuple)):
-        return [cast(v) for v in text]
-    return [cast(tok) for tok in str(text).split(",") if tok != ""]
-
-
 # flags whose values may start with a minus sign (negative numbers,
 # comma lists, complex literals), which argparse would mistake for options
 _NUMERIC_FLAGS = ("--sigma", "--a", "--radii", "--start", "--alpha",
@@ -180,7 +184,7 @@ def _join_negative_values(argv):
 def parse_config(argv):
     """Merge defaults, config file and flags into a validated RunConfig."""
     ns = _build_parser().parse_args(_join_negative_values(list(argv)))
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (default, _) in _FIELDS.items()}
     mode = ns.mode
     if ns.config:
         try:
@@ -192,7 +196,7 @@ def parse_config(argv):
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         mode = mode or file_values.pop("mode", None)
         file_values.pop("mode", None)
-        unknown = set(file_values) - set(_DEFAULTS)
+        unknown = set(file_values) - set(_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_values)
@@ -201,70 +205,48 @@ def parse_config(argv):
                           "(give it on the command line or in the config file)")
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {MODES}")
-    for key in ("a", "sigma", "geometry", "n_elements", "radii", "gamma",
-                "alpha", "beta", "alpha2", "beta2", "start", "steps",
-                "sigma_min", "sigma_max", "eps", "quad_order", "kind", "out"):
-        val = getattr(ns, key, None)
-        if val is not None:
-            merged[key] = val
-
-    cfg = RunConfig(
-        mode=mode,
-        a=_split_list(merged["a"], float),
-        sigma=_parse_complex_list(_split_list(merged["sigma"], str)),
-        geometry=merged["geometry"],
-        n_elements=int(merged["n_elements"]),
-        radii=_split_list(merged["radii"], float),
-        gamma=float(merged["gamma"]),
-        alpha=float(merged["alpha"]),
-        beta=float(merged["beta"]),
-        alpha2=float(merged["alpha2"]),
-        beta2=float(merged["beta2"]),
-        start=_split_list(merged["start"], float),
-        steps=int(merged["steps"]),
-        sigma_min=float(merged["sigma_min"]),
-        sigma_max=float(merged["sigma_max"]),
-        eps=float(merged["eps"]),
-        quad_order=int(merged["quad_order"]),
-        kind=str(merged["kind"]),
-        out=str(merged["out"]),
-    )
+    for key in _FIELDS:
+        if getattr(ns, key) is not None:
+            merged[key] = getattr(ns, key)
+    values = {}
+    for key, (_, cast) in _FIELDS.items():
+        try:
+            values[key] = cast(merged[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key} cannot be read from {merged[key]!r}"
+                              ) from exc
+    cfg = RunConfig(mode=mode, **values)
     _validate(cfg)
     return cfg
 
 
-def _sigmas_for(cfg, count):
-    s = cfg.sigma
-    if len(s) == 1:
-        return list(s) * count
-    if len(s) != count:
-        raise ConfigError(f"mode {cfg.mode!r} needs {count} relaxation "
-                          f"parameter(s), got {len(s)}")
-    return list(s)
-
-
-def _a_for(cfg, count):
-    a = cfg.a
-    if len(a) == 1:
-        return list(a) * count
-    if len(a) != count:
-        raise ConfigError(f"mode {cfg.mode!r} needs {count} material "
-                          f"constant(s), got {len(a)}")
-    return list(a)
+def _per_subdomain(cfg, name, count):
+    """``count`` values of the list field ``name``; one value is shared."""
+    values = list(getattr(cfg, name))
+    if len(values) == 1:
+        return values * count
+    if len(values) != count:
+        raise ConfigError(f"{name} needs {count} value(s) in mode "
+                          f"{cfg.mode!r}, got {len(values)}")
+    return values
 
 
 def _validate(cfg):
+    for name in ("a", "sigma", "radii", "start", "alpha", "beta", "alpha2",
+                 "beta2", "sigma_min", "sigma_max"):
+        if not np.all(np.isfinite(getattr(cfg, name))):
+            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
     if any(v <= 0 for v in cfg.a):
-        raise ConfigError("material constant a must be positive")
+        raise ConfigError("a (material constant) must be positive")
     if any(complex(s) == -1 for s in cfg.sigma):
         raise ConfigError("relaxation parameter -1 is rejected: the diagonal "
                           "multitrace block (1 + sigma) Id - P is not invertible")
-    if cfg.mode == "spectrum-2d" and cfg.geometry is None:
-        raise ConfigError("missing required field 'geometry' for mode "
-                          "'spectrum-2d' (circle or square)")
-    if cfg.mode == "spectrum-2d" and cfg.geometry == "annulus":
-        raise ConfigError("mode 'spectrum-2d' expects geometry circle or "
-                          "square; use spectrum-2d-3dom for the annulus")
+    if cfg.eps < 0:
+        raise ConfigError(f"eps must be nonnegative, got {cfg.eps}")
+    if cfg.steps < 0:
+        raise ConfigError(f"steps must be nonnegative, got {cfg.steps}")
+    if cfg.quad_order < 2:
+        raise ConfigError(f"quad_order must be at least 2, got {cfg.quad_order}")
     if not 0 < cfg.gamma < 1:
         raise ConfigError("gamma must lie in (0, 1)")
     if cfg.mode == "sweep":
@@ -276,6 +258,20 @@ def _validate(cfg):
         raise ConfigError("need at least 3 elements per curve")
     if len(cfg.radii) != 2 or not 0 < cfg.radii[0] < cfg.radii[1]:
         raise ConfigError("radii must be an increasing positive pair")
+    # 2D runs, by mode or sweep kind -> pencil dimension per n_elements
+    run = cfg.kind if cfg.mode == "sweep" else cfg.mode
+    rows = {"spectrum-2d": 4, "2d": 4, "spectrum-2d-3dom": 8,
+            "2d-3dom": 8}.get(run, 0)
+    if rows == 4 and cfg.geometry not in ("circle", "square"):
+        raise ConfigError(f"geometry must be circle or square for {run!r} "
+                          f"(the annulus has its 3dom variant), "
+                          f"got {cfg.geometry!r}")
+    if rows == 4 and cfg.geometry == "square" and cfg.n_elements % 4:
+        raise ConfigError("n_elements must be divisible by 4 for the square")
+    dim = rows * cfg.n_elements
+    if dim > DIMENSION_CAP:
+        raise ConfigError(f"n_elements {cfg.n_elements} gives a pencil of "
+                          f"dimension {dim} beyond the cap {DIMENSION_CAP}")
 
 
 def _sigma_grid(cfg):
@@ -296,18 +292,126 @@ def _gnuplot_script(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _mesh_for(cfg):
-    if cfg.geometry == "circle":
-        return make_circle(cfg.n_elements)
-    if cfg.geometry == "square":
-        n_side, rem = divmod(cfg.n_elements, 4)
-        if rem:
-            raise ConfigError("square geometry needs n divisible by 4")
-        return make_square(n_side)
-    raise ConfigError(f"unsupported geometry {cfg.geometry!r}")
+def _run_line(cfg, out, report, count):
+    """Exact line operator: iteration history towards the fixed point."""
+    (a,) = _per_subdomain(cfg, "a", 1)
+    sigmas = _per_subdomain(cfg, "sigma", count)
+    jumps = (line1d.JumpData(cfg.alpha, cfg.beta),
+             line1d.JumpData(cfg.alpha2, cfg.beta2))[:count - 1]
+    build = (line1d.jacobi_operator_2dom if count == 2
+             else line1d.jacobi_operator_3dom)
+    op = build(a, *sigmas, *jumps)
+    hist = line1d.block_jacobi_run(op, np.zeros(op.matrix.shape[0]),
+                                   cfg.steps)
+    eigs = eig_dense(op.matrix).eigenvalues
+    _write_convergence(report.record(out / "convergence.csv"), hist.errors)
+    _gnuplot_script(report.record(out / "plot.gp"), [
+        "set logscale y", 'set xlabel "iteration"', 'set ylabel "error"',
+        f'plot "{out / "convergence.csv"}" every ::1 using 1:2 '
+        'with linespoints title "block Jacobi error"'])
+    return {
+        "eigenvalues": _jsonable(eigs),
+        "spectral_radius": float(np.max(np.abs(eigs))),
+        "errors": _jsonable(hist.errors),
+        "converged_in": int(np.argmax(hist.errors <= 1e-12))
+        if np.any(hist.errors <= 1e-12) else None,
+        "fixed_point": _jsonable(hist.fixed_point),
+    }
 
 
-def _spectrum_payload(result):
+def _run_bounded(cfg, out, report):
+    (a,) = _per_subdomain(cfg, "a", 1)
+    geom = interval1d.BoundedGeometry(cfg.gamma, a)
+    P1, P2 = interval1d.calderon_bounded(geom)
+    pair = interval1d.dtn_operators(geom)
+    P1d, P2d = interval1d.calderon_from_dtn(pair)
+    c1, c2, evaluate = interval1d.transmission_solve_bounded(
+        geom, line1d.JumpData(cfg.alpha, cfg.beta))
+    xs = np.linspace(0.0, 1.0, 401)
+    with open(report.record(out / "solution.csv"), "w") as fh:
+        fh.write("x,u\n")
+        for x, u in zip(xs, evaluate(xs)):
+            fh.write(f"{x:.6f},{u:.16e}\n")
+    return {
+        "dtn": {"dtn1": pair.dtn1, "dtn2": pair.dtn2,
+                "ntd1": pair.ntd1, "ntd2": pair.ntd2},
+        "projector_residuals": [
+            float(np.max(np.abs(P1 @ P1 - P1))),
+            float(np.max(np.abs(P2 @ P2 - P2)))],
+        "dtn_rebuild_residual": float(max(np.max(np.abs(P1 - P1d)),
+                                          np.max(np.abs(P2 - P2d)))),
+        "coefficients": [c1, c2],
+    }
+
+
+def _run_schwarz(cfg, out, report):
+    (a,) = _per_subdomain(cfg, "a", 1)
+    if len(cfg.start) != 4:
+        raise ConfigError("start state needs 4 values (u1, du1, u2, du2)")
+    geom = interval1d.BoundedGeometry(cfg.gamma, a)
+    rep = interval1d.equivalence_check(
+        geom, interval1d.SchwarzState(*cfg.start), cfg.steps)
+    _write_convergence(report.record(out / "deviation.csv"), rep.deviations)
+    return {
+        "max_deviation": rep.max_deviation,
+        "schwarz_norms": _jsonable(
+            np.max(np.abs(rep.schwarz_history), axis=1)),
+        "jacobi_norms": _jsonable(
+            np.max(np.abs(rep.jacobi_history), axis=1)),
+    }
+
+
+def _setup_2d(cfg, a):
+    """Assemble the 2D subdomains for the material constants ``a``.
+
+    Two constants give the two subdomains of the one curve of
+    ``cfg.geometry`` (sharing one operator set when they are equal),
+    three give ``(middle, inner, outer)`` of the annulus.  Returns
+    ``pencil(sigmas) -> (A, B)`` in the matching sigma order.
+    """
+    quad = cfg.quad_order
+    if len(a) == 2:
+        mesh = (make_circle(cfg.n_elements) if cfg.geometry == "circle"
+                else make_square(cfg.n_elements // 4))
+        par1 = KernelParams(a[0], quad)
+        ops1 = assemble_operators(mesh, par1)
+        P1 = assemble_calderon_2d(mesh, par1, "interior", operators=ops1)
+        if a[1] == a[0]:
+            P2 = assemble_calderon_2d(mesh, par1, "exterior", operators=ops1)
+        else:
+            P2 = assemble_calderon_2d(mesh, KernelParams(a[1], quad),
+                                      "exterior")
+        return lambda sigmas: spectra.jacobi_2d_2dom(
+            P1, P2, spectra.RelaxationConfig(sigmas))
+    a0, a1, a2 = a
+    inner, outer = make_three_domain(cfg.n_elements, cfg.n_elements,
+                                     cfg.radii[0], cfg.radii[1])
+    P1 = assemble_calderon_2d(inner, KernelParams(a1, quad), "interior")
+    P2 = assemble_calderon_2d(outer, KernelParams(a2, quad), "exterior")
+    coupling = assemble_coupling(inner, outer, KernelParams(a0, quad))
+    return lambda sigmas: spectra.jacobi_2d_3dom(
+        P1, P2, coupling, spectra.RelaxationConfig(sigmas))
+
+
+def _run_spectrum(cfg, out, report, count):
+    """Spectrum of the 2D Jacobi pencil: ``count`` 2 on one curve, 3 on
+    the annulus."""
+    a = _per_subdomain(cfg, "a", count)
+    sigmas = _per_subdomain(cfg, "sigma", count)
+    t0 = time.perf_counter()
+    pencil = _setup_2d(cfg, a)
+    report.timings["assembly_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    A, B = pencil(sigmas)
+    result = spectra.pencil_spectrum(A, B, sigmas, cfg.eps)
+    report.timings["eigensolve_s"] = time.perf_counter() - t0
+    spectra.write_eigenvalues_csv(report.record(out / "eigenvalues.csv"),
+                                  result.eigenvalues)
+    if count == 2:      # the annulus run writes no plot script
+        _gnuplot_script(report.record(out / "plot.gp"), [
+            "set size ratio -1", 'set xlabel "Re"', 'set ylabel "Im"',
+            f'plot "{out / "eigenvalues.csv"}" every ::1 using 1:2 '
+            'with points pt 7 ps 0.5 title "Jacobi spectrum"'])
     return {
         "spectral_radius": result.spectral_radius,
         "theoretical_points": _jsonable(result.theoretical_points),
@@ -317,222 +421,83 @@ def _spectrum_payload(result):
     }
 
 
+def _line_sweep(cfg, a, count):
+    analytic = (spectra.analytic_spectrum_2dom if count == 2
+                else spectra.analytic_spectrum_3dom)
+    return lambda s: analytic(a, *[s] * count).eigenvalues
+
+
+def _bem_sweep(cfg, a, count):
+    pencil = _setup_2d(cfg, [a] * count)
+
+    def builder(s):
+        A, B = pencil([s] * count)
+        return spectra.pencil_spectrum(A, B, [s] * count).eigenvalues
+    return builder
+
+
+# sweep kind -> (report label, eigenvalue builder factory, subdomains)
+_SWEEPS = {
+    "1d": ("analytic line, 2 subdomains", _line_sweep, 2),
+    "1d-3dom": ("analytic line, 3 subdomains", _line_sweep, 3),
+    "2d": ("boundary elements, 2 subdomains", _bem_sweep, 2),
+    "2d-3dom": ("boundary elements, 3 subdomains", _bem_sweep, 3),
+}
+
+
+def _run_sweep(cfg, out, report):
+    grid = _sigma_grid(cfg)
+    label, factory, count = _SWEEPS[cfg.kind]
+    (a,) = _per_subdomain(cfg, "a", 1)
+    rows = spectra.sigma_sweep(factory(cfg, a, count), grid, cfg.eps)
+    spectra.write_sweep_csv(report.record(out / "sweep.csv"), rows)
+    radii = [r.spectral_radius for r in rows]
+    _gnuplot_script(report.record(out / "plot.gp"), [
+        'set xlabel "sigma"', 'set ylabel "spectral radius"',
+        f'plot "{out / "sweep.csv"}" every ::1 using 1:2 '
+        'with lines title "rho(J)", 1 with lines dt 2 title "1"'])
+    return {
+        "kind": label,
+        "n_grid": len(rows),
+        "max_radius": max(radii),
+        "min_radius": min(radii),
+        "analytic_radius_max_error": float(max(
+            abs(r.spectral_radius - spectra.spectral_radius_formula(r.sigma))
+            for r in rows)) if factory is _line_sweep else None,
+    }
+
+
+# mode -> runner(cfg, out, report) returning the results payload
+_RUNNERS = {
+    "1d-2dom": partial(_run_line, count=2),
+    "1d-3dom": partial(_run_line, count=3),
+    "1d-bounded": _run_bounded,
+    "schwarz-equiv": _run_schwarz,
+    "spectrum-2d": partial(_run_spectrum, count=2),
+    "spectrum-2d-3dom": partial(_run_spectrum, count=3),
+    "sweep": _run_sweep,
+}
+MODES = tuple(_RUNNERS)
+SWEEP_KINDS = tuple(_SWEEPS)
+
+
 def run(cfg):
     """Execute one configured run, writing artifacts into ``cfg.out``."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     report = RunReport(run_id=cfg.run_id(), config=_jsonable(asdict(cfg)))
-    clock = time.perf_counter
-    t_start = clock()
-
-    def record(path):
-        report.files.append(str(path))
-        return path
-
-    if cfg.mode == "1d-2dom":
-        (a,) = _a_for(cfg, 1)
-        s1, s2 = _sigmas_for(cfg, 2)
-        jump = line1d.JumpData(cfg.alpha, cfg.beta)
-        op = line1d.jacobi_operator_2dom(a, s1, s2, jump)
-        hist = line1d.block_jacobi_run(op, np.zeros(4), cfg.steps)
-        eigs = eig_dense(op.matrix).eigenvalues
-        _write_convergence(record(out / "convergence.csv"), hist.errors)
-        report.results = {
-            "eigenvalues": _jsonable(eigs),
-            "spectral_radius": float(np.max(np.abs(eigs))),
-            "errors": _jsonable(hist.errors),
-            "converged_in": int(np.argmax(hist.errors <= 1e-12))
-            if np.any(hist.errors <= 1e-12) else None,
-            "fixed_point": _jsonable(hist.fixed_point),
-        }
-        _gnuplot_script(record(out / "plot.gp"), [
-            "set logscale y", 'set xlabel "iteration"', 'set ylabel "error"',
-            f'plot "{out / "convergence.csv"}" every ::1 using 1:2 '
-            'with linespoints title "block Jacobi error"'])
-
-    elif cfg.mode == "1d-3dom":
-        (a,) = _a_for(cfg, 1)
-        s0, s1, s2 = _sigmas_for(cfg, 3)
-        op = line1d.jacobi_operator_3dom(
-            a, s0, s1, s2, line1d.JumpData(cfg.alpha, cfg.beta),
-            line1d.JumpData(cfg.alpha2, cfg.beta2))
-        hist = line1d.block_jacobi_run(op, np.zeros(8), cfg.steps)
-        eigs = eig_dense(op.matrix).eigenvalues
-        _write_convergence(record(out / "convergence.csv"), hist.errors)
-        report.results = {
-            "eigenvalues": _jsonable(eigs),
-            "spectral_radius": float(np.max(np.abs(eigs))),
-            "errors": _jsonable(hist.errors),
-            "converged_in": int(np.argmax(hist.errors <= 1e-12))
-            if np.any(hist.errors <= 1e-12) else None,
-        }
-
-    elif cfg.mode == "1d-bounded":
-        (a,) = _a_for(cfg, 1)
-        geom = interval1d.BoundedGeometry(cfg.gamma, a)
-        P1, P2 = interval1d.calderon_bounded(geom)
-        pair = interval1d.dtn_operators(geom)
-        P1d, P2d = interval1d.calderon_from_dtn(pair)
-        c1, c2, evaluate = interval1d.transmission_solve_bounded(
-            geom, line1d.JumpData(cfg.alpha, cfg.beta))
-        xs = np.linspace(0.0, 1.0, 401)
-        with open(record(out / "solution.csv"), "w") as fh:
-            fh.write("x,u\n")
-            for x, u in zip(xs, evaluate(xs)):
-                fh.write(f"{x:.6f},{u:.16e}\n")
-        report.results = {
-            "dtn": {"dtn1": pair.dtn1, "dtn2": pair.dtn2,
-                    "ntd1": pair.ntd1, "ntd2": pair.ntd2},
-            "projector_residuals": [
-                float(np.max(np.abs(P1 @ P1 - P1))),
-                float(np.max(np.abs(P2 @ P2 - P2)))],
-            "dtn_rebuild_residual": float(max(np.max(np.abs(P1 - P1d)),
-                                              np.max(np.abs(P2 - P2d)))),
-            "coefficients": [c1, c2],
-        }
-
-    elif cfg.mode == "schwarz-equiv":
-        (a,) = _a_for(cfg, 1)
-        if len(cfg.start) != 4:
-            raise ConfigError("start state needs 4 values (u1, du1, u2, du2)")
-        geom = interval1d.BoundedGeometry(cfg.gamma, a)
-        rep = interval1d.equivalence_check(
-            geom, interval1d.SchwarzState(*cfg.start), cfg.steps)
-        _write_convergence(record(out / "deviation.csv"), rep.deviations)
-        report.results = {
-            "max_deviation": rep.max_deviation,
-            "schwarz_norms": _jsonable(
-                np.max(np.abs(rep.schwarz_history), axis=1)),
-            "jacobi_norms": _jsonable(
-                np.max(np.abs(rep.jacobi_history), axis=1)),
-        }
-
-    elif cfg.mode == "spectrum-2d":
-        a1, a2 = _a_for(cfg, 2)
-        s1, s2 = _sigmas_for(cfg, 2)
-        mesh = _mesh_for(cfg)
-        t0 = clock()
-        par1 = KernelParams(a1, cfg.quad_order)
-        ops1 = assemble_operators(mesh, par1)
-        P1 = assemble_calderon_2d(mesh, par1, "interior", operators=ops1)
-        if a2 == a1:
-            P2 = assemble_calderon_2d(mesh, par1, "exterior", operators=ops1)
-        else:
-            P2 = assemble_calderon_2d(mesh, KernelParams(a2, cfg.quad_order),
-                                      "exterior")
-        report.timings["assembly_s"] = clock() - t0
-        t0 = clock()
-        cfgr = spectra.RelaxationConfig((s1, s2))
-        A, B = spectra.jacobi_2d_2dom(P1, P2, cfgr)
-        result = spectra.pencil_spectrum(A, B, cfgr.sigmas, cfg.eps)
-        report.timings["eigensolve_s"] = clock() - t0
-        spectra.write_eigenvalues_csv(record(out / "eigenvalues.csv"),
-                                      result.eigenvalues)
-        report.results = _spectrum_payload(result)
-        _gnuplot_script(record(out / "plot.gp"), [
-            "set size ratio -1", 'set xlabel "Re"', 'set ylabel "Im"',
-            f'plot "{out / "eigenvalues.csv"}" every ::1 using 1:2 '
-            'with points pt 7 ps 0.5 title "Jacobi spectrum"'])
-
-    elif cfg.mode == "spectrum-2d-3dom":
-        a0, a1, a2 = _a_for(cfg, 3)
-        s0, s1, s2 = _sigmas_for(cfg, 3)
-        inner, outer = make_three_domain(cfg.n_elements, cfg.n_elements,
-                                         cfg.radii[0], cfg.radii[1])
-        t0 = clock()
-        P1 = assemble_calderon_2d(inner, KernelParams(a1, cfg.quad_order),
-                                  "interior")
-        P2 = assemble_calderon_2d(outer, KernelParams(a2, cfg.quad_order),
-                                  "exterior")
-        coupling = assemble_coupling(inner, outer,
-                                     KernelParams(a0, cfg.quad_order))
-        report.timings["assembly_s"] = clock() - t0
-        t0 = clock()
-        cfgr = spectra.RelaxationConfig((s0, s1, s2))
-        A, B = spectra.jacobi_2d_3dom(P1, P2, coupling, cfgr)
-        result = spectra.pencil_spectrum(A, B, cfgr.sigmas, cfg.eps)
-        report.timings["eigensolve_s"] = clock() - t0
-        spectra.write_eigenvalues_csv(record(out / "eigenvalues.csv"),
-                                      result.eigenvalues)
-        report.results = _spectrum_payload(result)
-
-    elif cfg.mode == "sweep":
-        grid = _sigma_grid(cfg)
-        builder, label = _sweep_builder(cfg)
-        rows = spectra.sigma_sweep(builder, grid, cfg.eps)
-        spectra.write_sweep_csv(record(out / "sweep.csv"), rows)
-        radii = [r.spectral_radius for r in rows]
-        report.results = {
-            "kind": label,
-            "n_grid": len(rows),
-            "max_radius": max(radii),
-            "min_radius": min(radii),
-            "analytic_radius_max_error": float(max(
-                abs(r.spectral_radius - spectra.spectral_radius_formula(r.sigma))
-                for r in rows)) if cfg.kind in ("1d", "1d-3dom") else None,
-        }
-        _gnuplot_script(record(out / "plot.gp"), [
-            'set xlabel "sigma"', 'set ylabel "spectral radius"',
-            f'plot "{out / "sweep.csv"}" every ::1 using 1:2 '
-            'with lines title "rho(J)", 1 with lines dt 2 title "1"'])
-
-    report.timings["total_s"] = clock() - t_start
+    t_start = time.perf_counter()
+    report.results = _RUNNERS[cfg.mode](cfg, out, report)
+    report.timings["total_s"] = time.perf_counter() - t_start
     with open(out / "run_report.json", "w") as fh:
         json.dump(_jsonable(asdict(report)), fh, indent=2)
     report.files.append(str(out / "run_report.json"))
     return report
 
 
-def _sweep_builder(cfg):
-    (a,) = _a_for(cfg, 1)
-    if cfg.kind == "1d":
-        def builder(s):
-            op = line1d.jacobi_operator_2dom(a, s, s, line1d.JumpData(0, 0))
-            return eig_dense(op.matrix).eigenvalues
-        return builder, "analytic line, 2 subdomains"
-    if cfg.kind == "1d-3dom":
-        def builder(s):
-            op = line1d.jacobi_operator_3dom(a, s, s, s, line1d.JumpData(0, 0),
-                                             line1d.JumpData(0, 0))
-            return eig_dense(op.matrix).eigenvalues
-        return builder, "analytic line, 3 subdomains"
-    if cfg.kind == "2d":
-        if cfg.geometry is None:
-            raise ConfigError("missing required field 'geometry' for 2d sweep")
-        mesh = _mesh_for(cfg)
-        par = KernelParams(a, cfg.quad_order)
-        ops = assemble_operators(mesh, par)
-        P1 = assemble_calderon_2d(mesh, par, "interior", operators=ops)
-        P2 = assemble_calderon_2d(mesh, par, "exterior", operators=ops)
-
-        def builder(s):
-            A, B = spectra.jacobi_2d_2dom(
-                P1, P2, spectra.RelaxationConfig((s, s)))
-            return spectra.pencil_spectrum(A, B, (s, s)).eigenvalues
-        return builder, "boundary elements, 2 subdomains"
-    if cfg.kind == "2d-3dom":
-        inner, outer = make_three_domain(cfg.n_elements, cfg.n_elements,
-                                         cfg.radii[0], cfg.radii[1])
-        par = KernelParams(a, cfg.quad_order)
-        P1 = assemble_calderon_2d(inner, par, "interior")
-        P2 = assemble_calderon_2d(outer, par, "exterior")
-        coupling = assemble_coupling(inner, outer, par)
-
-        def builder(s):
-            A, B = spectra.jacobi_2d_3dom(
-                P1, P2, coupling, spectra.RelaxationConfig((s, s, s)))
-            return spectra.pencil_spectrum(A, B, (s, s, s)).eigenvalues
-        return builder, "boundary elements, 3 subdomains"
-    raise ConfigError(f"unknown sweep kind {cfg.kind!r}")
-
-
 def main(argv=None):
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         report = run(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -193,10 +193,6 @@ def state_to_traces(state):
     return np.array([state.u1, state.du1, state.u2, -state.du2])
 
 
-def traces_to_state(U):
-    return SchwarzState(float(U[0]), float(U[1]), float(U[2]), float(-U[3]))
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Iterate-by-iterate comparison of two interface iterations."""

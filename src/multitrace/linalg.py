@@ -144,28 +144,3 @@ def _pencil_residual(A, B, w, v):
     r = A @ v - (B @ v) * w[None, :]
     return float(np.max(np.linalg.norm(r, axis=0) / np.linalg.norm(v, axis=0)))
 
-
-def match_multisets(values, reference, tol, label=""):
-    """Assert two complex multisets agree within ``tol`` by optimal pairing.
-
-    Returns the maximum matched distance.  Uses a minimax assignment so
-    the comparison is robust to ordering of nearly-tied values.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    values = np.asarray(values, dtype=complex)
-    reference = np.asarray(reference, dtype=complex)
-    if values.shape != reference.shape:
-        raise ValueError(
-            f"multiset sizes differ{': ' + label if label else ''}: "
-            f"{values.shape} vs {reference.shape}"
-        )
-    cost = np.abs(values[:, None] - reference[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    worst = float(cost[rows, cols].max()) if values.size else 0.0
-    if worst > tol:
-        raise AssertionError(
-            f"multisets differ{': ' + label if label else ''}: "
-            f"max matched distance {worst:.3e} > {tol:.1e}"
-        )
-    return worst

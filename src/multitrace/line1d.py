@@ -20,7 +20,7 @@ and the one to the left stores ``(u(x0-), +u'(x0-))``.  Jump data
 ``alpha = u(x0+) - u(x0-)``, ``beta = -u'(x0+) + u'(x0-)``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,17 +28,6 @@ from .linalg import solve_dense
 
 # Sign-flip matrix exchanging trace conventions across an interface.
 X2 = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-
-@dataclass(frozen=True)
-class TracePair:
-    """Dirichlet value and signed normal derivative on one interface side."""
-
-    dirichlet: float
-    neumann: float
-
-    def as_array(self):
-        return np.array([self.dirichlet, self.neumann])
 
 
 @dataclass(frozen=True)

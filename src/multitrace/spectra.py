@@ -6,6 +6,11 @@ setting; discretized 2D operators cluster around the same points.  This
 module forms the operators as generalized pencils (mass matrices are
 never inverted), computes spectra, sweeps relaxation grids and
 quantifies how much of a spectrum sits near the theoretical points.
+
+:func:`jacobi_pencil` builds the pencil for any list of subdomain
+records (a ``DiscreteCalderon`` on one curve, a ``CouplingSet`` on the
+annulus); ``jacobi_2d_2dom`` and ``jacobi_2d_3dom`` are its two- and
+three-subdomain forms.
 """
 
 from dataclasses import dataclass
@@ -13,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import line1d
-from .bem2d.assembly import block_diag2, trace_flip
 from .linalg import eig_dense, eig_generalized
 
 
@@ -97,94 +101,68 @@ def summarize_spectrum(eigenvalues, sigmas, eps=0.05):
                           pts, rep)
 
 
-def _mass_and_flip(calderon):
-    n = calderon.mesh.n_nodes
-    return calderon.M_block, trace_flip(n)
+def jacobi_pencil(subdomains, sigmas):
+    """Generalized pencil ``(A, B)`` of the block Jacobi operator.
+
+    A subdomain record has ``P``, its mass-paired Calderon matrix over
+    its boundary curves, the block-diagonal mass ``M_block`` and
+    ``curves``, the curve meshes in trace-block order.  Unknowns follow
+    the list order; every curve must bound exactly two subdomains.
+    Subdomain ``j`` has the diagonal block ``(1 + s_j) M_j - P_j`` and
+    reaches its neighbours' traces through ``s_j M_j X`` (``X`` negates
+    the Neumann trace), or ``M_j`` and ``P_j X`` at ``s_j = 0``.
+    """
+    sigmas = RelaxationConfig(sigmas).sigmas
+    if len(sigmas) != len(subdomains):
+        raise ValueError(f"{len(subdomains)} subdomains need as many "
+                         f"relaxation parameters, got {len(sigmas)}")
+    starts = np.cumsum([0] + [sd.P.shape[0] for sd in subdomains])
+    sides = {}              # curve id -> [(subdomain, local column, nodes)]
+    for j, sd in enumerate(subdomains):
+        local = 0
+        for curve in sd.curves:
+            sides.setdefault(id(curve), []).append((j, local, curve.n_nodes))
+            local += 2 * curve.n_nodes
+        if local != sd.P.shape[0]:
+            raise ValueError(f"subdomain {j}: P has {sd.P.shape[0]} rows "
+                             f"but its curves carry {local} traces")
+    for curve_sides in sides.values():
+        if len(curve_sides) != 2:
+            raise ValueError(f"a curve bounds {len(curve_sides)} "
+                             "subdomain(s); an interface needs exactly two")
+
+    A = np.zeros((starts[-1], starts[-1]), dtype=complex)
+    B = np.zeros_like(A)
+    rows = [slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
+    coupling = []
+    for sd, s, r in zip(subdomains, sigmas, rows):
+        if s == 0:
+            coupling.append(sd.P)
+            B[r, r] = sd.M_block
+        else:
+            coupling.append(s * sd.M_block)
+            B[r, r] = (1 + s) * sd.M_block - sd.P
+    for curve_sides in sides.values():
+        for (j, lj, n), (k, lk, _) in (curve_sides, curve_sides[::-1]):
+            own = coupling[j][:, lj:lj + 2 * n]
+            ck = starts[k] + lk
+            A[rows[j], ck:ck + n] = own[:, :n]
+            A[rows[j], ck + n:ck + 2 * n] = -own[:, n:]
+    return A, B
 
 
 def jacobi_2d_2dom(P1, P2, cfg):
-    """Generalized pencil of the two-subdomain Jacobi operator.
-
-    The operator inverts the diagonal blocks ``(1 + s_j) Id - P_j`` of
-    the multitrace system against the relaxation couplings ``s_j X``;
-    here it is returned as a pencil ``(A, B)`` whose eigenvalues match,
-    with mass matrices kept on both sides instead of being inverted.
-    Rows with ``s_j = 0`` switch to the limit form ``P_j X`` paired with
-    the plain mass.
-    """
-    if P1.mesh is not P2.mesh:
-        raise ValueError("two-subdomain operators must share one curve")
-    s1, s2 = cfg.sigmas
-    M1, X1 = _mass_and_flip(P1)
-    M2, X2 = _mass_and_flip(P2)
-    n1, n2 = P1.dim, P2.dim
-    dtype = np.result_type(complex(s1), complex(s2), float)
-    A = np.zeros((n1 + n2, n1 + n2), dtype=dtype)
-    B = np.zeros_like(A)
-    for (row, col, s, P, M, X, nr) in (
-            (0, n1, s1, P1, M1, X1, n1),
-            (n1, 0, s2, P2, M2, X2, n2)):
-        if s == 0:
-            A[row:row + nr, col:col + nr] = P.P @ X
-            B[row:row + nr, row:row + nr] = M
-        else:
-            A[row:row + nr, col:col + nr] = s * (M @ X)
-            B[row:row + nr, row:row + nr] = (1 + s) * M - P.P
-    return A, B
+    """Two subdomains sharing one curve: :func:`jacobi_pencil` of
+    ``(P1, P2)`` with ``cfg.sigmas = (s1, s2)``."""
+    return jacobi_pencil((P1, P2), cfg.sigmas)
 
 
 def jacobi_2d_3dom(P1, P2, coupling, cfg):
-    """Generalized pencil of the three-subdomain Jacobi operator.
-
-    Unknown ordering ``(U1, U01, U02, U2)``.  The middle subdomain
-    carries one 4-block diagonal unit combining its two self blocks and
-    the cross-curve couplings; outer rows couple through ``s_j X`` as in
-    the two-subdomain case.  ``s_j = 0`` rows use the limit form.
-    """
+    """Annulus between two curves: :func:`jacobi_pencil` of the subdomain
+    order ``(inner, middle, outer)``; ``cfg.sigmas = (s0, s1, s2)`` lists
+    the middle subdomain first, so the unknowns are ``(U1, U01, U02, U2)``."""
     s0, s1, s2 = cfg.sigmas
-    Pt1, Pt2 = coupling.P1_tilde, coupling.P2_tilde
-    R12, R21 = coupling.R12, coupling.R21
-    if not (P1.mesh is Pt1.mesh and P2.mesh is Pt2.mesh):
-        raise ValueError("projector/coupling meshes are inconsistent")
-    Ma, Xa = _mass_and_flip(P1)      # inner curve
-    Mb, Xb = _mass_and_flip(P2)      # outer curve
-    na, nb = P1.dim, P2.dim
-    dim = 2 * na + 2 * nb
-    dtype = np.result_type(complex(s0), complex(s1), complex(s2), float)
-    A = np.zeros((dim, dim), dtype=dtype)
-    B = np.zeros_like(A)
-    # index offsets: U1: 0, U01: na, U02: 2*na, U2: 2*na + nb
-    o1, o01, o02, o2 = 0, na, 2 * na, 2 * na + nb
-
-    if s1 == 0:
-        A[o1:o1 + na, o01:o01 + na] = P1.P @ Xa
-        B[o1:o1 + na, o1:o1 + na] = Ma
-    else:
-        A[o1:o1 + na, o01:o01 + na] = s1 * (Ma @ Xa)
-        B[o1:o1 + na, o1:o1 + na] = (1 + s1) * Ma - P1.P
-
-    if s0 == 0:
-        A[o01:o01 + na, o1:o1 + na] = Pt1.P @ Xa
-        A[o01:o01 + na, o2:o2 + nb] = R12 @ Xb
-        A[o02:o02 + nb, o1:o1 + na] = R21 @ Xa
-        A[o02:o02 + nb, o2:o2 + nb] = Pt2.P @ Xb
-        B[o01:o01 + na, o01:o01 + na] = Ma
-        B[o02:o02 + nb, o02:o02 + nb] = Mb
-    else:
-        A[o01:o01 + na, o1:o1 + na] = s0 * (Ma @ Xa)
-        A[o02:o02 + nb, o2:o2 + nb] = s0 * (Mb @ Xb)
-        B[o01:o01 + na, o01:o01 + na] = (1 + s0) * Ma - Pt1.P
-        B[o01:o01 + na, o02:o02 + nb] = -R12
-        B[o02:o02 + nb, o01:o01 + na] = -R21
-        B[o02:o02 + nb, o02:o02 + nb] = (1 + s0) * Mb - Pt2.P
-
-    if s2 == 0:
-        A[o2:o2 + nb, o02:o02 + nb] = P2.P @ Xb
-        B[o2:o2 + nb, o2:o2 + nb] = Mb
-    else:
-        A[o2:o2 + nb, o02:o02 + nb] = s2 * (Mb @ Xb)
-        B[o2:o2 + nb, o2:o2 + nb] = (1 + s2) * Mb - P2.P
-    return A, B
+    return jacobi_pencil((P1, coupling, P2), (s1, s0, s2))
 
 
 def pencil_spectrum(A, B, sigmas, eps=0.05):

@@ -15,9 +15,9 @@ from multitrace import interval1d, line1d, spectra
 from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
                               assemble_coupling, assemble_operators,
                               make_circle, make_square, make_three_domain)
-from multitrace.bem2d.assembly import trace_flip
 from multitrace.bem2d.kernels import kernel_2d, kernel_radial_deriv
-from multitrace.linalg import eig_dense, match_multisets
+from multitrace.linalg import eig_dense
+from helpers import match_multisets, trace_flip
 from oracle_bessel import oracle_k0, oracle_k1
 
 TWO_PI = 2.0 * np.pi

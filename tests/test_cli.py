@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multitrace.cli import ConfigError, main, parse_config, run
+from multitrace.cli import (_RUNNERS, _SWEEPS, ConfigError, main,
+                            parse_config, run)
 
 
 class TestParseConfig:
@@ -46,6 +48,12 @@ class TestParseConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mode": "frobnicate"}))
         with pytest.raises(ConfigError, match="unknown mode"):
+            parse_config(["--config", str(path)])
+
+    def test_unreadable_config_value_named(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "1d-2dom", "steps": "many"}))
+        with pytest.raises(ConfigError, match="^steps cannot be read"):
             parse_config(["--config", str(path)])
 
     def test_unknown_config_key_rejected(self, tmp_path):
@@ -147,3 +155,81 @@ class TestMainExitCodes:
         code = main(["spectrum-2d", "--geometry", "square", "--n", "13",
                      "--out", str(tmp_path / "o")])
         assert code == 2
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("argv, field", [
+        (["1d-2dom", "--sigma", "nan"], "sigma"),
+        (["1d-2dom", "--a", "nan"], "a"),
+        (["spectrum-2d", "--geometry", "circle", "--a", "inf"], "a"),
+        (["1d-2dom", "--alpha", "nan"], "alpha"),
+        (["1d-2dom", "--beta", "inf"], "beta"),
+        (["1d-3dom", "--alpha2", "nan"], "alpha2"),
+        (["1d-3dom", "--beta2", "inf"], "beta2"),
+        (["1d-2dom", "--eps", "-1"], "eps"),
+        (["spectrum-2d", "--geometry", "circle", "--eps", "-1"], "eps"),
+        (["1d-2dom", "--steps", "-3"], "steps"),
+        (["spectrum-2d", "--geometry", "circle", "--quad-order", "1"],
+         "quad_order"),
+        (["spectrum-2d", "--geometry", "circle", "--n", "1100"], "n_elements"),
+        (["spectrum-2d-3dom", "--n", "600"], "n_elements"),
+        (["sweep", "--kind", "2d", "--geometry", "circle", "--n", "1100"],
+         "n_elements"),
+        (["sweep", "--kind", "2d"], "geometry"),
+        (["spectrum-2d", "--geometry", "square", "--n", "13"], "n_elements"),
+        (["1d-2dom", "--sigma", "0.1,abc"], "sigma"),
+    ])
+    def test_exit_2_naming_the_field(self, argv, field, tmp_path, capsys):
+        # rejected by parse_config, before any assembly starts
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {field} "), err
+        assert not (tmp_path / "o").exists()
+
+
+def _sweep_rows(path):
+    lines = path.read_text().splitlines()[1:]
+    return [(float(line.split(",")[0]), int(line.split(",")[2]))
+            for line in lines]
+
+
+class Test2dRuns:
+    def test_spectrum_2d_3dom_small(self, tmp_path):
+        report = run(parse_config(["spectrum-2d-3dom", "--n", "12",
+                                   "--sigma", "-0.4,1,0.25",
+                                   "--out", str(tmp_path / "o")]))
+        assert report.results["n_eigenvalues"] == 8 * 12
+        assert (tmp_path / "o" / "eigenvalues.csv").exists()
+
+    @pytest.mark.parametrize("kind, geometry, n, per_element", [
+        ("2d", "circle", 12, 4),
+        ("2d-3dom", None, 8, 8),
+    ])
+    def test_bem_sweep_keeps_sigma_zero_row(self, kind, geometry, n,
+                                            per_element, tmp_path):
+        argv = ["sweep", "--kind", kind, "--n", str(n), "--steps", "3",
+                "--sigma-min", "-0.5", "--sigma-max", "0.5",
+                "--out", str(tmp_path / "o")]
+        if geometry:
+            argv += ["--geometry", geometry]
+        report = run(parse_config(argv))
+        rows = _sweep_rows(tmp_path / "o" / "sweep.csv")
+        assert report.results["n_grid"] == len(rows) == 3
+        assert all(n_eigs == per_element * n for _, n_eigs in rows)
+        assert 0.0 in [sigma for sigma, _ in rows]
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
+                 .glob("fig*.json"))
+
+
+def test_reference_configs_present():
+    assert len(CONFIGS) == 8
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_reference_config_maps_to_mode_table(path):
+    cfg = parse_config(["--config", str(path)])
+    assert cfg.mode in _RUNNERS
+    if cfg.mode == "sweep":
+        assert cfg.kind in _SWEEPS

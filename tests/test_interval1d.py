@@ -9,7 +9,8 @@ from multitrace.interval1d import (BoundedGeometry, SchwarzState,
                                    transmission_solve_bounded)
 from multitrace.line1d import (JumpData, X2, block_jacobi_run,
                                calderon_halfline, jacobi_from_projectors)
-from multitrace.linalg import eig_dense, match_multisets
+from multitrace.linalg import eig_dense
+from helpers import match_multisets
 
 
 def random_geometries(count, seed=0, a_range=(0.01, 100.0)):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from multitrace.linalg import (DIMENSION_CAP, SingularMatrixError, eig_dense,
-                               eig_generalized, match_multisets, solve_dense)
+                               eig_generalized, solve_dense)
+from helpers import match_multisets
 
 
 def test_solve_identity():

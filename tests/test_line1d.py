@@ -9,7 +9,8 @@ from multitrace.line1d import (JumpData, X2, assemble_mtf_2dom,
                                jacobi_operator_2dom, jacobi_operator_3dom,
                                middle_coupling_matrix, represent_1d,
                                represent_1d_3dom)
-from multitrace.linalg import eig_dense, match_multisets
+from multitrace.linalg import eig_dense
+from helpers import match_multisets
 
 
 def sigma_points(*sigmas):

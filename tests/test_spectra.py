@@ -1,18 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from multitrace import spectra
 from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
                               assemble_coupling, assemble_operators,
                               make_circle, make_three_domain)
-from multitrace.linalg import match_multisets
 from multitrace.spectra import (RelaxationConfig, analytic_spectrum_2dom,
                                 analytic_spectrum_3dom, cluster_report,
                                 jacobi_2d_2dom, jacobi_2d_3dom,
-                                pencil_spectrum, sigma_sweep,
+                                jacobi_pencil, pencil_spectrum, sigma_sweep,
                                 spectral_radius_formula, theoretical_points,
                                 write_eigenvalues_csv, write_sweep_csv)
+from helpers import match_multisets, trace_flip
 
 
 def minus_symmetric(eigs, tol):
@@ -188,6 +191,107 @@ class TestDiscretePencils:
         A, B = jacobi_2d_3dom(P1, P2, coup, cfg)
         res = pencil_spectrum(A, B, cfg.sigmas, eps=0.1)
         assert np.all(np.isfinite(res.eigenvalues))
+
+
+@pytest.fixture(scope="module")
+def annulus_subdomains():
+    inner, outer = make_three_domain(8, 12)
+    P1 = assemble_calderon_2d(inner, KernelParams(1.0), "interior")
+    P2 = assemble_calderon_2d(outer, KernelParams(1.0), "exterior")
+    coup = assemble_coupling(inner, outer, KernelParams(2.0))
+    return P1, coup, P2
+
+
+def dense_pencil(subdomains, sigmas, exchange):
+    """Matrix form ``A = C X E``, ``B = diag(B_j)`` of the Jacobi splitting.
+
+    ``C`` and ``B`` are block diagonal over subdomains, ``X`` flips the
+    Neumann half of every trace block and the permutation ``exchange``
+    maps each trace block to its neighbour's across the interface.
+    """
+    C = scipy.linalg.block_diag(*[sd.P if s == 0 else s * sd.M_block
+                                  for sd, s in zip(subdomains, sigmas)])
+    B = scipy.linalg.block_diag(*[sd.M_block if s == 0
+                                  else (1 + s) * sd.M_block - sd.P
+                                  for sd, s in zip(subdomains, sigmas)])
+    X = scipy.linalg.block_diag(*[trace_flip(c.n_nodes)
+                                  for sd in subdomains for c in sd.curves])
+    E = np.eye(len(exchange))[exchange]
+    return C @ X @ E, B
+
+
+SIGMA_PAIRS = [(0.1, 0.1), (0.0, 0.0), (0.0, 1.0), (-0.4, 1.0),
+               (0.2 + 0.4j, -0.3)]
+SIGMA_TRIPLES = [(0.25, 0.25, 0.25), (0.0, 0.0, 0.0), (0.0, 0.5, 0.5),
+                 (-0.4, 1.0, 0.25), (0.5, 0.0, -0.3 - 0.1j)]
+
+
+class TestJacobiPencil:
+    @pytest.mark.parametrize("sigmas", SIGMA_PAIRS)
+    def test_two_subdomains_match_dense_form(self, circle_projectors,
+                                             sigmas):
+        P1, P2 = circle_projectors
+        A, B = jacobi_2d_2dom(P1, P2, RelaxationConfig(sigmas))
+        n2 = P1.dim
+        swap = np.r_[n2:2 * n2, 0:n2]
+        A_ref, B_ref = dense_pencil((P1, P2), sigmas, swap)
+        assert A.dtype == B.dtype == complex
+        np.testing.assert_array_equal(A, A_ref)
+        np.testing.assert_array_equal(B, B_ref)
+
+    @pytest.mark.parametrize("sigmas", SIGMA_TRIPLES)
+    def test_annulus_matches_dense_form(self, annulus_subdomains, sigmas):
+        P1, coup, P2 = annulus_subdomains
+        s0, s1, s2 = sigmas
+        A, B = jacobi_2d_3dom(P1, P2, coup, RelaxationConfig(sigmas))
+        na, nb = P1.dim, P2.dim
+        # unknowns (U1, U01, U02, U2); U1 <-> U01 and U02 <-> U2 exchange
+        o01, o02, o2 = na, 2 * na, 2 * na + nb
+        swap = np.r_[o01:o02, 0:o01, o2:o2 + nb, o02:o2]
+        A_ref, B_ref = dense_pencil((P1, coup, P2), (s1, s0, s2), swap)
+        np.testing.assert_array_equal(A, A_ref)
+        np.testing.assert_array_equal(B, B_ref)
+
+    def test_subdomain_order_permutes_unknowns(self, circle_projectors):
+        P1, P2 = circle_projectors
+        A, B = jacobi_pencil((P1, P2), (0.3, -0.2))
+        A2, B2 = jacobi_pencil((P2, P1), (-0.2, 0.3))
+        n2 = P1.dim
+        perm = np.r_[n2:2 * n2, 0:n2]
+        np.testing.assert_array_equal(A2, A[np.ix_(perm, perm)])
+        np.testing.assert_array_equal(B2, B[np.ix_(perm, perm)])
+
+    def test_curve_bounding_one_subdomain_rejected(self, circle_projectors):
+        P1, P2 = circle_projectors
+        other = dataclasses.replace(P2, mesh=make_circle(48))
+        with pytest.raises(ValueError, match="bounds 1 subdomain"):
+            jacobi_2d_2dom(P1, other, RelaxationConfig((0.1, 0.1)))
+
+    def test_curve_bounding_three_subdomains_rejected(self,
+                                                      circle_projectors):
+        P1, P2 = circle_projectors
+        with pytest.raises(ValueError, match="bounds 3 subdomain"):
+            jacobi_pencil((P1, P2, P1), (0.1, 0.1, 0.1))
+
+    def test_inconsistent_annulus_curves_rejected(self, annulus_subdomains):
+        P1, coup, P2 = annulus_subdomains
+        foreign = dataclasses.replace(
+            coup, P1_tilde=dataclasses.replace(coup.P1_tilde,
+                                               mesh=make_circle(8)))
+        with pytest.raises(ValueError, match="bounds 1 subdomain"):
+            jacobi_2d_3dom(P1, P2, foreign,
+                           RelaxationConfig((0.25, 0.25, 0.25)))
+
+    def test_trace_size_must_match_curves(self, circle_projectors):
+        P1, P2 = circle_projectors
+        coarse = make_circle(24)
+        with pytest.raises(ValueError, match="rows"):
+            jacobi_pencil((dataclasses.replace(P1, mesh=coarse),
+                           dataclasses.replace(P2, mesh=coarse)), (0.1, 0.1))
+
+    def test_sigma_count_must_match(self, circle_projectors):
+        with pytest.raises(ValueError, match="2 subdomains"):
+            jacobi_pencil(circle_projectors, (0.1,))
 
 
 class TestSweep:
