@@ -6,8 +6,8 @@ Subpackages and modules:
     Dense solves and (generalized) eigenvalue computation.
 ``line1d``
     Exact engine on the real line: Green's function, representation
-    formulas, Calderon projectors, multitrace systems and block Jacobi
-    iterations for 2 and 3 subdomains.
+    formulas, Calderon projectors, and the multitrace system and block
+    Jacobi iteration of a line of any number of subdomains.
 ``interval1d``
     Bounded interval (0, 1) split at gamma: closed-form transmission
     solve, projectors, DtN/NtD maps and the optimal Schwarz iteration.

@@ -179,24 +179,41 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path):
-    """Read a mesh written by :func:`save_mesh` (validates on load)."""
+    """Read a mesh written by :func:`save_mesh` (validates on load).
+
+    A wrong or missing section header, a section shorter than its count
+    and tokens after the last element raise
+    ``ValueError("malformed mesh file: ...")``.
+    """
     with open(path) as fh:
         tokens = fh.read().split()
     pos = 0
 
-    def expect(word):
+    def section(word, width, dtype):
         nonlocal pos
+        if pos + 2 > len(tokens):
+            raise ValueError(f"malformed mesh file: expected the "
+                             f"'{word} <count>' header at token {pos}, "
+                             f"found the end of the file")
         if tokens[pos] != word:
             raise ValueError(f"malformed mesh file: expected {word!r} "
                              f"at token {pos}, got {tokens[pos]!r}")
-        pos += 1
-        count = int(tokens[pos])
-        pos += 1
-        return count
+        if not tokens[pos + 1].isdigit():
+            raise ValueError(f"malformed mesh file: {word} count must be a "
+                             f"nonnegative integer, got {tokens[pos + 1]!r}")
+        count = int(tokens[pos + 1])
+        body = tokens[pos + 2:pos + 2 + width * count]
+        if len(body) != width * count:
+            raise ValueError(f"malformed mesh file: {word} section expects "
+                             f"{count} rows of {width} values "
+                             f"({width * count} tokens), got {len(body)}")
+        pos += 2 + width * count
+        return np.array(body, dtype=dtype).reshape(count, width)
 
-    n = expect("nodes")
-    nodes = np.array(tokens[pos:pos + 2 * n], dtype=float).reshape(n, 2)
-    pos += 2 * n
-    m = expect("elements")
-    rows = np.array(tokens[pos:pos + 3 * m], dtype=int).reshape(m, 3)
+    nodes = section("nodes", 2, float)
+    rows = section("elements", 3, int)
+    if pos != len(tokens):
+        raise ValueError(f"malformed mesh file: {len(tokens) - pos} extra "
+                         f"token(s) after the elements section of "
+                         f"{len(rows)} rows")
     return BoundaryMesh(nodes, rows[:, :2], rows[:, 2])

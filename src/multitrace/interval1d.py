@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .line1d import X2, JacobiHistory, block_jacobi_run, jacobi_from_projectors
+from .line1d import block_jacobi_run, jacobi_operator
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def equivalence_check(geom, state0, n_steps=4, sigma=0.0):
     schwarz = optimal_schwarz_run(geom, state0, n_steps)
     schwarz_traces = np.array([state_to_traces(s) for s in schwarz])
     P1, P2 = calderon_bounded(geom)
-    op = jacobi_from_projectors(P1, P2, sigma, sigma)
+    op = jacobi_operator([P1, P2], (sigma, sigma), np.zeros((1, 2)))
     jac = block_jacobi_run(op, state_to_traces(state0), n_steps)
     deviations = np.max(np.abs(schwarz_traces - jac.iterates), axis=1)
     return EquivalenceReport(float(deviations.max()), deviations,

@@ -7,20 +7,22 @@ without any discretization:
 * representation formulas from prescribed Dirichlet/Neumann jumps,
 * the 2x2 Calderon projectors of the two half lines and the 4x4
   projector of a middle interval,
-* the multitrace systems coupling per-subdomain trace pairs with
-  relaxation parameters, and
-* the associated block Jacobi iteration operators for two and three
-  subdomains.
+* the multitrace system of a line of subdomains listed left to right,
+  coupling per-subdomain trace pairs with relaxation parameters
+  (:func:`assemble_mtf`), and its block Jacobi iteration operator
+  (:func:`jacobi_operator`); the two- and three-subdomain functions are
+  adapters to these two.
 
 Trace convention: each subdomain carries the pair
 ``(u, outward normal derivative)`` on its interface side, so the
 half line to the right of an interface stores ``(u(x0+), -u'(x0+))``
 and the one to the left stores ``(u(x0-), +u'(x0-))``.  Jump data
-``(alpha, beta)`` is oriented right-to-left:
+``(alpha, beta)`` is oriented right minus left:
 ``alpha = u(x0+) - u(x0-)``, ``beta = -u'(x0+) + u'(x0-)``.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +61,6 @@ class MtfSystem:
     system_matrix: np.ndarray
     rhs: np.ndarray
     sigmas: tuple
-    layout: str
 
     def solve(self):
         return solve_dense(self.system_matrix, self.rhs)
@@ -154,160 +155,137 @@ def calderon_middle_3dom(a, interfaces=(-1.0, 1.0)):
     if not xr > xl:
         raise ValueError("interfaces must satisfy x_left < x_right")
     g = green_1d(a, xr - xl)
-    P = calderon_halfline(a).matrix
-    R = middle_coupling_matrix(a)
-    top = np.hstack([P, 2.0 * a * g * R])
-    bottom = np.hstack([2.0 * a * g * R, P])
-    return CalderonProjector1D(np.vstack([top, bottom]), a)
+    P0 = np.empty((4, 4))
+    P0[:2, :2] = P0[2:, 2:] = calderon_halfline(a).matrix
+    P0[:2, 2:] = P0[2:, :2] = 2.0 * a * g * middle_coupling_matrix(a)
+    return CalderonProjector1D(P0, a)
+
+
+class _Line(NamedTuple):
+    """Trace layout of a line of subdomains listed left to right.
+
+    Interface ``i`` carries trace block ``2i`` (its left side) and
+    ``2i+1`` (its right side), each an ``(u, outward derivative)`` pair,
+    so ``E`` swaps blocks ``2i <-> 2i+1`` through ``X2``.
+    """
+
+    P: np.ndarray       # block-diagonal projector, one block per subdomain
+    S: np.ndarray       # relaxation parameter of each unknown
+    data: np.ndarray    # jump data of each unknown
+    sigmas: tuple       # relaxation parameter of each subdomain
+
+
+def _line(projectors, sigmas, data):
+    mats = [np.asarray(p, dtype=float) for p in projectors]
+    sigmas = _check_sigmas(sigmas)
+    k = len(mats)
+    if k < 2 or len(sigmas) != k:
+        raise ValueError(f"a line needs at least two subdomains and one "
+                         f"relaxation parameter each, got {k} and "
+                         f"{len(sigmas)}")
+    sizes = [2] + [4] * (k - 2) + [2]
+    if [m.shape for m in mats] != [(s, s) for s in sizes]:
+        raise ValueError(f"a line needs 2x2 projectors at both ends and 4x4 "
+                         f"ones in between, got {[m.shape for m in mats]}")
+    jumps = np.asarray(data, dtype=float)
+    if jumps.shape != (k - 1, 2):
+        raise ValueError(f"need (alpha, beta) at each of the {k - 1} "
+                         f"interface(s), got shape {jumps.shape}")
+    n = 4 * (k - 1)
+    P = np.zeros((n, n))
+    start = 0
+    for m, size in zip(mats, sizes):
+        P[start:start + size, start:start + size] = m
+        start += size
+    d = np.repeat(jumps, 2, axis=0)
+    d[0::2, 0] *= -1    # left side of an interface carries (-alpha, beta)
+    S = np.repeat(np.array(sigmas), sizes)
+    return _Line(P, S, d.ravel(), sigmas)
+
+
+def assemble_mtf(projectors, sigmas, data):
+    """Multitrace system of a line of subdomains listed left to right.
+
+    ``projectors`` are the subdomain Calderon projectors: 2x2 for the
+    half lines at both ends (:func:`calderon_halfline`), 4x4 for each
+    interval in between (:func:`calderon_middle_3dom`); ``sigmas`` has
+    one relaxation parameter per subdomain and ``data`` one jump
+    ``(alpha, beta)`` per interface, oriented right minus left.  With
+    ``S`` the per-trace relaxation, ``P`` the block-diagonal projector
+    and ``E`` the interface swap, the system is
+    ``M = diag(1+S) - P - S E`` and ``rhs = S * d``, where the trace data
+    ``d`` is ``(-alpha, beta)`` left of an interface and ``(alpha, beta)``
+    right of it.  At vanishing relaxation the system loses the jump data.
+    """
+    line = _line(projectors, sigmas, data)
+    n = len(line.S)
+    blocks = np.arange(n // 2)
+    M = -line.P.astype(complex)
+    M[np.diag_indices(n)] += 1 + line.S
+    M.reshape(n // 2, 2, n // 2, 2)[blocks, :, blocks ^ 1, :] = (
+        -line.S[::2, None, None] * X2)
+    return MtfSystem(M, line.S * line.data, line.sigmas)
+
+
+def jacobi_operator(projectors, sigmas, data):
+    """Block Jacobi operator of :func:`assemble_mtf`, per 2x2 trace block.
+
+    Inverting the 2x2 diagonal blocks ``(1+s) Id - D`` of the system in
+    closed form gives ``J = ((S Id + D) E + (P - D)) / (1+S)`` and
+    ``F = (S Id + D) d / (1+S)``.  Because each block ``D`` is a projector
+    and ``D (P - D) = 0``, this holds at ``sigma = 0`` too (no division
+    by ``s``), where ``J`` is nilpotent of order ``2 (k - 1)`` for ``k``
+    subdomains.
+    """
+    line = _line(projectors, sigmas, data)
+    n = len(line.S)
+    blocks = np.arange(n // 2)
+    J = line.P.astype(complex)
+    J4 = J.reshape(n // 2, 2, n // 2, 2)
+    Q = J4[blocks, :, blocks, :]        # a copy of the 2x2 blocks D
+    Q[:, [0, 1], [0, 1]] += line.S.reshape(-1, 2)
+    J4[blocks, :, blocks, :] = 0.0
+    J4[blocks, :, blocks ^ 1, :] = Q * X2.diagonal()
+    J /= (1 + line.S)[:, None]
+    F = (Q @ line.data.reshape(-1, 2, 1)).ravel() / (1 + line.S)
+    return JacobiOperator1D(J, F, line.sigmas)
 
 
 def assemble_mtf_2dom(a, sigma1, sigma2, jump):
-    """Two-subdomain multitrace system for jump data at the interface.
-
-    The 4x4 matrix is ``[[(1+s1)Id - P, -s1 X], [-s2 X, (1+s2)Id - P]]``
-    and the right-hand side carries the relaxation-weighted jumps
-    ``s1*(-alpha, beta)`` and ``s2*(alpha, beta)``.  At vanishing
-    relaxation the system loses the jump data (rhs = 0).
-    """
-    a = _check_a(a)
-    s1, s2 = _check_sigmas((sigma1, sigma2))
+    """:func:`assemble_mtf` of the two half lines meeting at ``jump``."""
     P = calderon_halfline(a).matrix
-    I2 = np.eye(2)
-    M = np.zeros((4, 4), dtype=complex)
-    M[:2, :2] = (1 + s1) * I2 - P
-    M[:2, 2:] = -s1 * X2
-    M[2:, :2] = -s2 * X2
-    M[2:, 2:] = (1 + s2) * I2 - P
-    rhs = np.concatenate([
-        s1 * np.array([-jump.alpha, jump.beta]),
-        s2 * np.array([jump.alpha, jump.beta]),
-    ]).astype(complex)
-    return MtfSystem(M, rhs, (s1, s2), "two-subdomain line")
-
-
-def jacobi_block(P, sigma):
-    """Off-diagonal Jacobi block ``((1+s)Id - P)^{-1} s X`` in closed form.
-
-    Because ``P`` is a projector, the block equals ``(s Id + P) X/(1+s)``,
-    which stays well defined in the limit ``s -> 0`` (no division by s).
-    """
-    (s,) = _check_sigmas((sigma,))
-    n = P.shape[0]
-    Xn = np.kron(np.eye(n // 2), X2)
-    return (s * np.eye(n) + P) @ Xn / (1 + s)
-
-
-def jacobi_rhs_block(P, sigma, data):
-    """Right-hand side block ``((1+s)Id - P)^{-1} s * data``."""
-    (s,) = _check_sigmas((sigma,))
-    return (s * np.eye(P.shape[0]) + P) @ np.asarray(data, dtype=complex) / (1 + s)
-
-
-def jacobi_from_projectors(P1, P2, sigma1, sigma2, rhs_blocks=None):
-    """Block Jacobi operator for two subdomains with given 2x2 projectors.
-
-    ``rhs_blocks`` are the raw multitrace right-hand side data vectors
-    (before the diagonal-block inverse is applied); when omitted the
-    iteration is homogeneous.
-    """
-    s1, s2 = _check_sigmas((sigma1, sigma2))
-    J = np.zeros((4, 4), dtype=complex)
-    J[:2, 2:] = jacobi_block(P1, s1)
-    J[2:, :2] = jacobi_block(P2, s2)
-    if rhs_blocks is None:
-        F = np.zeros(4, dtype=complex)
-    else:
-        d1, d2 = rhs_blocks
-        F = np.concatenate([
-            jacobi_rhs_block(P1, s1, d1),
-            jacobi_rhs_block(P2, s2, d2),
-        ])
-    return JacobiOperator1D(J, F, (s1, s2))
+    return assemble_mtf([P, P], (sigma1, sigma2), [(jump.alpha, jump.beta)])
 
 
 def jacobi_operator_2dom(a, sigma1, sigma2, jump):
-    """Block Jacobi operator of the two-subdomain multitrace system.
-
-    At ``sigma = 0`` the matrix reduces to ``[[0, P X], [P X, 0]]`` and is
-    nilpotent of order two.
-    """
-    a = _check_a(a)
+    """:func:`jacobi_operator` of the two half lines meeting at ``jump``."""
     P = calderon_halfline(a).matrix
-    d1 = np.array([-jump.alpha, jump.beta])
-    d2 = np.array([jump.alpha, jump.beta])
-    return jacobi_from_projectors(P, P, sigma1, sigma2, rhs_blocks=(d1, d2))
+    return jacobi_operator([P, P], (sigma1, sigma2), [(jump.alpha, jump.beta)])
+
+
+def _line_3dom(a, sigma0, sigma1, sigma2, jump_left, jump_right, interfaces):
+    """Left-to-right line arguments of a middle interval ``0`` between
+    half lines ``1`` and ``2``; the right jump is oriented
+    middle-minus-right, so its ``alpha`` flips sign."""
+    P = calderon_halfline(a).matrix
+    middle = calderon_middle_3dom(a, interfaces).matrix
+    return ([P, middle, P], (sigma1, sigma0, sigma2),
+            [(jump_left.alpha, jump_left.beta),
+             (-jump_right.alpha, jump_right.beta)])
 
 
 def assemble_mtf_3dom(a, sigma0, sigma1, sigma2, jump_left, jump_right,
                       interfaces=(-1.0, 1.0)):
-    """Three-subdomain multitrace system (8x8) with a middle interval.
-
-    Unknown ordering: ``(U1, U01, U02, U2)`` where ``U1``/``U2`` are the
-    outer half-line traces and ``U01``/``U02`` the middle-interval traces
-    on its left/right interface.
-    """
-    a = _check_a(a)
-    s0, s1, s2 = _check_sigmas((sigma0, sigma1, sigma2))
-    xl, xr = interfaces
-    g = green_1d(a, xr - xl)
-    P = calderon_halfline(a).matrix
-    R = middle_coupling_matrix(a)
-    C = 2.0 * a * g * R
-    I2 = np.eye(2)
-    M = np.zeros((8, 8), dtype=complex)
-    M[0:2, 0:2] = (1 + s1) * I2 - P
-    M[0:2, 2:4] = -s1 * X2
-    M[2:4, 0:2] = -s0 * X2
-    M[2:4, 2:4] = (1 + s0) * I2 - P
-    M[2:4, 4:6] = -C
-    M[4:6, 2:4] = -C
-    M[4:6, 4:6] = (1 + s0) * I2 - P
-    M[4:6, 6:8] = -s0 * X2
-    M[6:8, 4:6] = -s2 * X2
-    M[6:8, 6:8] = (1 + s2) * I2 - P
-    al, bl = jump_left.alpha, jump_left.beta
-    ar, br = jump_right.alpha, jump_right.beta
-    rhs = np.concatenate([
-        s1 * np.array([-al, bl]),
-        s0 * np.array([al, bl]),
-        s0 * np.array([ar, br]),
-        s2 * np.array([-ar, br]),
-    ]).astype(complex)
-    return MtfSystem(M, rhs, (s0, s1, s2), "three-subdomain line")
+    """8x8 :func:`assemble_mtf` with unknowns ``(U1, U01, U02, U2)``."""
+    return assemble_mtf(*_line_3dom(a, sigma0, sigma1, sigma2, jump_left,
+                                    jump_right, interfaces))
 
 
 def jacobi_operator_3dom(a, sigma0, sigma1, sigma2, jump_left, jump_right,
                          interfaces=(-1.0, 1.0)):
-    """Block Jacobi operator (8x8) for the three-subdomain system.
-
-    The diagonal blocks being inverted are the four 2x2 blocks
-    ``(1+s_j)Id - P``; since ``P R = 0`` the middle couplings transform
-    as ``R / (1+s0)``.  At all ``sigma = 0`` the matrix is nilpotent of
-    order four.
-    """
-    a = _check_a(a)
-    s0, s1, s2 = _check_sigmas((sigma0, sigma1, sigma2))
-    xl, xr = interfaces
-    g = green_1d(a, xr - xl)
-    P = calderon_halfline(a).matrix
-    R = middle_coupling_matrix(a)
-    C = 2.0 * a * g * R
-    J = np.zeros((8, 8), dtype=complex)
-    J[0:2, 2:4] = jacobi_block(P, s1)
-    J[2:4, 0:2] = jacobi_block(P, s0)
-    J[2:4, 4:6] = C / (1 + s0)
-    J[4:6, 2:4] = C / (1 + s0)
-    J[4:6, 6:8] = jacobi_block(P, s0)
-    J[6:8, 4:6] = jacobi_block(P, s2)
-    al, bl = jump_left.alpha, jump_left.beta
-    ar, br = jump_right.alpha, jump_right.beta
-    F = np.concatenate([
-        jacobi_rhs_block(P, s1, [-al, bl]),
-        jacobi_rhs_block(P, s0, [al, bl]),
-        jacobi_rhs_block(P, s0, [ar, br]),
-        jacobi_rhs_block(P, s2, [-ar, br]),
-    ])
-    return JacobiOperator1D(J, F, (s0, s1, s2))
+    """8x8 :func:`jacobi_operator`, nilpotent of order four at sigma = 0."""
+    return jacobi_operator(*_line_3dom(a, sigma0, sigma1, sigma2, jump_left,
+                                       jump_right, interfaces))
 
 
 def jacobi_fixed_point(op):

@@ -8,7 +8,7 @@ from multitrace.interval1d import (BoundedGeometry, SchwarzState,
                                    optimal_schwarz_run, state_to_traces,
                                    transmission_solve_bounded)
 from multitrace.line1d import (JumpData, X2, block_jacobi_run,
-                               calderon_halfline, jacobi_from_projectors)
+                               calderon_halfline, jacobi_operator)
 from multitrace.linalg import eig_dense
 from helpers import match_multisets
 
@@ -163,7 +163,7 @@ class TestJacobiSimplification:
         for geom in random_geometries(20, seed=10, a_range=(0.1, 20.0)):
             s1, s2 = rng.uniform(-0.9, 3.0, 2)
             P1, P2 = calderon_bounded(geom)
-            op = jacobi_from_projectors(P1, P2, s1, s2)
+            op = jacobi_operator([P1, P2], (s1, s2), np.zeros((1, 2)))
             ref = np.concatenate([
                 [np.emath.sqrt(s / (1 + s)), -np.emath.sqrt(s / (1 + s))]
                 for s in (s1, s2)])

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from multitrace import line1d
-from multitrace.line1d import (JumpData, X2, assemble_mtf_2dom,
+from multitrace.interval1d import BoundedGeometry, calderon_bounded
+from multitrace.line1d import (JumpData, X2, assemble_mtf, assemble_mtf_2dom,
                                assemble_mtf_3dom, block_jacobi_run,
                                calderon_halfline, calderon_middle_3dom,
-                               green_1d, jacobi_fixed_point,
+                               green_1d, jacobi_fixed_point, jacobi_operator,
                                jacobi_operator_2dom, jacobi_operator_3dom,
                                middle_coupling_matrix, represent_1d,
                                represent_1d_3dom)
@@ -17,6 +19,15 @@ def sigma_points(*sigmas):
     return np.concatenate([
         [np.emath.sqrt(s / (1 + s)), -np.emath.sqrt(s / (1 + s))]
         for s in map(complex, sigmas)])
+
+
+def line_projectors(a, interfaces):
+    """Projectors of the subdomains of the line cut at ``interfaces``,
+    left to right: a half line, the intervals in between, a half line."""
+    H = calderon_halfline(a).matrix
+    middles = [calderon_middle_3dom(a, pair).matrix
+               for pair in zip(interfaces[:-1], interfaces[1:])]
+    return [H, *middles, H]
 
 
 class TestGreen:
@@ -300,6 +311,133 @@ class TestThreeSubdomains:
         sys3 = assemble_mtf_3dom(a, *sig, jl, jr)
         star = jacobi_fixed_point(op)
         assert sys3.residual(star) < 1e-12
+
+    def test_solution_is_exact_traces(self):
+        # the right jump is oriented middle-minus-right in both the adapter
+        # and the representation formula; outward derivatives per side
+        a = 0.8
+        jl, jr = JumpData(0.7, -0.4), JumpData(-1.2, 0.9)
+        u = represent_1d_3dom(a, jl, jr)
+        x1, x2 = -0.31, 0.42
+        A = np.array([[np.exp(a * x1), np.exp(-a * x1)],
+                      [np.exp(a * x2), np.exp(-a * x2)]])
+        cp, cm = np.linalg.solve(A, [u(x1), u(x2)])
+        um = lambda x: cp * np.exp(a * x) + cm * np.exp(-a * x)
+        dm = lambda x: a * cp * np.exp(a * x) - a * cm * np.exp(-a * x)
+        ul = u(-2.0) * np.exp(a)     # decaying half lines: u ~ exp(-a|x|)
+        ur = u(2.0) * np.exp(a)
+        exact = np.array([ul, a * ul, um(-1), -dm(-1), um(1), dm(1),
+                          ur, a * ur])
+        U = assemble_mtf_3dom(a, 0.3, -0.2, 1.5, jl, jr).solve()
+        assert np.max(np.abs(U - exact)) < 1e-12
+
+
+class TestFourSubdomains:
+    interfaces = (-1.0, 0.5, 1.5)
+    jumps = np.array([(1.0, -0.3), (0.2, 2.0), (-0.5, 0.8)])
+
+    def test_spectrum_law_and_multiplicity(self):
+        sig = (0.3, -0.2, 1.5, 0.7)
+        # each middle subdomain owns two trace pairs, so its pair is double
+        ref = np.concatenate([sigma_points(sig[0]), sigma_points(sig[1]),
+                              sigma_points(sig[1]), sigma_points(sig[2]),
+                              sigma_points(sig[2]), sigma_points(sig[3])])
+        for a in (0.3, 1.0, 4.0):
+            op = jacobi_operator(line_projectors(a, self.interfaces), sig,
+                                 self.jumps)
+            match_multisets(eig_dense(op.matrix).eigenvalues, ref, 1e-10)
+
+    def test_nilpotent_order_six(self):
+        op = jacobi_operator(line_projectors(1.0, self.interfaces),
+                             (0.0, 0.0, 0.0, 0.0), self.jumps)
+        J5 = np.linalg.matrix_power(op.matrix, 5)
+        assert np.max(np.abs(J5)) > 1e-2      # truly order six
+        assert np.max(np.abs(J5 @ op.matrix)) < 1e-15
+
+    def test_direct_solver_six_steps(self):
+        op = jacobi_operator(line_projectors(1.0, self.interfaces),
+                             (0.0, 0.0, 0.0, 0.0), self.jumps)
+        rng = np.random.default_rng(6)
+        hist = block_jacobi_run(op, rng.standard_normal(12), 7)
+        assert hist.errors[5] > 1e-6
+        assert hist.errors[6] <= 1e-12
+
+    def test_fixed_point_solves_system(self):
+        args = (line_projectors(1.2, self.interfaces), (0.4, 0.1, 0.9, 0.6),
+                self.jumps)
+        star = jacobi_fixed_point(jacobi_operator(*args))
+        assert assemble_mtf(*args).residual(star) < 1e-12
+
+    def test_jump_relation_at_every_interface(self):
+        # right minus left at every interface:
+        # U_left - X U_right = (-alpha, beta)
+        system = assemble_mtf(line_projectors(1.2, self.interfaces),
+                              (0.4, 0.1, 0.9, 0.6), self.jumps)
+        U = system.solve()
+        for i, (alpha, beta) in enumerate(self.jumps):
+            gap = U[4 * i:4 * i + 2] - X2 @ U[4 * i + 2:4 * i + 4]
+            assert np.max(np.abs(gap - np.array([-alpha, beta]))) < 1e-12
+
+
+class TestJacobiDenseOracle:
+    """The closed form against ``D_M^-1 (D_M - M)`` and ``D_M^-1 rhs``, with
+    ``D_M`` the 2x2 block diagonal of the assembled system, each block
+    inverted by a dense solve (valid for nonzero relaxation only)."""
+
+    @staticmethod
+    def oracle(system):
+        M, rhs = system.system_matrix, system.rhs
+        J, F = np.zeros_like(M), np.zeros_like(rhs)
+        for b in range(0, len(rhs), 2):
+            blk = slice(b, b + 2)
+            off = -M[blk].copy()
+            off[:, blk] = 0.0
+            J[blk] = scipy.linalg.solve(M[blk, blk], off)
+            F[blk] = scipy.linalg.solve(M[blk, blk], rhs[blk])
+        return J, F
+
+    @staticmethod
+    def projectors(layout, rng):
+        if layout == "bounded":
+            a = np.exp(rng.uniform(np.log(0.3), np.log(10.0)))
+            geom = BoundedGeometry(rng.uniform(0.1, 0.9), a)
+            return list(calderon_bounded(geom))
+        a = np.exp(rng.uniform(np.log(0.3), np.log(3.0)))
+        cuts = np.cumsum(rng.uniform(0.2, 2.0, int(layout) - 1))
+        return line_projectors(a, cuts)
+
+    @pytest.mark.parametrize("layout", ["2", "3", "4", "bounded"])
+    def test_matches_dense_block_inverse(self, layout):
+        rng = np.random.default_rng(31)
+        for trial in range(20):
+            projectors = self.projectors(layout, rng)
+            k = len(projectors)
+            sig = (rng.uniform(-0.9, 3.0, k)
+                   + 1j * (trial % 2) * rng.uniform(-1.0, 1.0, k))
+            sig[np.abs(sig) < 0.05] = 0.05
+            data = rng.standard_normal((k - 1, 2))
+            op = jacobi_operator(projectors, sig, data)
+            J, F = self.oracle(assemble_mtf(projectors, sig, data))
+            np.testing.assert_allclose(op.matrix, J, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(op.rhs_tilde, F, rtol=0, atol=1e-12)
+
+
+class TestLineBuilderInput:
+    H = calderon_halfline(1.0).matrix
+    M = calderon_middle_3dom(1.0).matrix
+
+    @pytest.mark.parametrize("projectors, sigmas, data, match", [
+        ([H], (0.1,), np.zeros((0, 2)), "at least two subdomains"),
+        ([H, H], (0.1, 0.2, 0.3), np.zeros((1, 2)), "at least two subdomains"),
+        ([M, H], (0.1, 0.2), np.zeros((1, 2)), "2x2 projectors at both ends"),
+        ([H, H, H], (0.1, 0.2, 0.3), np.zeros((2, 2)), "4x4 ones in between"),
+        ([H, M, H], (0.1, 0.2, 0.3), np.zeros((1, 2)), "each of the 2"),
+        ([H, H], (0.1, -1.0), np.zeros((1, 2)), "singular"),
+    ])
+    def test_rejected(self, projectors, sigmas, data, match):
+        for build in (assemble_mtf, jacobi_operator):
+            with pytest.raises(ValueError, match=match):
+                build(projectors, sigmas, data)
 
 
 class TestRepresentThreeSubdomains:

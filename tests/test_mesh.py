@@ -89,3 +89,23 @@ class TestIo:
         path.write_text("vertices 3\n0 0\n1 0\n0 1\n")
         with pytest.raises(ValueError, match="expected"):
             load_mesh(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda lines: lines[:3], r"nodes section expects 6 rows of 2 values "
+                                  r"\(12 tokens\), got 4"),
+        (lambda lines: lines[:7], r"expected the 'elements <count>' header"),
+        (lambda lines: lines[:10], r"elements section expects 6 rows of 3 "
+                                   r"values \(18 tokens\), got 6"),
+        (lambda lines: lines + ["0 1"], r"2 extra token\(s\) after the "
+                                        r"elements section of 6 rows"),
+        (lambda lines: ["nodes six"] + lines[1:], r"nodes count must be a "
+                                                  r"nonnegative integer"),
+    ], ids=["cut-in-nodes", "cut-before-elements", "cut-in-elements",
+            "trailing-tokens", "bad-count"])
+    def test_truncated_or_padded_rejected(self, tmp_path, edit, match):
+        path = tmp_path / "mesh.txt"
+        save_mesh(make_circle(6), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ValueError, match="malformed mesh file: " + match):
+            load_mesh(path)
