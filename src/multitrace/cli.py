@@ -367,7 +367,8 @@ def _setup_2d(cfg, a):
     Two constants give the two subdomains of the one curve of
     ``cfg.geometry`` (sharing one operator set when they are equal),
     three give ``(middle, inner, outer)`` of the annulus.  Returns
-    ``pencil(sigmas) -> (A, B)`` in the matching sigma order.
+    ``pencil(sigmas) -> (A, B)``, the half-size red pencil of
+    :func:`spectra.jacobi_pencil`, in the matching sigma order.
     """
     quad = cfg.quad_order
     if len(a) == 2:
@@ -403,6 +404,8 @@ def _run_spectrum(cfg, out, report, count):
     report.timings["assembly_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     A, B = pencil(sigmas)
+    report.timings["pencil_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     result = spectra.pencil_spectrum(A, B, sigmas, cfg.eps)
     report.timings["eigensolve_s"] = time.perf_counter() - t0
     spectra.write_eigenvalues_csv(report.record(out / "eigenvalues.csv"),

@@ -3,22 +3,29 @@
 The iteration operator for relaxation parameters ``sigma_j`` has the
 exact eigenvalues ``+-sqrt(sigma_j / (1 + sigma_j))`` in the analytic 1D
 setting; discretized 2D operators cluster around the same points.  This
-module forms the operators as generalized pencils (mass matrices are
-never inverted), computes spectra, sweeps relaxation grids and
-quantifies how much of a spectrum sits near the theoretical points.
+module computes those spectra, sweeps relaxation grids and quantifies
+how much of a spectrum sits near the theoretical points.
 
-:func:`jacobi_pencil` builds the pencil for any list of subdomain
-records (a ``DiscreteCalderon`` on one curve, a ``CouplingSet`` on the
-annulus); ``jacobi_2d_2dom`` and ``jacobi_2d_3dom`` are its two- and
+The Jacobi operator is two-cyclic: its diagonal blocks belong to single
+subdomains and its coupling joins subdomains across a curve, and the
+subdomains of any configuration here (a tree) split into red and black
+with every curve between the two colours.  :func:`jacobi_pencil`
+therefore returns the half-size red pencil of the squared operator,
+from one factorization of the black diagonal blocks (mass matrices are
+never inverted), for any list of subdomain records (a
+``DiscreteCalderon`` on one curve, a ``CouplingSet`` on the annulus);
+:func:`pencil_spectrum` takes ``+-sqrt`` of its eigenvalues.
+``jacobi_2d_2dom`` and ``jacobi_2d_3dom`` are its two- and
 three-subdomain forms.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import line1d
-from .linalg import eig_dense, eig_generalized
+from .linalg import eig_dense, eig_generalized, solve_dense
 
 
 @dataclass(frozen=True)
@@ -101,22 +108,59 @@ def summarize_spectrum(eigenvalues, sigmas, eps=0.05):
                           pts, rep)
 
 
+def _two_colouring(n_subdomains, sides):
+    """Red (0) / black (1) colour per subdomain, neighbours across every
+    curve coloured apart; subdomain 0 and the first of every further
+    component are red."""
+    neighbours = [[] for _ in range(n_subdomains)]
+    for (j, _, _), (k, _, _) in sides.values():
+        neighbours[j].append(k)
+        neighbours[k].append(j)
+    colour = [None] * n_subdomains
+    for root in range(n_subdomains):
+        if colour[root] is not None:
+            continue
+        colour[root], stack = 0, [root]
+        while stack:
+            j = stack.pop()
+            for k in neighbours[j]:
+                if colour[k] is None:
+                    colour[k] = 1 - colour[j]
+                    stack.append(k)
+                elif colour[k] == colour[j]:
+                    raise ValueError(
+                        f"subdomains {j} and {k} share a curve but close an "
+                        "odd cycle; the Jacobi operator is not two-cyclic")
+    return colour
+
+
 def jacobi_pencil(subdomains, sigmas):
-    """Generalized pencil ``(A, B)`` of the block Jacobi operator.
+    """Half-size pencil ``(A, B)`` whose eigenvalues are the squares of
+    the block Jacobi spectrum.
 
     A subdomain record has ``P``, its mass-paired Calderon matrix over
     its boundary curves, the block-diagonal mass ``M_block`` and
-    ``curves``, the curve meshes in trace-block order.  Unknowns follow
-    the list order; every curve must bound exactly two subdomains.
-    Subdomain ``j`` has the diagonal block ``(1 + s_j) M_j - P_j`` and
-    reaches its neighbours' traces through ``s_j M_j X`` (``X`` negates
-    the Neumann trace), or ``M_j`` and ``P_j X`` at ``s_j = 0``.
+    ``curves``, the curve meshes in trace-block order.  Every curve must
+    bound exactly two subdomains.  Subdomain ``j`` has the diagonal block
+    ``B_j = (1 + s_j) M_j - P_j`` and reaches its neighbours' traces
+    through ``s_j M_j X`` (``X`` negates the Neumann trace), or ``M_j``
+    and ``P_j X`` at ``s_j = 0``.
+
+    The subdomains are coloured red and black so that every curve
+    separates the two colours (a ``ValueError`` if an odd cycle makes
+    that impossible).  The Jacobi operator of the full pencil then maps
+    red traces to black ones and back, and its spectrum is
+    ``+-sqrt(mu)`` for the eigenvalues ``mu`` of the returned red pencil
+    ``(A_RK B_K^{-1} A_KR, B_R)``; each curve carries as many red traces
+    as black ones, so both halves have the same size.  Red unknowns
+    follow the list order of the red subdomains, then their curves.  The
+    matrices are real when every relaxation parameter is.
     """
-    sigmas = RelaxationConfig(sigmas).sigmas
+    sigmas = [s.real if s.imag == 0 else s
+              for s in RelaxationConfig(sigmas).sigmas]
     if len(sigmas) != len(subdomains):
         raise ValueError(f"{len(subdomains)} subdomains need as many "
                          f"relaxation parameters, got {len(sigmas)}")
-    starts = np.cumsum([0] + [sd.P.shape[0] for sd in subdomains])
     sides = {}              # curve id -> [(subdomain, local column, nodes)]
     for j, sd in enumerate(subdomains):
         local = 0
@@ -130,25 +174,37 @@ def jacobi_pencil(subdomains, sigmas):
         if len(curve_sides) != 2:
             raise ValueError(f"a curve bounds {len(curve_sides)} "
                              "subdomain(s); an interface needs exactly two")
+    colour = _two_colouring(len(subdomains), sides)
 
-    A = np.zeros((starts[-1], starts[-1]), dtype=complex)
-    B = np.zeros_like(A)
-    rows = [slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
-    coupling = []
-    for sd, s, r in zip(subdomains, sigmas, rows):
+    rows, ends = [], [0, 0]         # unknowns of each subdomain in its half
+    for sd, c in zip(subdomains, colour):
+        rows.append(slice(ends[c], ends[c] + sd.P.shape[0]))
+        ends[c] += sd.P.shape[0]
+    diagonal, exchange = [], []
+    for sd, s in zip(subdomains, sigmas):
         if s == 0:
-            coupling.append(sd.P)
-            B[r, r] = sd.M_block
+            exchange.append(sd.P)
+            diagonal.append(sd.M_block)
         else:
-            coupling.append(s * sd.M_block)
-            B[r, r] = (1 + s) * sd.M_block - sd.P
+            exchange.append(s * sd.M_block)
+            diagonal.append((1 + s) * sd.M_block - sd.P)
+    # coupling[c]: rows of colour c, columns of the other colour
+    coupling = [np.zeros((ends[c], ends[1 - c]), np.result_type(*exchange))
+                for c in (0, 1)]
     for curve_sides in sides.values():
         for (j, lj, n), (k, lk, _) in (curve_sides, curve_sides[::-1]):
-            own = coupling[j][:, lj:lj + 2 * n]
-            ck = starts[k] + lk
-            A[rows[j], ck:ck + n] = own[:, :n]
-            A[rows[j], ck + n:ck + 2 * n] = -own[:, n:]
-    return A, B
+            own = exchange[j][:, lj:lj + 2 * n]
+            ck = rows[k].start + lk
+            block = coupling[colour[j]][rows[j]]
+            block[:, ck:ck + n] = own[:, :n]
+            block[:, ck + n:ck + 2 * n] = -own[:, n:]
+    A_RK, A_KR = coupling
+    for j, c in enumerate(colour):          # A_KR <- B_K^{-1} A_KR
+        if c == 1:
+            A_KR[rows[j]] = solve_dense(diagonal[j], A_KR[rows[j]])
+    B_R = scipy.linalg.block_diag(*(d for d, c in zip(diagonal, colour)
+                                    if c == 0))
+    return A_RK @ A_KR, B_R
 
 
 def jacobi_2d_2dom(P1, P2, cfg):
@@ -166,9 +222,10 @@ def jacobi_2d_3dom(P1, P2, coupling, cfg):
 
 
 def pencil_spectrum(A, B, sigmas, eps=0.05):
-    """Eigenvalues of the pencil with cluster diagnostics."""
-    res = eig_generalized(A, B)
-    return summarize_spectrum(res.eigenvalues, sigmas, eps)
+    """Jacobi spectrum ``+-sqrt(mu)`` from the eigenvalues ``mu`` of the
+    red pencil of :func:`jacobi_pencil`, with cluster diagnostics."""
+    roots = np.sqrt(eig_generalized(A, B).eigenvalues.astype(complex))
+    return summarize_spectrum(np.concatenate([roots, -roots]), sigmas, eps)
 
 
 def analytic_spectrum_2dom(a, sigma1, sigma2, eps=0.05):

@@ -116,6 +116,16 @@ class TestRunModes:
         assert 0.0 <= report.results["remainder_fraction"] <= 1.0
         assert "assembly_s" in report.timings
 
+    def test_spectrum_report_splits_pencil_and_eigensolve(self, tmp_path):
+        run(parse_config(["spectrum-2d-3dom", "--n", "8",
+                          "--out", str(tmp_path / "o")]))
+        data = json.loads((tmp_path / "o" / "run_report.json").read_text())
+        timings = data["timings"]
+        assert {"assembly_s", "pencil_s", "eigensolve_s",
+                "total_s"} <= set(timings)
+        assert (timings["assembly_s"] + timings["pencil_s"]
+                + timings["eigensolve_s"] <= timings["total_s"])
+
     def test_sweep_analytic(self, tmp_path):
         cfg = parse_config(["sweep", "--kind", "1d", "--steps", "40",
                             "--out", str(tmp_path / "o")])

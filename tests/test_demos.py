@@ -1,4 +1,4 @@
-"""Smoke test: the demos built on the exact 1D engines run to completion."""
+"""Smoke test: every demo runs to completion."""
 
 import os
 import subprocess
@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("demo", [
     "demo_line_transmission", "demo_three_subdomains_line",
-    "demo_bounded_schwarz", "demo_sigma_sweep"])
+    "demo_bounded_schwarz", "demo_sigma_sweep", "demo_spectrum_2d",
+    "demo_annulus_three_subdomains"])
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from multitrace.linalg import (DIMENSION_CAP, SingularMatrixError, eig_dense,
                                eig_generalized, solve_dense)
@@ -101,6 +102,40 @@ def test_eig_generalized_constructed_pencil():
     B = G @ G.T + 3.0 * np.eye(3)
     A = B @ np.diag([1.0, 2.0, 3.0])
     match_multisets(eig_generalized(A, B).eigenvalues, [1.0, 2.0, 3.0], 1e-10)
+
+
+def test_eig_generalized_real_pencil_stays_real():
+    # real arithmetic gives complex eigenvalues in exact conjugate pairs
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((30, 30))
+    B = np.eye(30) + 0.2 * rng.standard_normal((30, 30))
+    w = eig_generalized(A, B).eigenvalues
+    assert np.count_nonzero(w.imag) >= 2
+    np.testing.assert_array_equal(np.sort_complex(w),
+                                  np.sort_complex(np.conj(w)))
+    match_multisets(w, scipy.linalg.eigvals(A, B), 1e-10)
+
+
+def test_complex_input_takes_the_complex_lapack_path():
+    # complex operators (all of the 1D engines) reach LAPACK unchanged
+    from multitrace import line1d
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    b = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    np.testing.assert_array_equal(
+        solve_dense(A, b),
+        scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b[:, None])[:, 0])
+    np.testing.assert_array_equal(
+        solve_dense(A, b.real),
+        scipy.linalg.lu_solve(scipy.linalg.lu_factor(A),
+                              b.real.astype(complex)))
+    op = line1d.jacobi_operator_3dom(1.0, 0.4, -0.3, 1.1,
+                                     line1d.JumpData(1.0, 0.5),
+                                     line1d.JumpData(0.0, 1.0))
+    assert op.matrix.dtype == complex
+    for M in (A, op.matrix):
+        np.testing.assert_array_equal(eig_dense(M).eigenvalues,
+                                      scipy.linalg.eigvals(M))
 
 
 def test_eig_generalized_rejects_singular_mass():

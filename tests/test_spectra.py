@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -137,11 +138,16 @@ class TestDiscretePencils:
         assert res.cluster_fractions[2] + res.cluster_fractions[3] > 0.4
 
     def test_spectrum_minus_symmetric(self, circle_projectors):
+        # +-sqrt makes the computed spectrum symmetric by construction, so
+        # the symmetry is checked on the QZ spectrum of the full pencil
+        # and the computed spectrum is matched against it
         P1, P2 = circle_projectors
         cfg = RelaxationConfig((0.25, 0.8))
         A, B = jacobi_2d_2dom(P1, P2, cfg)
         res = pencil_spectrum(A, B, cfg.sigmas)
-        minus_symmetric(res.eigenvalues, 1e-8)
+        qz = scipy.linalg.eigvals(*full_pencil_2dom(P1, P2, cfg.sigmas))
+        minus_symmetric(qz, 1e-8)
+        match_multisets(res.eigenvalues, qz, 1e-10)
 
     def test_complex_sigma(self, circle_projectors):
         P1, P2 = circle_projectors
@@ -220,6 +226,23 @@ def dense_pencil(subdomains, sigmas, exchange):
     return C @ X @ E, B
 
 
+def full_pencil_2dom(P1, P2, sigmas):
+    """Full pencil of the subdomains ``(P1, P2)`` sharing one curve."""
+    n2 = P1.dim
+    return dense_pencil((P1, P2), sigmas, np.r_[n2:2 * n2, 0:n2])
+
+
+def assert_red_pencil(A_red, B_red, A, B, red, sigmas):
+    """``B_red^{-1} A_red`` is the ``red`` block of ``(B^{-1} A)^2`` and its
+    +-sqrt spectrum is the QZ spectrum of the full pencil ``(A, B)``."""
+    J = np.linalg.solve(B, A)
+    ref = (J @ J)[np.ix_(red, red)]
+    got = np.linalg.solve(B_red, A_red)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    eigs = pencil_spectrum(A_red, B_red, sigmas).eigenvalues
+    match_multisets(eigs, scipy.linalg.eigvals(A, B), 1e-10)
+
+
 SIGMA_PAIRS = [(0.1, 0.1), (0.0, 0.0), (0.0, 1.0), (-0.4, 1.0),
                (0.2 + 0.4j, -0.3)]
 SIGMA_TRIPLES = [(0.25, 0.25, 0.25), (0.0, 0.0, 0.0), (0.0, 0.5, 0.5),
@@ -232,34 +255,53 @@ class TestJacobiPencil:
                                              sigmas):
         P1, P2 = circle_projectors
         A, B = jacobi_2d_2dom(P1, P2, RelaxationConfig(sigmas))
-        n2 = P1.dim
-        swap = np.r_[n2:2 * n2, 0:n2]
-        A_ref, B_ref = dense_pencil((P1, P2), sigmas, swap)
-        assert A.dtype == B.dtype == complex
-        np.testing.assert_array_equal(A, A_ref)
-        np.testing.assert_array_equal(B, B_ref)
+        if np.isrealobj(sigmas):
+            assert A.dtype == B.dtype == float
+        else:
+            assert A.dtype == B.dtype == complex
+        # P1 is red: the red unknowns are U1
+        assert_red_pencil(A, B, *full_pencil_2dom(P1, P2, sigmas),
+                          np.arange(P1.dim), sigmas)
 
     @pytest.mark.parametrize("sigmas", SIGMA_TRIPLES)
     def test_annulus_matches_dense_form(self, annulus_subdomains, sigmas):
         P1, coup, P2 = annulus_subdomains
         s0, s1, s2 = sigmas
         A, B = jacobi_2d_3dom(P1, P2, coup, RelaxationConfig(sigmas))
+        assert A.dtype == (float if np.isrealobj(sigmas) else complex)
         na, nb = P1.dim, P2.dim
         # unknowns (U1, U01, U02, U2); U1 <-> U01 and U02 <-> U2 exchange
         o01, o02, o2 = na, 2 * na, 2 * na + nb
         swap = np.r_[o01:o02, 0:o01, o2:o2 + nb, o02:o2]
-        A_ref, B_ref = dense_pencil((P1, coup, P2), (s1, s0, s2), swap)
-        np.testing.assert_array_equal(A, A_ref)
-        np.testing.assert_array_equal(B, B_ref)
+        A_full, B_full = dense_pencil((P1, coup, P2), (s1, s0, s2), swap)
+        # inner and outer disk are red, the middle subdomain black
+        assert_red_pencil(A, B, A_full, B_full, np.r_[0:na, o2:o2 + nb],
+                          sigmas)
 
     def test_subdomain_order_permutes_unknowns(self, circle_projectors):
+        # listing P2 first makes it red: the other half-size product,
+        # with the same spectrum
         P1, P2 = circle_projectors
         A, B = jacobi_pencil((P1, P2), (0.3, -0.2))
         A2, B2 = jacobi_pencil((P2, P1), (-0.2, 0.3))
-        n2 = P1.dim
-        perm = np.r_[n2:2 * n2, 0:n2]
-        np.testing.assert_array_equal(A2, A[np.ix_(perm, perm)])
-        np.testing.assert_array_equal(B2, B[np.ix_(perm, perm)])
+        np.testing.assert_array_equal(B, 1.3 * P1.M_block - P1.P)
+        np.testing.assert_array_equal(B2, 0.8 * P2.M_block - P2.P)
+        match_multisets(pencil_spectrum(A, B, (0.3, -0.2)).eigenvalues,
+                        pencil_spectrum(A2, B2, (-0.2, 0.3)).eigenvalues,
+                        1e-10)
+
+    def test_odd_cycle_rejected(self):
+        # three subdomains sharing three curves pairwise cannot be
+        # coloured red and black
+        curves = [types.SimpleNamespace(n_nodes=2) for _ in range(3)]
+        rng = np.random.default_rng(4)
+        triangle = [types.SimpleNamespace(P=rng.standard_normal((8, 8)),
+                                          M_block=np.eye(8),
+                                          curves=(curves[j],
+                                                  curves[(j + 1) % 3]))
+                    for j in range(3)]
+        with pytest.raises(ValueError, match="odd cycle"):
+            jacobi_pencil(triangle, (0.1, 0.1, 0.1))
 
     def test_curve_bounding_one_subdomain_rejected(self, circle_projectors):
         P1, P2 = circle_projectors
