@@ -16,6 +16,13 @@ The hypersingular operator is assembled only in its integration-by-parts
 regularized form (weak kernel, tangential derivatives of the basis), and
 the adjoint double layer is the exact transpose of the double layer.
 
+The tensor-Gauss sums over all element pairs (smooth pair tables and
+cross-curve blocks) pair the kernel values with the weighted basis
+``w[:, None] * basis`` in two BLAS contractions over the Gauss axes
+(``_contract``).  Each point of a cross-curve block evaluates K0 and K1
+once; the four coupling kernels (gradient along either normal, value,
+Hessian bilinear form) are derived from those two values.
+
 Per-pair contributions are independent and reduced into matrices with no
 ordering dependence; assembled objects are immutable, so all routines
 are safe for concurrent use.
@@ -27,8 +34,8 @@ import numpy as np
 import scipy.linalg
 from scipy.special import i0, i1, k0, k1
 
-from .kernels import (TWO_PI, k0_smooth_remainder, k1_smooth_remainder,
-                      kernel_2d, kernel_gradient_dot, kernel_hessian_bilinear)
+from .kernels import (TWO_PI, _check_a, k0_smooth_remainder,
+                      k1_smooth_remainder)
 from .quadrature import gauss01, log_gauss01
 
 # Tangential derivative signs of the two nodal basis functions.
@@ -90,6 +97,23 @@ def _scatter(target, elements_rows, elements_cols, loc):
     np.add.at(target, (I, J), loc)
 
 
+def _weighted_basis(s, w):
+    """Gauss weight times nodal basis value, ``(q, 2)``."""
+    return w[:, None] * np.column_stack([1.0 - s, s])
+
+
+def _contract(ker, wb):
+    """Tensor-Gauss pairing of kernel values with the weighted basis.
+
+    ``ker[e, k, f, l]`` is the kernel at Gauss point ``k`` of element
+    ``e`` and ``l`` of ``f``; returns the ``(e, f, 2, 2)`` blocks
+    ``sum_kl wb[k, p] wb[l, q] ker[e, k, f, l]`` as two BLAS
+    contractions over the Gauss axes.
+    """
+    t = np.tensordot(ker, wb, axes=(3, 0))                  # (e, k, f, q)
+    return np.tensordot(t, wb, axes=(1, 0)).transpose(0, 1, 3, 2)
+
+
 def _smooth_pair_tables(mesh, a, order, exclude_mask, chunk=64):
     """Tensor-Gauss V/K pair integrals for all non-excluded pairs.
 
@@ -99,9 +123,11 @@ def _smooth_pair_tables(mesh, a, order, exclude_mask, chunk=64):
     """
     m = mesh.n_elements
     s, w = gauss01(order)
-    bas = np.column_stack([1.0 - s, s])                      # (q, 2)
+    wb = _weighted_basis(s, w)
     pts = mesh.first_nodes[:, None, :] + s[None, :, None] * mesh.directions[:, None, :]
-    nrm = mesh.normals
+    px, py = pts[..., 0], pts[..., 1]                        # (m, q)
+    nx = mesh.normals[None, None, :, None, 0]
+    ny = mesh.normals[None, None, :, None, 1]
     L = mesh.lengths
     LL = L[:, None] * L[None, :]
 
@@ -109,16 +135,17 @@ def _smooth_pair_tables(mesh, a, order, exclude_mask, chunk=64):
     k_loc = np.zeros((m, m, 2, 2))
     for e0 in range(0, m, chunk):
         e1 = min(e0 + chunk, m)
-        diff = pts[e0:e1, :, None, None, :] - pts[None, None, :, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
-        keep = ~exclude_mask[e0:e1][:, None, :, None]
+        dx = px[e0:e1, :, None, None] - px[None, None, :, :]
+        dy = py[e0:e1, :, None, None] - py[None, None, :, :]
+        r = np.sqrt(dx * dx + dy * dy)
+        keep = ~exclude_mask[e0:e1][:, None, :, None] & (r > 0)
         r_safe = np.where(r > 0, r, 1.0)
-        g = np.where(keep & (r > 0), k0(a * r_safe) / TWO_PI, 0.0)
-        nd = np.sum(diff * nrm[None, None, :, None, :], axis=-1)
-        kk = np.where(keep & (r > 0),
-                      (a / TWO_PI) * k1(a * r_safe) * nd / r_safe, 0.0)
-        v_loc[e0:e1] = np.einsum("k,l,kp,lq,ekfl->efpq", w, w, bas, bas, g)
-        k_loc[e0:e1] = np.einsum("k,l,kp,lq,ekfl->efpq", w, w, bas, bas, kk)
+        v_loc[e0:e1] = _contract(
+            np.where(keep, k0(a * r_safe) / TWO_PI, 0.0), wb)
+        nd = dx * nx + dy * ny
+        k_loc[e0:e1] = _contract(
+            np.where(keep, (a / TWO_PI) * k1(a * r_safe) * nd / r_safe, 0.0),
+            wb)
     v_loc *= LL[:, :, None, None]
     k_loc *= LL[:, :, None, None]
     return v_loc, k_loc
@@ -339,6 +366,9 @@ def assemble_calderon_2d(mesh, params, side="interior", operators=None):
     ops = operators if operators is not None else assemble_operators(mesh, params)
     if ops.mesh is not mesh:
         raise ValueError("operator set was assembled on a different mesh")
+    if ops.params != params:
+        raise ValueError(f"operator set was assembled with {ops.params}, "
+                         f"not {params}")
     V, K, Kt, W, M = (ops.single_layer, ops.double_layer,
                       ops.adj_double_layer, ops.hypersingular, ops.mass)
     k = 1.0 if side == "interior" else -1.0     # double-layer sign
@@ -356,44 +386,58 @@ def cross_block(obs_mesh, src_mesh, a, obs_normal_sign=1.0,
     because the curves do not intersect, so plain tensor Gauss applies.
     The normal signs select the orientation of the common subdomain on
     each curve relative to the stored (outward of enclosed) normals.
+
+    With ``g(r) = K0(a r) / (2 pi)``, ``g' = -a K1(a r) / (2 pi)`` and
+    ``g'' = a^2 g - g' / r``, the four kernels are ``ns . grad g``
+    (vv), ``g`` (vq), ``no^T Hess(g) ns`` (qv) and ``no . grad g`` (qq),
+    all from one K0 and one K1 per point.
     """
     if obs_mesh is src_mesh:
         raise ValueError("cross blocks require two distinct curves")
+    a = _check_a(a)
     s, w = gauss01(quad_order)
-    bas = np.column_stack([1.0 - s, s])
+    wb = _weighted_basis(s, w)
     xo = obs_mesh.first_nodes[:, None, :] + s[None, :, None] * obs_mesh.directions[:, None, :]
     ys = src_mesh.first_nodes[:, None, :] + s[None, :, None] * src_mesh.directions[:, None, :]
     n_obs = obs_normal_sign * obs_mesh.normals
     n_src = src_normal_sign * src_mesh.normals
+    nsx = n_src[None, None, :, None, 0]
+    nsy = n_src[None, None, :, None, 1]
     mo, ms = obs_mesh.n_elements, src_mesh.n_elements
     Lo, Ls = obs_mesh.lengths, src_mesh.lengths
+    tol = 1e-12 * max(Lo.max(), Ls.max())
 
     blocks = {name: np.zeros((mo, ms, 2, 2)) for name in ("vv", "vq", "qv", "qq")}
     for e0 in range(0, mo, chunk):
         e1 = min(e0 + chunk, mo)
-        d = xo[e0:e1, :, None, None, :] - ys[None, None, :, :, :]
-        r = np.linalg.norm(d, axis=-1)
-        if r.min() <= 1e-12 * max(Lo.max(), Ls.max()):
+        dx = xo[e0:e1, :, None, None, 0] - ys[None, None, :, :, 0]
+        dy = xo[e0:e1, :, None, None, 1] - ys[None, None, :, :, 1]
+        r = np.sqrt(dx * dx + dy * dy)
+        if r.min() <= tol:
             raise ValueError("curves intersect or touch")
-        no = n_obs[e0:e1, None, None, None, :]
-        ns = n_src[None, None, :, None, :]
-        kers = {
-            "vv": kernel_gradient_dot(a, d, r, ns),
-            "vq": kernel_2d(a, r),
-            "qv": kernel_hessian_bilinear(a, d, r, no, ns),
-            "qq": kernel_gradient_dot(a, d, r, no),
-        }
-        for name, ker in kers.items():
-            blocks[name][e0:e1] = np.einsum(
-                "k,l,kp,lq,ekfl->efpq", w, w, bas, bas, ker)
+        nox = n_obs[e0:e1, None, None, None, 0]
+        noy = n_obs[e0:e1, None, None, None, 1]
+        ro = (nox * dx + noy * dy) / r                       # no . rhat
+        rs = (nsx * dx + nsy * dy) / r                       # ns . rhat
+        del dx, dy
+        g = k0(a * r) / TWO_PI
+        blocks["vq"][e0:e1] = _contract(g, wb)
+        gp = (-a / TWO_PI) * k1(a * r)
+        blocks["vv"][e0:e1] = _contract(gp * rs, wb)
+        blocks["qq"][e0:e1] = _contract(gp * ro, wb)
+        g *= a * a
+        g -= gp / r                                          # g''
+        rors = ro * rs
+        del ro, rs
+        nn = nox * nsx + noy * nsy
+        blocks["qv"][e0:e1] = _contract(g * rors + gp * (nn - rors) / r, wb)
     LL = (Lo[:, None] * Ls[None, :])[:, :, None, None]
     no_nodes, ns_nodes = obs_mesh.n_nodes, src_mesh.n_nodes
     R = np.zeros((2 * no_nodes, 2 * ns_nodes))
     for (name, ri, ci) in (("vv", 0, 0), ("vq", 0, 1), ("qv", 1, 0), ("qq", 1, 1)):
-        part = np.zeros((no_nodes, ns_nodes))
-        _scatter(part, obs_mesh.elements, src_mesh.elements, blocks[name] * LL)
-        R[ri * no_nodes:(ri + 1) * no_nodes,
-          ci * ns_nodes:(ci + 1) * ns_nodes] = part
+        _scatter(R[ri * no_nodes:(ri + 1) * no_nodes,
+                   ci * ns_nodes:(ci + 1) * ns_nodes],
+                 obs_mesh.elements, src_mesh.elements, blocks[name] * LL)
     return R
 
 
@@ -425,16 +469,21 @@ class CouplingSet:
         return (self.P1_tilde.mesh, self.P2_tilde.mesh)
 
 
-def assemble_coupling(inner_mesh, outer_mesh, params):
+def assemble_coupling(inner_mesh, outer_mesh, params, operators=None):
     """Middle-subdomain (annular region) Calderon blocks.
 
     The middle region lies outside ``inner_mesh`` and inside
     ``outer_mesh``; its outward normal is the reverse of the inner
     mesh's normal and coincides with the outer mesh's normal.  The
     off-diagonal blocks couple the two curves through smooth kernels.
+    ``operators`` is an optional ``(inner_ops, outer_ops)`` pair of
+    operator sets already assembled with ``params`` on the two curves.
     """
-    pt1 = assemble_calderon_2d(inner_mesh, params, side="exterior")
-    pt2 = assemble_calderon_2d(outer_mesh, params, side="interior")
+    inner_ops, outer_ops = operators if operators is not None else (None, None)
+    pt1 = assemble_calderon_2d(inner_mesh, params, side="exterior",
+                               operators=inner_ops)
+    pt2 = assemble_calderon_2d(outer_mesh, params, side="interior",
+                               operators=outer_ops)
     R12 = cross_block(inner_mesh, outer_mesh, params.a,
                       obs_normal_sign=-1.0, src_normal_sign=1.0,
                       quad_order=params.quad_order)

@@ -63,8 +63,10 @@ def kernel_gradient_dot(a, d, r, vec):
 def kernel_hessian_bilinear(a, d, r, nx, ny):
     """``nx^T Hess(G) ny`` at offset ``d = x - y`` with ``r = |d|``.
 
-    Used for the cross-curve hypersingular blocks where the kernel is
+    The kernel of the cross-curve hypersingular blocks, where it is
     smooth; ``Hess(G) = g''(r) rhat rhat^T + g'(r)(I - rhat rhat^T)/r``.
+    ``assembly.cross_block`` forms it from shared K0/K1 values; this
+    pointwise form is its reference.
     """
     a = _check_a(a)
     gp = -a * k1(a * r) / TWO_PI

@@ -11,6 +11,8 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 import argparse
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -18,6 +20,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import interval1d, line1d, spectra
 from .bem2d import (KernelParams, assemble_calderon_2d, assemble_coupling,
@@ -98,12 +101,28 @@ class RunConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+def _environment():
+    """Versions, BLAS and thread settings the timings of a run depend on."""
+    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    blas = deps.get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "threads": {k: os.environ.get(k) for k in
+                    ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 @dataclass
 class RunReport:
     run_id: str
     config: dict
     results: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=_environment)
     files: list = field(default_factory=list)
 
     def record(self, path):
@@ -258,15 +277,16 @@ def _validate(cfg):
         raise ConfigError("need at least 3 elements per curve")
     if len(cfg.radii) != 2 or not 0 < cfg.radii[0] < cfg.radii[1]:
         raise ConfigError("radii must be an increasing positive pair")
-    # 2D runs, by mode or sweep kind -> pencil dimension per n_elements
+    # 2D runs, by mode or sweep kind -> rows per n_elements of the
+    # half-size red pencil the eigensolve runs on
     run = cfg.kind if cfg.mode == "sweep" else cfg.mode
-    rows = {"spectrum-2d": 4, "2d": 4, "spectrum-2d-3dom": 8,
-            "2d-3dom": 8}.get(run, 0)
-    if rows == 4 and cfg.geometry not in ("circle", "square"):
+    rows = {"spectrum-2d": 2, "2d": 2, "spectrum-2d-3dom": 4,
+            "2d-3dom": 4}.get(run, 0)
+    if rows == 2 and cfg.geometry not in ("circle", "square"):
         raise ConfigError(f"geometry must be circle or square for {run!r} "
                           f"(the annulus has its 3dom variant), "
                           f"got {cfg.geometry!r}")
-    if rows == 4 and cfg.geometry == "square" and cfg.n_elements % 4:
+    if rows == 2 and cfg.geometry == "square" and cfg.n_elements % 4:
         raise ConfigError("n_elements must be divisible by 4 for the square")
     dim = rows * cfg.n_elements
     if dim > DIMENSION_CAP:
@@ -365,31 +385,40 @@ def _setup_2d(cfg, a):
     """Assemble the 2D subdomains for the material constants ``a``.
 
     Two constants give the two subdomains of the one curve of
-    ``cfg.geometry`` (sharing one operator set when they are equal),
-    three give ``(middle, inner, outer)`` of the annulus.  Returns
+    ``cfg.geometry``, three give ``(middle, inner, outer)`` of the
+    annulus; each distinct (curve, constant) operator set is assembled
+    once and shared by every side that needs it.  Returns
     ``pencil(sigmas) -> (A, B)``, the half-size red pencil of
     :func:`spectra.jacobi_pencil`, in the matching sigma order.
     """
-    quad = cfg.quad_order
+    sets = {}
+
+    def operators(curve, a_k):
+        key = (id(curve), a_k)
+        if key not in sets:
+            sets[key] = assemble_operators(curve,
+                                           KernelParams(a_k, cfg.quad_order))
+        return sets[key]
+
+    def calderon(curve, a_k, side):
+        ops = operators(curve, a_k)
+        return assemble_calderon_2d(curve, ops.params, side, operators=ops)
+
     if len(a) == 2:
         mesh = (make_circle(cfg.n_elements) if cfg.geometry == "circle"
                 else make_square(cfg.n_elements // 4))
-        par1 = KernelParams(a[0], quad)
-        ops1 = assemble_operators(mesh, par1)
-        P1 = assemble_calderon_2d(mesh, par1, "interior", operators=ops1)
-        if a[1] == a[0]:
-            P2 = assemble_calderon_2d(mesh, par1, "exterior", operators=ops1)
-        else:
-            P2 = assemble_calderon_2d(mesh, KernelParams(a[1], quad),
-                                      "exterior")
+        P1 = calderon(mesh, a[0], "interior")
+        P2 = calderon(mesh, a[1], "exterior")
         return lambda sigmas: spectra.jacobi_2d_2dom(
             P1, P2, spectra.RelaxationConfig(sigmas))
     a0, a1, a2 = a
     inner, outer = make_three_domain(cfg.n_elements, cfg.n_elements,
                                      cfg.radii[0], cfg.radii[1])
-    P1 = assemble_calderon_2d(inner, KernelParams(a1, quad), "interior")
-    P2 = assemble_calderon_2d(outer, KernelParams(a2, quad), "exterior")
-    coupling = assemble_coupling(inner, outer, KernelParams(a0, quad))
+    P1 = calderon(inner, a1, "interior")
+    P2 = calderon(outer, a2, "exterior")
+    inner_ops, outer_ops = operators(inner, a0), operators(outer, a0)
+    coupling = assemble_coupling(inner, outer, inner_ops.params,
+                                 operators=(inner_ops, outer_ops))
     return lambda sigmas: spectra.jacobi_2d_3dom(
         P1, P2, coupling, spectra.RelaxationConfig(sigmas))
 

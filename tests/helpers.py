@@ -3,6 +3,10 @@
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from multitrace.bem2d.kernels import (kernel_2d, kernel_gradient_dot,
+                                      kernel_hessian_bilinear)
+from multitrace.bem2d.quadrature import gauss01
+
 
 def match_multisets(values, reference, tol, label=""):
     """Assert two complex multisets agree within ``tol`` by optimal pairing.
@@ -31,3 +35,57 @@ def match_multisets(values, reference, tol, label=""):
 def trace_flip(n):
     """Dense matrix of the trace flip (v, q) -> (v, -q) on n nodes."""
     return np.diag(np.r_[np.ones(n), -np.ones(n)])
+
+
+def _gauss_points(mesh, s):
+    return (mesh.first_nodes[:, None, :]
+            + s[None, :, None] * mesh.directions[:, None, :])
+
+
+def _pair_integrals(ker, w, bas, L_rows, L_cols):
+    """Tensor-Gauss pairing as one five-operand einsum (no BLAS path)."""
+    loc = np.einsum("k,l,kp,lq,ekfl->efpq", w, w, bas, bas, ker)
+    return (L_rows[:, None] * L_cols[None, :])[:, :, None, None] * loc
+
+
+def smooth_pair_tables_reference(mesh, a, order, exclude_mask):
+    """Slow reference of ``assembly._smooth_pair_tables``: the pointwise
+    kernels of ``kernels`` evaluated on all point pairs at once."""
+    s, w = gauss01(order)
+    bas = np.column_stack([1.0 - s, s])
+    pts = _gauss_points(mesh, s)
+    d = pts[:, :, None, None, :] - pts[None, None, :, :, :]
+    r = np.linalg.norm(d, axis=-1)
+    keep = ~exclude_mask[:, None, :, None] & (r > 0)
+    r_safe = np.where(keep, r, 1.0)
+    # d/dn(y) G(x - y) is minus the offset gradient along n(y)
+    dlp = -kernel_gradient_dot(a, d, r_safe, mesh.normals[None, None, :, None, :])
+    L = mesh.lengths
+    return (_pair_integrals(np.where(keep, kernel_2d(a, r_safe), 0.0),
+                            w, bas, L, L),
+            _pair_integrals(np.where(keep, dlp, 0.0), w, bas, L, L))
+
+
+def cross_block_reference(obs_mesh, src_mesh, a, obs_normal_sign,
+                          src_normal_sign, quad_order=8):
+    """Slow reference of ``assembly.cross_block`` from the pointwise
+    kernels: one K0/K1 evaluation per kernel and block."""
+    s, w = gauss01(quad_order)
+    bas = np.column_stack([1.0 - s, s])
+    d = (_gauss_points(obs_mesh, s)[:, :, None, None, :]
+         - _gauss_points(src_mesh, s)[None, None, :, :, :])
+    r = np.linalg.norm(d, axis=-1)
+    no = obs_normal_sign * obs_mesh.normals[:, None, None, None, :]
+    ns = src_normal_sign * src_mesh.normals[None, None, :, None, :]
+    kernels = (kernel_gradient_dot(a, d, r, ns), kernel_2d(a, r),
+               kernel_hessian_bilinear(a, d, r, no, ns),
+               kernel_gradient_dot(a, d, r, no))
+    n_o, n_s = obs_mesh.n_nodes, src_mesh.n_nodes
+    R = np.zeros((2 * n_o, 2 * n_s))
+    els_o, els_s = obs_mesh.elements, src_mesh.elements
+    for (ri, ci), ker in zip(((0, 0), (0, 1), (1, 0), (1, 1)), kernels):
+        loc = _pair_integrals(ker, w, bas, obs_mesh.lengths, src_mesh.lengths)
+        I = np.broadcast_to(els_o[:, None, :, None], loc.shape)
+        J = np.broadcast_to(els_s[None, :, None, :], loc.shape)
+        np.add.at(R, (ri * n_o + I, ci * n_s + J), loc)
+    return R

@@ -6,8 +6,10 @@ from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
                               assemble_coupling, assemble_operators,
                               cross_block, make_circle, make_square,
                               make_three_domain, mass_matrix)
+from multitrace.bem2d import assembly
 from multitrace.bem2d.kernels import kernel_2d, kernel_gradient_dot
-from helpers import trace_flip
+from helpers import (cross_block_reference, smooth_pair_tables_reference,
+                     trace_flip)
 
 
 def circle_traces(mesh, a, x0):
@@ -176,12 +178,37 @@ class TestCalderon:
         with pytest.raises(ValueError):
             assemble_calderon_2d(m2, KernelParams(1.0), operators=ops)
 
+    def test_operator_set_of_other_params_rejected(self):
+        mesh = make_circle(8)
+        ops = assemble_operators(mesh, KernelParams(1.0))
+        with pytest.raises(ValueError, match="assembled with"):
+            assemble_calderon_2d(mesh, KernelParams(2.0), operators=ops)
+
 
 class TestCoupling:
     def test_curves_must_differ(self):
         mesh = make_circle(12)
         with pytest.raises(ValueError):
             cross_block(mesh, mesh, 1.0)
+
+    def test_touching_curves_rejected(self):
+        with pytest.raises(ValueError, match="intersect or touch"):
+            cross_block(make_circle(12), make_circle(12), 1.0)
+
+    def test_nonpositive_a_rejected(self):
+        inner, outer = make_three_domain(8, 8)
+        with pytest.raises(ValueError, match="positive"):
+            cross_block(inner, outer, 0.0)
+
+    def test_passed_operator_sets_change_nothing(self):
+        inner, outer = make_three_domain(12, 16)
+        par = KernelParams(1.5)
+        plain = assemble_coupling(inner, outer, par)
+        shared = assemble_coupling(
+            inner, outer, par, operators=(assemble_operators(inner, par),
+                                          assemble_operators(outer, par)))
+        assert np.array_equal(shared.P, plain.P)
+        assert np.array_equal(shared.M_block, plain.M_block)
 
     def test_middle_projector_residual_decays(self):
         prev = None
@@ -236,6 +263,50 @@ class TestCoupling:
         X2 = trace_flip(outer.n_nodes)
         res2 = X2 @ coup.P2_tilde.P @ X2 + P2.P - P2.M_block
         assert np.max(np.abs(res2)) == 0.0
+
+
+def relative_error(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+class TestFastPathOracle:
+    """The BLAS contractions with one K0 and one K1 per point reproduce
+    the pointwise kernels paired by the five-operand einsum."""
+
+    @pytest.mark.parametrize("geometry, a", [("circle", 1.0), ("square", 5.0)])
+    def test_operators_match_einsum_reference(self, geometry, a, monkeypatch):
+        mesh = make_circle(32) if geometry == "circle" else make_square(8)
+        par = KernelParams(a)
+        fast = assemble_operators(mesh, par)
+        monkeypatch.setattr(assembly, "_smooth_pair_tables",
+                            smooth_pair_tables_reference)
+        slow = assemble_operators(mesh, par)
+        for name in ("single_layer", "double_layer", "hypersingular"):
+            assert relative_error(getattr(fast, name),
+                                  getattr(slow, name)) <= 1e-14, name
+
+    @pytest.mark.parametrize("obs_sign, src_sign",
+                             [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0),
+                              (-1.0, -1.0)])
+    def test_cross_blocks_match_einsum_reference(self, obs_sign, src_sign):
+        inner, outer = make_three_domain(24, 32)
+        for obs, src in ((inner, outer), (outer, inner)):
+            fast = cross_block(obs, src, 2.0, obs_sign, src_sign)
+            slow = cross_block_reference(obs, src, 2.0, obs_sign, src_sign)
+            no, ns = obs.n_nodes, src.n_nodes
+            for rows in (slice(0, no), slice(no, 2 * no)):
+                for cols in (slice(0, ns), slice(ns, 2 * ns)):
+                    assert relative_error(fast[rows, cols],
+                                          slow[rows, cols]) <= 1e-14
+
+    def test_coupling_blocks_match_einsum_reference(self, coupling_setup):
+        inner, outer, coup, _, _ = coupling_setup
+        assert relative_error(
+            coup.R12, cross_block_reference(inner, outer, 1.0, -1.0, 1.0)
+        ) <= 1e-14
+        assert relative_error(
+            coup.R21, cross_block_reference(outer, inner, 1.0, 1.0, -1.0)
+        ) <= 1e-14
 
 
 class TestMeshIoFormat:

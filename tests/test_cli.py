@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from multitrace import cli
 from multitrace.cli import (_RUNNERS, _SWEEPS, ConfigError, main,
                             parse_config, run)
 
@@ -150,6 +151,16 @@ class TestRunModes:
         assert data["config"]["mode"] == "1d-2dom"
         assert "total_s" in data["timings"]
 
+    def test_report_records_the_environment(self, tmp_path):
+        run(parse_config(["1d-2dom", "--out", str(tmp_path / "o")]))
+        data = json.loads((tmp_path / "o" / "run_report.json").read_text())
+        env = data["environment"]
+        assert {"python", "numpy", "scipy", "blas", "threads",
+                "cpu_count"} <= set(env)
+        assert set(env["threads"]) == {"OMP_NUM_THREADS",
+                                       "OPENBLAS_NUM_THREADS"}
+        assert env["numpy"] == np.__version__
+
 
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
@@ -181,9 +192,9 @@ class TestRejectedInput:
         (["1d-2dom", "--steps", "-3"], "steps"),
         (["spectrum-2d", "--geometry", "circle", "--quad-order", "1"],
          "quad_order"),
-        (["spectrum-2d", "--geometry", "circle", "--n", "1100"], "n_elements"),
-        (["spectrum-2d-3dom", "--n", "600"], "n_elements"),
-        (["sweep", "--kind", "2d", "--geometry", "circle", "--n", "1100"],
+        (["spectrum-2d", "--geometry", "circle", "--n", "2001"], "n_elements"),
+        (["spectrum-2d-3dom", "--n", "1001"], "n_elements"),
+        (["sweep", "--kind", "2d", "--geometry", "circle", "--n", "2001"],
          "n_elements"),
         (["sweep", "--kind", "2d"], "geometry"),
         (["spectrum-2d", "--geometry", "square", "--n", "13"], "n_elements"),
@@ -195,6 +206,54 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {field} "), err
         assert not (tmp_path / "o").exists()
+
+
+class TestDimensionCap:
+    """The cap applies to the half-size red pencil the eigensolve runs
+    on: 2n rows on one curve, 4n on the annulus."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum-2d", "--geometry", "circle", "--n", "1001"],
+        ["spectrum-2d", "--geometry", "square", "--n", "2000"],
+        ["sweep", "--kind", "2d", "--geometry", "circle", "--n", "2000"],
+        ["spectrum-2d-3dom", "--n", "501"],
+        ["spectrum-2d-3dom", "--n", "1000"],
+        ["sweep", "--kind", "2d-3dom", "--n", "1000"],
+    ])
+    def test_accepted_up_to_the_cap(self, argv, monkeypatch):
+        monkeypatch.setattr(cli, "assemble_operators", None)   # never called
+        cfg = parse_config(argv)
+        assert cfg.n_elements == int(argv[argv.index("--n") + 1])
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum-2d", "--geometry", "square", "--n", "2004"],
+        ["sweep", "--kind", "2d-3dom", "--n", "1001"],
+    ])
+    def test_rejected_beyond_the_cap(self, argv):
+        with pytest.raises(ConfigError, match="^n_elements .* beyond the cap"):
+            parse_config(argv)
+
+
+class TestOperatorSetReuse:
+    @pytest.mark.parametrize("argv, calls", [
+        (["spectrum-2d", "--geometry", "circle", "--a", "1"], 1),
+        (["spectrum-2d", "--geometry", "circle", "--a", "1,2"], 2),
+        (["spectrum-2d-3dom", "--a", "1"], 2),
+        (["spectrum-2d-3dom", "--a", "1,2,1"], 3),
+        (["spectrum-2d-3dom", "--a", "1,2,3"], 4),
+    ])
+    def test_each_distinct_set_assembled_once(self, argv, calls, tmp_path,
+                                              monkeypatch):
+        seen = []
+        original = cli.assemble_operators
+
+        def counted(mesh, params):
+            seen.append(params.a)
+            return original(mesh, params)
+
+        monkeypatch.setattr(cli, "assemble_operators", counted)
+        run(parse_config(argv + ["--n", "8", "--out", str(tmp_path / "o")]))
+        assert len(seen) == calls
 
 
 def _sweep_rows(path):
