@@ -16,6 +16,12 @@ The hypersingular operator is assembled only in its integration-by-parts
 regularized form (weak kernel, tangential derivatives of the basis), and
 the adjoint double layer is the exact transpose of the double layer.
 
+``assemble_operators`` is one pipeline: the smooth table covers every
+ordered element pair, and the singular corrections then overwrite the
+self and adjacent entries.  Adjacent tables are computed with the shared
+node first on both elements and stored with the local basis axis of the
+element whose shared node is its end node reversed.
+
 The tensor-Gauss sums over all element pairs (smooth pair tables and
 cross-curve blocks) pair the kernel values with the weighted basis
 ``w[:, None] * basis`` in two BLAS contractions over the Gauss axes
@@ -114,12 +120,14 @@ def _contract(ker, wb):
     return np.tensordot(t, wb, axes=(1, 0)).transpose(0, 1, 3, 2)
 
 
-def _smooth_pair_tables(mesh, a, order, exclude_mask, chunk=64):
-    """Tensor-Gauss V/K pair integrals for all non-excluded pairs.
+def _smooth_pair_tables(mesh, a, order, chunk=64):
+    """Tensor-Gauss V/K pair integrals for all ordered element pairs.
 
     Returns ``(v_loc, k_loc)`` where ``v_loc[e, f]`` is the 2x2
     single-layer block of the ordered pair and ``k_loc`` the double-layer
-    block (kernel ``d/dn(y) G``).
+    block (kernel ``d/dn(y) G``).  The only zero distances are those of
+    a self pair, whose blocks are placeholders for the singular
+    corrections to overwrite.
     """
     m = mesh.n_elements
     s, w = gauss01(order)
@@ -131,21 +139,18 @@ def _smooth_pair_tables(mesh, a, order, exclude_mask, chunk=64):
     L = mesh.lengths
     LL = L[:, None] * L[None, :]
 
-    v_loc = np.zeros((m, m, 2, 2))
-    k_loc = np.zeros((m, m, 2, 2))
+    v_loc = np.empty((m, m, 2, 2))
+    k_loc = np.empty((m, m, 2, 2))
     for e0 in range(0, m, chunk):
         e1 = min(e0 + chunk, m)
         dx = px[e0:e1, :, None, None] - px[None, None, :, :]
         dy = py[e0:e1, :, None, None] - py[None, None, :, :]
         r = np.sqrt(dx * dx + dy * dy)
-        keep = ~exclude_mask[e0:e1][:, None, :, None] & (r > 0)
-        r_safe = np.where(r > 0, r, 1.0)
-        v_loc[e0:e1] = _contract(
-            np.where(keep, k0(a * r_safe) / TWO_PI, 0.0), wb)
+        own = np.arange(e1 - e0)
+        r[own, :, e0 + own, :] = 1.0                         # self pairs
+        v_loc[e0:e1] = _contract(k0(a * r) / TWO_PI, wb)
         nd = dx * nx + dy * ny
-        k_loc[e0:e1] = _contract(
-            np.where(keep, (a / TWO_PI) * k1(a * r_safe) * nd / r_safe, 0.0),
-            wb)
+        k_loc[e0:e1] = _contract((a / TWO_PI) * k1(a * r) * nd / r, wb)
     v_loc *= LL[:, :, None, None]
     k_loc *= LL[:, :, None, None]
     return v_loc, k_loc
@@ -159,31 +164,23 @@ def _coincident_tables(mesh, a, order):
     integral over ``u = |s - t|`` against the log-weighted rule.
     """
     L = mesh.lengths
-    m = len(L)
-    qs = order
-    su, wu = gauss01(qs)
-    sv, wv = gauss01(qs + 1)       # distinct orders: nodes never coincide
-    bu = np.column_stack([1.0 - su, su])
-    bv = np.column_stack([1.0 - sv, sv])
-    dif = su[:, None] - sv[None, :]
-    r = L[:, None, None] * np.abs(dif)[None, :, :]
+    su, wu = gauss01(order)
+    sv, wv = gauss01(order + 1)    # distinct orders: nodes never coincide
+    r = L[:, None, None] * np.abs(su[:, None] - sv[None, :])[None, :, :]
     z = a * r
     smooth = (k0_smooth_remainder(z) - np.log(a * L)[:, None, None] * i0(z)) / TWO_PI
-    part_a = np.einsum("k,l,kp,lq,ekl->epq", wu, wv, bu, bv, smooth)
+    part_a = _weighted_basis(su, wu).T @ smooth @ _weighted_basis(sv, wv)
 
     ulog, wlog = log_gauss01(order)
     sw, ww = gauss01(order)
-    # inner integral over the diagonal strip of width 1 - u
+    # inner integral over the diagonal strip of width 1 - u, s = w + u;
+    # the (s, t) and (t, s) halves are transposes of each other
     wpts = (1.0 - ulog)[:, None] * sw[None, :]               # (nlog, q)
-    f1 = wpts + ulog[:, None]                                # s = w + u
+    strip = np.einsum("nk,nkp,nkq->npq", (1.0 - ulog)[:, None] * ww,
+                      _p1(wpts + ulog[:, None]), _p1(wpts))  # (nlog, 2, 2)
     i0u = i0(a * L[:, None] * ulog[None, :])                 # (m, nlog)
-    bsum = (np.einsum("mk,mkp,mkq->mpq",
-                      np.broadcast_to((1.0 - ulog)[:, None], wpts.shape) * ww,
-                      _p1(f1), _p1(wpts))
-            + np.einsum("mk,mkp,mkq->mpq",
-                        np.broadcast_to((1.0 - ulog)[:, None], wpts.shape) * ww,
-                        _p1(wpts), _p1(f1)))                 # (nlog, 2, 2)
-    part_b = np.einsum("n,en,npq->epq", wlog, i0u, bsum) / TWO_PI
+    part_b = np.tensordot(i0u * wlog, strip + strip.transpose(0, 2, 1),
+                          axes=(1, 0)) / TWO_PI
     return (L ** 2)[:, None, None] * (part_a + part_b)
 
 
@@ -192,68 +189,52 @@ def _p1(x):
     return np.stack([1.0 - x, x], axis=-1)
 
 
-def _adjacent_pair_tables(d1, d2, L1, L2, n_src, a, order,
-                          e_shared_first, f_shared_first):
+def _adjacent_pair_tables(d1, d2, L1, L2, n_src, a, order):
     """V and K blocks for ordered adjacent pairs (vectorized over pairs).
 
-    Both elements are parametrized from the shared node, so the distance
-    on each Duffy triangle is ``s * m(v)`` with ``m(v) = |d1 - v d2|``
-    bounded away from zero; ``log s`` goes to the log-weighted rule.
+    Both elements are parametrized from the shared node, which is local
+    basis index 0 on both, so the distance on each Duffy triangle is
+    ``s * m(v)`` with ``m(v) = |d1 - v d2|`` bounded away from zero;
+    ``log s`` goes to the log-weighted rule.  The weighted basis products
+    of a triangle are one ``(q, q, 2, 2)`` array shared by all pairs.
     """
-    npair = len(L1)
-    v_loc = np.zeros((npair, 2, 2))
-    k_loc = np.zeros((npair, 2, 2))
     sg, wg = gauss01(order)
     ul, wl = log_gauss01(order)
+    v_loc = k_loc = 0.0
 
-    for first_triangle in (True, False):
-        # triangle 1: (x, y) at (s, s v); triangle 2: at (t v, t)
-        dd1, dd2 = (d1, d2) if first_triangle else (d2, d1)
+    def pair(ker, bw):
+        return np.tensordot(ker, bw, axes=([1, 2], [0, 1]))
+
+    # triangle 1: (x, y) at (s, s v); triangle 2: at (s v, s)
+    for sign, dd1, dd2 in ((1.0, d1, d2), (-1.0, d2, d1)):
         mv = dd1[:, None, :] - sg[None, :, None] * dd2[:, None, :]
         m = np.linalg.norm(mv, axis=-1)                      # (npair, qv)
-        c = np.sum(n_src[:, None, :] * (
-            (d1[:, None, :] - sg[None, :, None] * d2[:, None, :])
-            if first_triangle else
-            (sg[None, :, None] * d1[:, None, :] - d2[:, None, :])), axis=-1)
+        c = sign * np.sum(n_src[:, None, :] * mv, axis=-1)
+        log_am = np.log(a * m)[:, None, :]
 
-        # basis values; shared-node bookkeeping differs per pair
-        def bb(outer_coord):
-            n_out = len(outer_coord)
-            grid_outer = np.broadcast_to(outer_coord[None, :, None],
-                                         (npair, n_out, len(sg)))
-            grid_inner = grid_outer * sg[None, None, :]
-            se, tf = ((grid_outer, grid_inner) if first_triangle
-                      else (grid_inner, grid_outer))
-            be = np.where(e_shared_first[:, None, None, None],
-                          _p1(se), _p1(se)[..., ::-1])
-            bf = np.where(f_shared_first[:, None, None, None],
-                          _p1(tf), _p1(tf)[..., ::-1])
-            return be[..., :, None] * bf[..., None, :]
+        def wbb(outer, w_outer):
+            b_out = _p1(outer)[:, None, :]                   # (k, 1, 2)
+            b_in = _p1(outer[:, None] * sg[None, :])         # (k, v, 2)
+            be, bf = (b_out, b_in) if sign > 0 else (b_in, b_out)
+            return ((w_outer[:, None] * wg[None, :])[..., None, None]
+                    * be[..., :, None] * bf[..., None, :])
 
         # smooth part on the unit square in (outer, v)
-        bb_g = bb(sg)                                        # (npair, qs, qv, 2, 2)
-        r = sg[None, :, None] * m[:, None, :]
-        z = a * r
-        ker_v = (k0_smooth_remainder(z)
-                 - np.log(a * m)[:, None, :] * i0(z)) / TWO_PI
+        bw_g = wbb(sg, wg)
+        z = a * sg[None, :, None] * m[:, None, :]
+        ker_v = (k0_smooth_remainder(z) - log_am * i0(z)) / TWO_PI
         ker_k = ((c / m ** 2)[:, None, :] / TWO_PI
                  + (a / TWO_PI) * (c / m)[:, None, :] * sg[None, :, None]
-                 * (np.log(a * m)[:, None, :] * i1(z) + k1_smooth_remainder(z)))
-        wsq = wg[:, None] * wg[None, :]
-        v_loc += np.einsum("kv,nkvpq,nkv->npq", wsq, bb_g,
-                           ker_v * sg[None, :, None])
-        k_loc += np.einsum("kv,nkvpq,nkv->npq", wsq, bb_g, ker_k)
+                 * (log_am * i1(z) + k1_smooth_remainder(z)))
+        v_loc += pair(ker_v * sg[None, :, None], bw_g)
+        k_loc += pair(ker_k, bw_g)
 
         # log-in-outer-coordinate part (weight -log s)
-        bb_l = bb(ul)
-        rl = ul[None, :, None] * m[:, None, :]
-        zl = a * rl
-        wlq = wl[:, None] * wg[None, :]
-        v_loc += np.einsum("kv,nkvpq,nkv->npq", wlq, bb_l,
-                           i0(zl) * ul[None, :, None]) / TWO_PI
-        k_loc += -np.einsum("kv,nkvpq,nkv->npq", wlq, bb_l,
-                            (a / TWO_PI) * (c / m)[:, None, :]
-                            * ul[None, :, None] * i1(zl))
+        bw_l = wbb(ul, wl)
+        zl = a * ul[None, :, None] * m[:, None, :]
+        v_loc += pair(i0(zl) * ul[None, :, None], bw_l) / TWO_PI
+        k_loc -= pair((a / TWO_PI) * (c / m)[:, None, :]
+                      * ul[None, :, None] * i1(zl), bw_l)
     LL = (L1 * L2)[:, None, None]
     return LL * v_loc, LL * k_loc
 
@@ -272,35 +253,26 @@ def assemble_operators(mesh, params):
     a = params.a
     m = mesh.n_elements
     nxt, prv = _adjacency(mesh)
+    v_loc, k_loc = _smooth_pair_tables(mesh, a, params.quad_order)
 
-    exclude = np.zeros((m, m), dtype=bool)
+    # singular pairs overwrite their smooth entries; the double layer
+    # vanishes on a straight element
     ar = np.arange(m)
-    exclude[ar, ar] = True
-    exclude[ar, nxt] = True
-    exclude[ar, prv] = True
-
-    v_loc, k_loc = _smooth_pair_tables(mesh, a, params.quad_order, exclude)
-
-    # coincident corrections (double layer vanishes on straight elements)
     v_loc[ar, ar] = _coincident_tables(mesh, a, params.singular_order)
+    k_loc[ar, ar] = 0.0
 
-    # adjacent corrections, both orientations: for f = next(e) the shared
-    # node is e's end node and f's start node; for f = prev(e) the mirror
+    # adjacent pairs, tabulated with the shared node first on both
+    # elements: for f = next(e) it is e's end node (p axis reversed),
+    # for f = prev(e) it is f's end node (q axis reversed)
     nodes, els = mesh.nodes, mesh.elements
     L = mesh.lengths
-    for f_idx, e_first in ((nxt, False), (prv, True)):
-        f_first = not e_first
-        shared = els[ar, 0] if e_first else els[ar, 1]
-        other_e = els[ar, 1] if e_first else els[ar, 0]
-        other_f = els[f_idx, 1] if f_first else els[f_idx, 0]
-        d1 = nodes[other_e] - nodes[shared]
-        d2 = nodes[other_f] - nodes[shared]
+    for f, e_end, flip_axis in ((nxt, 1, 1), (prv, 0, 2)):
+        shared = nodes[els[:, e_end]]
         v_adj, k_adj = _adjacent_pair_tables(
-            d1, d2, L[ar], L[f_idx], mesh.normals[f_idx], a,
-            params.singular_order,
-            np.full(m, e_first), np.full(m, f_first))
-        v_loc[ar, f_idx] = v_adj
-        k_loc[ar, f_idx] = k_adj
+            nodes[els[:, 1 - e_end]] - shared, nodes[els[f, e_end]] - shared,
+            L, L[f], mesh.normals[f], a, params.singular_order)
+        v_loc[ar, f] = np.flip(v_adj, flip_axis)
+        k_loc[ar, f] = np.flip(k_adj, flip_axis)
 
     LL = L[:, None] * L[None, :]
     s0_full = v_loc.sum(axis=(2, 3)) / LL     # partition of unity
@@ -346,11 +318,6 @@ class DiscreteCalderon:
     def operator(self):
         """Coefficient-space operator ``M_block^{-1} P``."""
         return scipy.linalg.solve(self.M_block, self.P, assume_a="pos")
-
-    def projector_residual(self):
-        """Spectral norm of ``Q^2 - Q`` for ``Q = M_block^{-1} P``."""
-        Q = self.operator()
-        return float(np.linalg.norm(Q @ Q - Q, 2))
 
 
 def assemble_calderon_2d(mesh, params, side="interior", operators=None):

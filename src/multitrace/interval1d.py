@@ -51,10 +51,6 @@ class SchwarzState:
     def as_array(self):
         return np.array([self.u1, self.du1, self.u2, self.du2])
 
-    @staticmethod
-    def from_array(v):
-        return SchwarzState(*(float(c) for c in v))
-
 
 # Overflow-free hyperbolic ratios.  All take nonnegative u, v, w with
 # u + v <= w and use only exp of nonpositive arguments.

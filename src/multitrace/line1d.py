@@ -124,15 +124,13 @@ def represent_1d(a, jump):
     return u
 
 
-def calderon_halfline(a, side="plus"):
+def calderon_halfline(a):
     """Calderon projector of a half line, ``(Id + A)/2`` with ``A^2 = Id``.
 
     ``A = [[0, 1/a], [a, 0]]``; the projector is the same matrix for the
     left and the right half line thanks to the trace sign convention.
     """
     a = _check_a(a)
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     A = np.array([[0.0, 1.0 / a], [a, 0.0]])
     return CalderonProjector1D((np.eye(2) + A) / 2.0, a)
 

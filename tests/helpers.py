@@ -48,15 +48,16 @@ def _pair_integrals(ker, w, bas, L_rows, L_cols):
     return (L_rows[:, None] * L_cols[None, :])[:, :, None, None] * loc
 
 
-def smooth_pair_tables_reference(mesh, a, order, exclude_mask):
+def smooth_pair_tables_reference(mesh, a, order):
     """Slow reference of ``assembly._smooth_pair_tables``: the pointwise
-    kernels of ``kernels`` evaluated on all point pairs at once."""
+    kernels of ``kernels`` evaluated on all point pairs at once (zero at
+    coincident points, which only self pairs have)."""
     s, w = gauss01(order)
     bas = np.column_stack([1.0 - s, s])
     pts = _gauss_points(mesh, s)
     d = pts[:, :, None, None, :] - pts[None, None, :, :, :]
     r = np.linalg.norm(d, axis=-1)
-    keep = ~exclude_mask[:, None, :, None] & (r > 0)
+    keep = r > 0
     r_safe = np.where(keep, r, 1.0)
     # d/dn(y) G(x - y) is minus the offset gradient along n(y)
     dlp = -kernel_gradient_dot(a, d, r_safe, mesh.normals[None, None, :, None, :])

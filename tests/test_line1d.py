@@ -112,11 +112,6 @@ class TestHalflineProjector:
             P = calderon_halfline(a).matrix
             assert np.max(np.abs(P @ P - P)) < 1e-13
 
-    def test_sides_identical(self):
-        a = 2.31
-        assert np.array_equal(calderon_halfline(a, "plus").matrix,
-                              calderon_halfline(a, "minus").matrix)
-
 
 class TestMtfTwoSubdomains:
     def test_solution_consistency(self):
