@@ -22,12 +22,13 @@ self and adjacent entries.  Adjacent tables are computed with the shared
 node first on both elements and stored with the local basis axis of the
 element whose shared node is its end node reversed.
 
-The tensor-Gauss sums over all element pairs (smooth pair tables and
-cross-curve blocks) pair the kernel values with the weighted basis
-``w[:, None] * basis`` in two BLAS contractions over the Gauss axes
-(``_contract``).  Each point of a cross-curve block evaluates K0 and K1
-once; the four coupling kernels (gradient along either normal, value,
-Hessian bilinear form) are derived from those two values.
+The smooth pair tables evaluate K0 and K1 once per unordered element
+pair: the (f, e) blocks are the transposed (e, f) ones, the double layer
+with the other element's normal, and the pairing with the weighted basis
+``wb = w[:, None] * basis`` is a batched ``wb.T @ ker @ wb``.  Cross-curve
+blocks pair in two BLAS contractions over the Gauss axes (``_contract``),
+and each of their points evaluates K0 and K1 once for the four coupling
+kernels (gradient along either normal, value, Hessian bilinear form).
 
 Per-pair contributions are independent and reduced into matrices with no
 ordering dependence; assembled objects are immutable, so all routines
@@ -40,8 +41,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import i0, i1, k0, k1
 
-from .kernels import (TWO_PI, _check_a, k0_smooth_remainder,
-                      k1_smooth_remainder)
+from .kernels import TWO_PI, _check_a
 from .quadrature import gauss01, log_gauss01
 
 # Tangential derivative signs of the two nodal basis functions.
@@ -120,39 +120,40 @@ def _contract(ker, wb):
     return np.tensordot(t, wb, axes=(1, 0)).transpose(0, 1, 3, 2)
 
 
-def _smooth_pair_tables(mesh, a, order, chunk=64):
+def _smooth_pair_tables(mesh, a, order, chunk=4096):
     """Tensor-Gauss V/K pair integrals for all ordered element pairs.
 
     Returns ``(v_loc, k_loc)`` where ``v_loc[e, f]`` is the 2x2
     single-layer block of the ordered pair and ``k_loc`` the double-layer
-    block (kernel ``d/dn(y) G``).  The only zero distances are those of
-    a self pair, whose blocks are placeholders for the singular
-    corrections to overwrite.
+    block (kernel ``d/dn(y) G``).  K0 and K1 are evaluated once per
+    unordered pair ``e <= f``, ``chunk`` pairs at a time; the (f, e)
+    blocks are the transposed (e, f) ones, the double layer with ``-n_e``
+    in place of ``n_f``.  Self-pair blocks (distance placeholder 1) are
+    for the singular corrections to overwrite.
     """
     m = mesh.n_elements
     s, w = gauss01(order)
     wb = _weighted_basis(s, w)
     pts = mesh.first_nodes[:, None, :] + s[None, :, None] * mesh.directions[:, None, :]
     px, py = pts[..., 0], pts[..., 1]                        # (m, q)
-    nx = mesh.normals[None, None, :, None, 0]
-    ny = mesh.normals[None, None, :, None, 1]
-    L = mesh.lengths
-    LL = L[:, None] * L[None, :]
+    nx, ny = mesh.normals[:, 0, None, None], mesh.normals[:, 1, None, None]
 
-    v_loc = np.empty((m, m, 2, 2))
-    k_loc = np.empty((m, m, 2, 2))
-    for e0 in range(0, m, chunk):
-        e1 = min(e0 + chunk, m)
-        dx = px[e0:e1, :, None, None] - px[None, None, :, :]
-        dy = py[e0:e1, :, None, None] - py[None, None, :, :]
+    v_loc, k_loc = np.empty((2, m, m, 2, 2))
+    rows, cols = np.triu_indices(m)
+    for p0 in range(0, len(rows), chunk):
+        e, f = rows[p0:p0 + chunk], cols[p0:p0 + chunk]
+        dx = px[e, :, None] - px[f, None, :]                 # (pair, k, l)
+        dy = py[e, :, None] - py[f, None, :]
         r = np.sqrt(dx * dx + dy * dy)
-        own = np.arange(e1 - e0)
-        r[own, :, e0 + own, :] = 1.0                         # self pairs
-        v_loc[e0:e1] = _contract(k0(a * r) / TWO_PI, wb)
-        nd = dx * nx + dy * ny
-        k_loc[e0:e1] = _contract((a / TWO_PI) * k1(a * r) * nd / r, wb)
-    v_loc *= LL[:, :, None, None]
-    k_loc *= LL[:, :, None, None]
+        r[e == f] = 1.0                                      # self pairs
+        ll = (mesh.lengths[e] * mesh.lengths[f])[:, None, None]
+        v = ll * (wb.T @ (k0(a * r) / TWO_PI) @ wb)
+        v_loc[e, f] = v
+        v_loc[f, e] = v.transpose(0, 2, 1)
+        g1 = (a / TWO_PI) * k1(a * r) / r
+        k_loc[e, f] = ll * (wb.T @ (g1 * (dx * nx[f] + dy * ny[f])) @ wb)
+        k_loc[f, e] = (ll * (wb.T @ (g1 * -(dx * nx[e] + dy * ny[e]))
+                             @ wb)).transpose(0, 2, 1)
     return v_loc, k_loc
 
 
@@ -166,9 +167,9 @@ def _coincident_tables(mesh, a, order):
     L = mesh.lengths
     su, wu = gauss01(order)
     sv, wv = gauss01(order + 1)    # distinct orders: nodes never coincide
-    r = L[:, None, None] * np.abs(su[:, None] - sv[None, :])[None, :, :]
-    z = a * r
-    smooth = (k0_smooth_remainder(z) - np.log(a * L)[:, None, None] * i0(z)) / TWO_PI
+    u = np.abs(su[:, None] - sv[None, :])                    # z / (a L)
+    z = a * (L[:, None, None] * u[None, :, :])
+    smooth = (k0(z) + np.log(u) * i0(z)) / TWO_PI
     part_a = _weighted_basis(su, wu).T @ smooth @ _weighted_basis(sv, wv)
 
     ulog, wlog = log_gauss01(order)
@@ -210,7 +211,6 @@ def _adjacent_pair_tables(d1, d2, L1, L2, n_src, a, order):
         mv = dd1[:, None, :] - sg[None, :, None] * dd2[:, None, :]
         m = np.linalg.norm(mv, axis=-1)                      # (npair, qv)
         c = sign * np.sum(n_src[:, None, :] * mv, axis=-1)
-        log_am = np.log(a * m)[:, None, :]
 
         def wbb(outer, w_outer):
             b_out = _p1(outer)[:, None, :]                   # (k, 1, 2)
@@ -222,10 +222,11 @@ def _adjacent_pair_tables(d1, d2, L1, L2, n_src, a, order):
         # smooth part on the unit square in (outer, v)
         bw_g = wbb(sg, wg)
         z = a * sg[None, :, None] * m[:, None, :]
-        ker_v = (k0_smooth_remainder(z) - log_am * i0(z)) / TWO_PI
-        ker_k = ((c / m ** 2)[:, None, :] / TWO_PI
-                 + (a / TWO_PI) * (c / m)[:, None, :] * sg[None, :, None]
-                 * (log_am * i1(z) + k1_smooth_remainder(z)))
+        log_s = np.log(sg)[None, :, None]                    # log(z / (a m))
+        ker_v = (k0(z) + log_s * i0(z)) / TWO_PI
+        # s K1(z) is bounded: its 1/z part times the Jacobian s is smooth
+        ker_k = ((a / TWO_PI) * (c / m)[:, None, :] * sg[None, :, None]
+                 * (k1(z) - log_s * i1(z)))
         v_loc += pair(ker_v * sg[None, :, None], bw_g)
         k_loc += pair(ker_k, bw_g)
 

@@ -1,16 +1,21 @@
 """Fundamental solution of -Laplace + a^2 in the plane and its derivatives.
 
 The decaying fundamental solution is ``G(r) = K0(a r) / (2 pi)`` with
-``K0`` the modified Bessel function of the second kind.  Assembly also
-needs the split of ``K0``/``K1`` into a logarithmic part and a smooth
-remainder, which drives the singular quadrature:
+``K0`` the modified Bessel function of the second kind.  The singular
+quadrature of ``assembly`` rests on the split of ``K0``/``K1`` into a
+logarithmic part and a smooth remainder:
 
 * ``K0(z) = -log(z) I0(z) + C0(z)``  with ``C0`` entire and even,
 * ``K1(z) = 1/z + log(z) I1(z) + C1(z)``  with ``C1`` entire and odd.
+
+At ``z = a s m`` with smooth ``m`` assembly evaluates ``C0 - log(a m) I0
+= K0 + log(s) I0`` and ``C1 + log(a m) I1 + 1/z = K1 - log(s) I1``, one
+K and one I per point, ``log s`` going to the log-weighted rule.
 """
 
 import numpy as np
-from scipy.special import i0, i1, k0, k1
+# i0, i1 stay bound for the Bessel call count of benchmarks/layers.py
+from scipy.special import i0, i1, k0, k1  # noqa: F401
 
 TWO_PI = 2.0 * np.pi
 
@@ -75,13 +80,3 @@ def kernel_hessian_bilinear(a, d, r, nx, ny):
     ny_rhat = np.sum(ny * d, axis=-1) / r
     nx_ny = np.sum(nx * ny, axis=-1)
     return gpp * nx_rhat * ny_rhat + gp * (nx_ny - nx_rhat * ny_rhat) / r
-
-
-def k0_smooth_remainder(z):
-    """``C0(z) = K0(z) + log(z) I0(z)``, entire and even in ``z``."""
-    return k0(z) + np.log(z) * i0(z)
-
-
-def k1_smooth_remainder(z):
-    """``C1(z) = K1(z) - 1/z - log(z) I1(z)``, entire and odd in ``z``."""
-    return k1(z) - 1.0 / z - np.log(z) * i1(z)

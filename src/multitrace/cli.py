@@ -381,6 +381,14 @@ def _run_schwarz(cfg, out, report):
     }
 
 
+def _timed(report, key, fn, *args):
+    """``fn(*args)``, its wall time recorded as ``report.timings[key]``."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    report.timings[key] = time.perf_counter() - t0
+    return out
+
+
 def _setup_2d(cfg, a):
     """Assemble the 2D subdomains for the material constants ``a``.
 
@@ -428,15 +436,10 @@ def _run_spectrum(cfg, out, report, count):
     the annulus."""
     a = _per_subdomain(cfg, "a", count)
     sigmas = _per_subdomain(cfg, "sigma", count)
-    t0 = time.perf_counter()
-    pencil = _setup_2d(cfg, a)
-    report.timings["assembly_s"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    A, B = pencil(sigmas)
-    report.timings["pencil_s"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    result = spectra.pencil_spectrum(A, B, sigmas, cfg.eps)
-    report.timings["eigensolve_s"] = time.perf_counter() - t0
+    pencil = _timed(report, "assembly_s", _setup_2d, cfg, a)
+    A, B = _timed(report, "pencil_s", pencil, sigmas)
+    result = _timed(report, "eigensolve_s", spectra.pencil_spectrum,
+                    A, B, sigmas, cfg.eps)
     spectra.write_eigenvalues_csv(report.record(out / "eigenvalues.csv"),
                                   result.eigenvalues)
     if count == 2:      # the annulus run writes no plot script
@@ -481,7 +484,8 @@ def _run_sweep(cfg, out, report):
     grid = _sigma_grid(cfg)
     label, factory, count = _SWEEPS[cfg.kind]
     (a,) = _per_subdomain(cfg, "a", 1)
-    rows = spectra.sigma_sweep(factory(cfg, a, count), grid, cfg.eps)
+    builder = _timed(report, "assembly_s", factory, cfg, a, count)
+    rows = spectra.sigma_sweep(builder, grid, cfg.eps)
     spectra.write_sweep_csv(report.record(out / "sweep.csv"), rows)
     radii = [r.spectral_radius for r in rows]
     _gnuplot_script(report.record(out / "plot.gp"), [
@@ -518,9 +522,8 @@ def run(cfg):
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     report = RunReport(run_id=cfg.run_id(), config=_jsonable(asdict(cfg)))
-    t_start = time.perf_counter()
-    report.results = _RUNNERS[cfg.mode](cfg, out, report)
-    report.timings["total_s"] = time.perf_counter() - t_start
+    report.results = _timed(report, "total_s", _RUNNERS[cfg.mode],
+                            cfg, out, report)
     with open(out / "run_report.json", "w") as fh:
         json.dump(_jsonable(asdict(report)), fh, indent=2)
     report.files.append(str(out / "run_report.json"))

@@ -2,6 +2,7 @@
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.special import i0, i1, k0, k1
 
 from multitrace.bem2d.kernels import (kernel_2d, kernel_gradient_dot,
                                       kernel_hessian_bilinear)
@@ -90,3 +91,13 @@ def cross_block_reference(obs_mesh, src_mesh, a, obs_normal_sign,
         J = np.broadcast_to(els_s[None, :, None, :], loc.shape)
         np.add.at(R, (ri * n_o + I, ci * n_s + J), loc)
     return R
+
+
+def k0_smooth_remainder(z):
+    """``C0(z) = K0(z) + log(z) I0(z)``, entire and even in ``z``."""
+    return k0(z) + np.log(z) * i0(z)
+
+
+def k1_smooth_remainder(z):
+    """``C1(z) = K1(z) - 1/z - log(z) I1(z)``, entire and odd in ``z``."""
+    return k1(z) - 1.0 / z - np.log(z) * i1(z)

@@ -214,6 +214,19 @@ class TestCoupling:
         assert np.array_equal(shared.P, plain.P)
         assert np.array_equal(shared.M_block, plain.M_block)
 
+    @pytest.mark.parametrize("a", [1.0, 3.0])
+    def test_cross_blocks_are_signed_block_transposes(self, a):
+        """R21 = [[-qq^T, vq^T], [qv^T, -vv^T]] for R12 = [[vv, vq],
+        [qv, qq]]: the two curves see the same distances, and the
+        gradient of the kernel is odd in the offset."""
+        inner, outer = make_three_domain(24, 32)
+        R12 = cross_block(inner, outer, a, -1.0, 1.0)
+        R21 = cross_block(outer, inner, a, 1.0, -1.0)
+        ni, no = inner.n_nodes, outer.n_nodes
+        vv, vq, qv, qq = R12[:ni, :no], R12[:ni, no:], R12[ni:, :no], R12[ni:, no:]
+        expected = np.block([[-qq.T, vq.T], [qv.T, -vv.T]])
+        assert relative_error(R21, expected) <= 1e-14
+
     def test_middle_projector_residual_decays(self):
         prev = None
         for n in (16, 32):
@@ -311,6 +324,27 @@ class TestFastPathOracle:
         assert relative_error(
             coup.R21, cross_block_reference(outer, inner, 1.0, 1.0, -1.0)
         ) <= 1e-14
+
+
+class TestPairTableSymmetry:
+    """The smooth pair tables evaluate K0/K1 once per unordered element
+    pair and fill the (f, e) blocks from the (e, f) ones."""
+
+    @pytest.mark.parametrize("geometry, a", [("circle", 1.0), ("square", 5.0)])
+    def test_chunk_size_changes_nothing(self, geometry, a):
+        mesh = make_circle(33) if geometry == "circle" else make_square(8)
+        v_ref, k_ref = assembly._smooth_pair_tables(mesh, a, 8)
+        for chunk in (1, 7):
+            v, k = assembly._smooth_pair_tables(mesh, a, 8, chunk=chunk)
+            assert np.array_equal(v, v_ref), chunk
+            assert np.array_equal(k, k_ref), chunk
+
+    @pytest.mark.parametrize("geometry, a", [("circle", 1.0), ("square", 5.0)])
+    def test_single_layer_swapped_pair_is_transpose(self, geometry, a):
+        mesh = make_circle(33) if geometry == "circle" else make_square(8)
+        v, _ = assembly._smooth_pair_tables(mesh, a, 8)
+        off = ~np.eye(mesh.n_elements, dtype=bool)
+        assert np.array_equal(v.transpose(1, 0, 3, 2)[off], v[off])
 
 
 def element_tables(mesh, a, monkeypatch):

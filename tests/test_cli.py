@@ -135,6 +135,15 @@ class TestRunModes:
         lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + report.results["n_grid"]
 
+    def test_sweep_report_times_the_assembly(self, tmp_path):
+        run(parse_config(["sweep", "--kind", "2d", "--geometry", "circle",
+                          "--n", "12", "--steps", "3",
+                          "--out", str(tmp_path / "o")]))
+        data = json.loads((tmp_path / "o" / "run_report.json").read_text())
+        timings = data["timings"]
+        assert {"assembly_s", "total_s"} <= set(timings)
+        assert 0.0 < timings["assembly_s"] <= timings["total_s"]
+
     def test_reproducible_artifacts(self, tmp_path):
         args = ["spectrum-2d", "--geometry", "circle", "--n", "12"]
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from multitrace.bem2d.kernels import (k0_smooth_remainder,
-                                      k1_smooth_remainder, kernel_2d,
-                                      kernel_hessian_bilinear,
+from multitrace.bem2d.kernels import (kernel_2d, kernel_hessian_bilinear,
                                       kernel_normal_derivative,
                                       kernel_radial_deriv)
+from helpers import k0_smooth_remainder, k1_smooth_remainder
 from oracle_bessel import oracle_k0, oracle_k1
 
 TWO_PI = 2.0 * np.pi
