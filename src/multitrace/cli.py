@@ -5,6 +5,9 @@ JSON config file, override with flags, and write deterministic artifacts
 (eigenvalue dumps, sweep curves, convergence histories, a JSON run
 report echoing the configuration, and a gnuplot script for the data).
 
+Config-file keys are the field names of ``_FIELDS``, the one table of
+flags, defaults, casts and help texts.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -15,7 +18,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, make_dataclass
 from functools import partial
 from pathlib import Path
 
@@ -47,58 +50,25 @@ def _complexes(values):
     return [c if c.imag != 0 else c.real for c in out]
 
 
-# config field -> (default, cast of file and flag values)
-_FIELDS = {
-    "a": ([1.0], _floats),
-    "sigma": ([0.1], _complexes),
-    "geometry": (None, lambda v: v),
-    "n_elements": (128, int),
-    "radii": ([0.5, 1.0], _floats),
-    "gamma": (0.5, float),
-    "alpha": (1.0, float),
-    "beta": (0.0, float),
-    "alpha2": (0.0, float),
-    "beta2": (1.0, float),
-    "start": ([1.0, -0.4, 0.3, 2.0], _floats),
-    "steps": (12, int),
-    "sigma_min": (-0.95, float),
-    "sigma_max": (3.0, float),
-    "eps": (0.05, float),
-    "quad_order": (8, int),
-    "kind": ("1d", str),
-    "out": ("mtf-out", str),
-}
+def _integer(value):
+    """Integers and their literals; booleans and fractions raise."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+class _OneOf(tuple):
+    """Cast of a field that names one of the listed choices."""
+
+    def __call__(self, value):
+        if value not in self:
+            raise LookupError(", ".join(self))
+        return value
 
 
 class ConfigError(Exception):
     """Invalid or incomplete run configuration."""
-
-
-@dataclass
-class RunConfig:
-    mode: str
-    a: list
-    sigma: list
-    geometry: str
-    n_elements: int
-    radii: list
-    gamma: float
-    alpha: float
-    beta: float
-    alpha2: float
-    beta2: float
-    start: list
-    steps: int
-    sigma_min: float
-    sigma_max: float
-    eps: float
-    quad_order: int
-    kind: str
-    out: str
-
-    def run_id(self):
-        payload = json.dumps(_jsonable(asdict(self)), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def _environment():
@@ -145,100 +115,6 @@ def _jsonable(obj):
     return obj
 
 
-def _build_parser():
-    p = argparse.ArgumentParser(
-        prog="mtf",
-        description="Multitrace transmission-problem experiments "
-                    "(1D exact engines, 2D boundary elements, spectra)")
-    p.add_argument("mode", nargs="?", choices=MODES,
-                   help="run mode; may also come from --config")
-    p.add_argument("--config", help="JSON file with configuration values "
-                                    "(flags override file values)")
-    p.add_argument("--a", help="material constant(s), comma separated per subdomain")
-    p.add_argument("--sigma", help="relaxation parameter(s), comma separated "
-                                   "(complex literals accepted)")
-    p.add_argument("--geometry", choices=GEOMETRIES)
-    p.add_argument("--n", dest="n_elements", type=int,
-                   help="elements per curve (spectrum/sweep modes)")
-    p.add_argument("--radii", help="inner,outer radii of the annulus preset")
-    p.add_argument("--gamma", type=float, help="interface location in (0, 1)")
-    p.add_argument("--alpha", type=float, help="solution jump (first interface)")
-    p.add_argument("--beta", type=float, help="derivative jump (first interface)")
-    p.add_argument("--alpha2", type=float, help="solution jump (second interface)")
-    p.add_argument("--beta2", type=float, help="derivative jump (second interface)")
-    p.add_argument("--start", help="start state, comma separated")
-    p.add_argument("--steps", type=int,
-                   help="iteration count, or grid size in sweep mode")
-    p.add_argument("--sigma-min", dest="sigma_min", type=float)
-    p.add_argument("--sigma-max", dest="sigma_max", type=float)
-    p.add_argument("--eps", type=float, help="cluster radius")
-    p.add_argument("--quad-order", dest="quad_order", type=int)
-    p.add_argument("--kind", choices=SWEEP_KINDS, help="sweep operator family")
-    p.add_argument("--out", help="output directory")
-    return p
-
-
-# flags whose values may start with a minus sign (negative numbers,
-# comma lists, complex literals), which argparse would mistake for options
-_NUMERIC_FLAGS = ("--sigma", "--a", "--radii", "--start", "--alpha",
-                  "--beta", "--alpha2", "--beta2", "--gamma",
-                  "--sigma-min", "--sigma-max")
-
-
-def _join_negative_values(argv):
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (tok in _NUMERIC_FLAGS and nxt is not None
-                and nxt.startswith("-") and nxt[1:2] in "0123456789."):
-            out.append(f"{tok}={nxt}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
-
-
-def parse_config(argv):
-    """Merge defaults, config file and flags into a validated RunConfig."""
-    ns = _build_parser().parse_args(_join_negative_values(list(argv)))
-    merged = {key: default for key, (default, _) in _FIELDS.items()}
-    mode = ns.mode
-    if ns.config:
-        try:
-            with open(ns.config) as fh:
-                file_values = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        mode = mode or file_values.pop("mode", None)
-        file_values.pop("mode", None)
-        unknown = set(file_values) - set(_FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_values)
-    if mode is None:
-        raise ConfigError("missing required field 'mode' "
-                          "(give it on the command line or in the config file)")
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; choose from {MODES}")
-    for key in _FIELDS:
-        if getattr(ns, key) is not None:
-            merged[key] = getattr(ns, key)
-    values = {}
-    for key, (_, cast) in _FIELDS.items():
-        try:
-            values[key] = cast(merged[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key} cannot be read from {merged[key]!r}"
-                              ) from exc
-    cfg = RunConfig(mode=mode, **values)
-    _validate(cfg)
-    return cfg
-
-
 def _per_subdomain(cfg, name, count):
     """``count`` values of the list field ``name``; one value is shared."""
     values = list(getattr(cfg, name))
@@ -248,50 +124,6 @@ def _per_subdomain(cfg, name, count):
         raise ConfigError(f"{name} needs {count} value(s) in mode "
                           f"{cfg.mode!r}, got {len(values)}")
     return values
-
-
-def _validate(cfg):
-    for name in ("a", "sigma", "radii", "start", "alpha", "beta", "alpha2",
-                 "beta2", "sigma_min", "sigma_max"):
-        if not np.all(np.isfinite(getattr(cfg, name))):
-            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
-    if any(v <= 0 for v in cfg.a):
-        raise ConfigError("a (material constant) must be positive")
-    if any(complex(s) == -1 for s in cfg.sigma):
-        raise ConfigError("relaxation parameter -1 is rejected: the diagonal "
-                          "multitrace block (1 + sigma) Id - P is not invertible")
-    if cfg.eps < 0:
-        raise ConfigError(f"eps must be nonnegative, got {cfg.eps}")
-    if cfg.steps < 0:
-        raise ConfigError(f"steps must be nonnegative, got {cfg.steps}")
-    if cfg.quad_order < 2:
-        raise ConfigError(f"quad_order must be at least 2, got {cfg.quad_order}")
-    if not 0 < cfg.gamma < 1:
-        raise ConfigError("gamma must lie in (0, 1)")
-    if cfg.mode == "sweep":
-        if cfg.kind not in SWEEP_KINDS:
-            raise ConfigError(f"unknown sweep kind {cfg.kind!r}")
-        if cfg.steps < 2:
-            raise ConfigError("sweep needs at least 2 grid points")
-    if cfg.n_elements < 3:
-        raise ConfigError("need at least 3 elements per curve")
-    if len(cfg.radii) != 2 or not 0 < cfg.radii[0] < cfg.radii[1]:
-        raise ConfigError("radii must be an increasing positive pair")
-    # 2D runs, by mode or sweep kind -> rows per n_elements of the
-    # half-size red pencil the eigensolve runs on
-    run = cfg.kind if cfg.mode == "sweep" else cfg.mode
-    rows = {"spectrum-2d": 2, "2d": 2, "spectrum-2d-3dom": 4,
-            "2d-3dom": 4}.get(run, 0)
-    if rows == 2 and cfg.geometry not in ("circle", "square"):
-        raise ConfigError(f"geometry must be circle or square for {run!r} "
-                          f"(the annulus has its 3dom variant), "
-                          f"got {cfg.geometry!r}")
-    if rows == 2 and cfg.geometry == "square" and cfg.n_elements % 4:
-        raise ConfigError("n_elements must be divisible by 4 for the square")
-    dim = rows * cfg.n_elements
-    if dim > DIMENSION_CAP:
-        raise ConfigError(f"n_elements {cfg.n_elements} gives a pencil of "
-                          f"dimension {dim} beyond the cap {DIMENSION_CAP}")
 
 
 def _sigma_grid(cfg):
@@ -515,6 +347,162 @@ _RUNNERS = {
 }
 MODES = tuple(_RUNNERS)
 SWEEP_KINDS = tuple(_SWEEPS)
+
+
+# config field -> (flag, default, cast of file and flag values, help): the
+# one declaration of a field, which RunConfig, the parser, the casts and
+# the finiteness and choice checks are all read off
+_FIELDS = {
+    "mode": ("mode", None, _OneOf(MODES),
+             "run mode; may also come from --config"),
+    "a": ("--a", [1.0], _floats,
+          "material constant(s), comma separated per subdomain"),
+    "sigma": ("--sigma", [0.1], _complexes,
+              "relaxation parameter(s), comma separated "
+              "(complex literals accepted)"),
+    "geometry": ("--geometry", None, _OneOf(GEOMETRIES), "2D curve"),
+    "n_elements": ("--n", 128, _integer,
+                   "elements per curve (spectrum/sweep modes)"),
+    "radii": ("--radii", [0.5, 1.0], _floats,
+              "inner,outer radii of the annulus preset"),
+    "gamma": ("--gamma", 0.5, float, "interface location in (0, 1)"),
+    "alpha": ("--alpha", 1.0, float, "solution jump (first interface)"),
+    "beta": ("--beta", 0.0, float, "derivative jump (first interface)"),
+    "alpha2": ("--alpha2", 0.0, float, "solution jump (second interface)"),
+    "beta2": ("--beta2", 1.0, float, "derivative jump (second interface)"),
+    "start": ("--start", [1.0, -0.4, 0.3, 2.0], _floats,
+              "start state, comma separated"),
+    "steps": ("--steps", 12, _integer,
+              "iteration count, or grid size in sweep mode"),
+    "sigma_min": ("--sigma-min", -0.95, float, "first sigma of the sweep"),
+    "sigma_max": ("--sigma-max", 3.0, float, "last sigma of the sweep"),
+    "eps": ("--eps", 0.05, float, "cluster radius"),
+    "quad_order": ("--quad-order", 8, _integer, "Gauss points per element"),
+    "kind": ("--kind", "1d", _OneOf(SWEEP_KINDS), "sweep operator family"),
+    "out": ("--out", "mtf-out", str, "output directory"),
+}
+_REAL_CASTS = (float, _floats, _complexes)   # their fields must be finite
+
+
+class RunConfig(make_dataclass("RunConfig", list(_FIELDS))):
+    def run_id(self):
+        payload = json.dumps(_jsonable(asdict(self)), sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+
+def _build_parser():
+    p = argparse.ArgumentParser(
+        prog="mtf",
+        description="Multitrace transmission-problem experiments "
+                    "(1D exact engines, 2D boundary elements, spectra)")
+    p.add_argument("--config", help="JSON file with configuration values "
+                                    "(flags override file values)")
+    # no type= or choices=: parse_config casts every value, so a bad one
+    # is a ConfigError naming its field, not an argparse usage exit
+    for key, (flag, _, cast, text) in _FIELDS.items():
+        spec = {"dest": key} if flag.startswith("-") else {"nargs": "?"}
+        if isinstance(cast, _OneOf):
+            spec["metavar"] = "{" + ",".join(cast) + "}"
+        p.add_argument(flag, help=text, **spec)
+    return p
+
+
+# a flag value may start with a minus sign (negative numbers, comma lists,
+# complex literals), which argparse would mistake for an option
+def _join_negative_values(argv):
+    flags = {flag for flag, *_ in _FIELDS.values()}
+    out = []
+    for tok in argv:
+        if (out and out[-1] in flags
+                and tok.startswith("-") and tok[1:2] in "0123456789."):
+            out[-1] += f"={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
+def parse_config(argv):
+    """Merge defaults, config file and flags into a validated RunConfig."""
+    ns = _build_parser().parse_args(_join_negative_values(argv))
+    merged = {key: default for key, (_, default, _, _) in _FIELDS.items()}
+    if ns.config:
+        try:
+            with open(ns.config) as fh:
+                file_values = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise ConfigError("config file must hold a JSON object, got "
+                              f"{type(file_values).__name__}")
+        unknown = set(file_values) - set(_FIELDS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        merged.update(file_values)
+    merged.update({key: getattr(ns, key) for key in _FIELDS
+                   if getattr(ns, key) is not None})
+    if merged["mode"] is None:
+        raise ConfigError("mode is missing (give it on the command line "
+                          "or in the config file)")
+    values = {}
+    for key, (_, default, cast, _) in _FIELDS.items():
+        value = merged[key]
+        if value is None and default is None:      # optional, left unset
+            values[key] = None
+            continue
+        try:
+            values[key] = cast(value)
+        except LookupError as exc:
+            raise ConfigError(f"{key} {value!r} is an unknown {key}; "
+                              f"choose from {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key} cannot be read from {value!r}") from exc
+    cfg = RunConfig(**values)
+    _validate(cfg)
+    return cfg
+
+
+def _validate(cfg):
+    for name, (_, _, cast, _) in _FIELDS.items():
+        value = getattr(cfg, name)
+        if cast in _REAL_CASTS and not np.all(np.isfinite(value)):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    if any(v <= 0 for v in cfg.a):
+        raise ConfigError("a (material constant) must be positive")
+    if any(complex(s) == -1 for s in cfg.sigma):
+        raise ConfigError("sigma -1 is rejected: the diagonal multitrace "
+                          "block (1 + sigma) Id - P is not invertible")
+    if cfg.eps < 0:
+        raise ConfigError(f"eps must be nonnegative, got {cfg.eps}")
+    if cfg.steps < 0:
+        raise ConfigError(f"steps must be nonnegative, got {cfg.steps}")
+    if cfg.quad_order < 2:
+        raise ConfigError(f"quad_order must be at least 2, got {cfg.quad_order}")
+    if not 0 < cfg.gamma < 1:
+        raise ConfigError("gamma must lie in (0, 1)")
+    if cfg.mode == "sweep" and cfg.steps < 2:
+        raise ConfigError("steps (the sweep grid size) must be at least 2")
+    if cfg.n_elements < 3:
+        raise ConfigError("n_elements must be at least 3 per curve")
+    if len(cfg.radii) != 2 or not 0 < cfg.radii[0] < cfg.radii[1]:
+        raise ConfigError("radii must be an increasing positive pair")
+    # 2D runs, by mode or sweep kind -> rows per n_elements of the
+    # half-size red pencil the eigensolve runs on
+    run = cfg.kind if cfg.mode == "sweep" else cfg.mode
+    rows = {"spectrum-2d": 2, "2d": 2, "spectrum-2d-3dom": 4,
+            "2d-3dom": 4}.get(run, 0)
+    if rows == 2 and cfg.geometry not in ("circle", "square"):
+        raise ConfigError(f"geometry must be circle or square for {run!r} "
+                          f"(the annulus has its 3dom variant), "
+                          f"got {cfg.geometry!r}")
+    if rows == 2 and cfg.geometry == "square" and cfg.n_elements % 4:
+        raise ConfigError("n_elements must be divisible by 4 for the square")
+    dim = rows * cfg.n_elements
+    if dim > DIMENSION_CAP:
+        raise ConfigError(f"n_elements {cfg.n_elements} gives a pencil of "
+                          f"dimension {dim} beyond the cap {DIMENSION_CAP}")
+
 
 
 def run(cfg):

@@ -106,7 +106,7 @@ def eig_dense(A, compute_vectors=False):
     A = _as_square(A)
     if compute_vectors:
         w, v = scipy.linalg.eig(A, right=True)
-        res = _eig_residual(A, w, v)
+        res = _residual(A, w, v)
         return EigenResult(w, v, res)
     w = scipy.linalg.eigvals(A)
     return EigenResult(w, None, 0.0)
@@ -129,18 +129,15 @@ def eig_generalized(A, B, compute_vectors=False):
     C = scipy.linalg.lu_solve(_lu_checked(B, "B"), A)
     if compute_vectors:
         w, v = scipy.linalg.eig(C, right=True)
-        res = _pencil_residual(A, B, w, v)
+        res = _residual(A, w, v, B)
         return EigenResult(w, v, res)
     w = scipy.linalg.eigvals(C)
     return EigenResult(w, None, 0.0)
 
 
-def _eig_residual(A, w, v):
-    r = A @ v - v * w[None, :]
-    return float(np.max(np.linalg.norm(r, axis=0) / np.linalg.norm(v, axis=0)))
-
-
-def _pencil_residual(A, B, w, v):
-    r = A @ v - (B @ v) * w[None, :]
+def _residual(A, w, v, B=None):
+    """Largest relative residual of ``A v = w B v`` over the columns of
+    ``v``; ``B`` defaults to the identity."""
+    r = A @ v - (v if B is None else B @ v) * w[None, :]
     return float(np.max(np.linalg.norm(r, axis=0) / np.linalg.norm(v, axis=0)))
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +11,8 @@ import pytest
 from multitrace import cli
 from multitrace.cli import (_RUNNERS, _SWEEPS, ConfigError, main,
                             parse_config, run)
+
+CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestParseConfig:
@@ -208,6 +214,20 @@ class TestRejectedInput:
         (["sweep", "--kind", "2d"], "geometry"),
         (["spectrum-2d", "--geometry", "square", "--n", "13"], "n_elements"),
         (["1d-2dom", "--sigma", "0.1,abc"], "sigma"),
+        (["spectrum-2d", "--geometry", "circle", "--n", "12", "--eps", "nan"],
+         "eps"),
+        (["spectrum-2d", "--geometry", "circle", "--n", "12", "--eps", "inf"],
+         "eps"),
+        (["1d-bounded", "--gamma", "inf"], "gamma"),
+        (["1d-2dom", "--n", "abc"], "n_elements"),
+        (["1d-2dom", "--steps", "1.5"], "steps"),
+        (["spectrum-2d", "--geometry", "triangle"], "geometry"),
+        (["sweep", "--kind", "foo"], "kind"),
+        (["frobnicate"], "mode"),
+        ([], "mode"),
+        (["1d-2dom", "--n", "2"], "n_elements"),
+        (["sweep", "--steps", "1"], "steps"),
+        (["1d-2dom", "--sigma", "-1"], "sigma"),
     ])
     def test_exit_2_naming_the_field(self, argv, field, tmp_path, capsys):
         # rejected by parse_config, before any assembly starts
@@ -215,6 +235,71 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {field} "), err
         assert not (tmp_path / "o").exists()
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("content", ["[1, 2]", "3", '"1d-2dom"', "null"])
+    def test_top_level_must_be_an_object(self, content, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(content)
+        assert main(["--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: config file must hold "
+                              "a JSON object"), err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_elements", 12.7), ("steps", 3.9), ("quad_order", 8.5),
+        ("steps", True), ("n_elements", False), ("steps", "3.0"),
+        ("steps", float("inf")),
+    ])
+    def test_integer_fields_reject_non_integers(self, key, value, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "1d-2dom", key: value}))
+        with pytest.raises(ConfigError, match=f"^{key} cannot be read"):
+            parse_config(["--config", str(path)])
+
+    @pytest.mark.parametrize("value", [12, "12", 12.0])
+    def test_integer_fields_accept_integral_values(self, value, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "1d-2dom", "n_elements": value,
+                                    "steps": value, "quad_order": value}))
+        cfg = parse_config(["--config", str(path)])
+        assert cfg.n_elements == cfg.steps == cfg.quad_order == 12
+        assert all(type(v) is int
+                   for v in (cfg.n_elements, cfg.steps, cfg.quad_order))
+
+    def test_null_geometry_stays_unset(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "1d-2dom", "geometry": None}))
+        assert parse_config(["--config", str(path)]).geometry is None
+
+    def test_report_config_block_and_run_id_unchanged(self):
+        # the run_id hashes the config block, whose fields and their order
+        # are read off the field table
+        cfg = parse_config(["--config", str(CONFIGS_DIR / "fig2_circle.json")])
+        assert list(asdict(cfg)) == [
+            "mode", "a", "sigma", "geometry", "n_elements", "radii", "gamma",
+            "alpha", "beta", "alpha2", "beta2", "start", "steps",
+            "sigma_min", "sigma_max", "eps", "quad_order", "kind", "out"]
+        assert cfg.run_id() == "c7fd22d1a0aa"
+
+
+class TestHelp:
+    def test_help_lists_every_flag_and_choice(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "multitrace", "--help"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        flags = [flag for flag, *_ in cli._FIELDS.values()
+                 if flag.startswith("--")]
+        assert len(flags) == len(cli._FIELDS) - 1      # all but the mode
+        names = (*flags, *cli.MODES, *cli.GEOMETRIES, *cli.SWEEP_KINDS)
+        missing = [name for name in names if name not in proc.stdout]
+        assert not missing, proc.stdout
 
 
 class TestDimensionCap:
@@ -297,8 +382,7 @@ class Test2dRuns:
         assert 0.0 in [sigma for sigma, _ in rows]
 
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
-                 .glob("fig*.json"))
+CONFIGS = sorted(CONFIGS_DIR.glob("fig*.json"))
 
 
 def test_reference_configs_present():
