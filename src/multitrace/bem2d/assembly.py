@@ -24,17 +24,26 @@ element whose shared node is its end node reversed.
 
 The smooth pair tables evaluate K0 and K1 once per unordered element
 pair: the (f, e) blocks are the transposed (e, f) ones, the double layer
-with the other element's normal, and the pairing with the weighted basis
-``wb = w[:, None] * basis`` is a batched ``wb.T @ ker @ wb``.  Cross-curve
-blocks pair in two BLAS contractions over the Gauss axes (``_contract``),
-and each of their points evaluates K0 and K1 once for the four coupling
-kernels (gradient along either normal, value, Hessian bilinear form).
+with the other element's normal.  Each point of a cross-curve pair
+evaluates K0 and K1 once for the four coupling kernels (gradient along
+either normal, value, Hessian bilinear form).  Both pair the kernel
+values with the weighted basis ``wb = w[:, None] * basis`` as a batched
+``wb.T @ ker @ wb``.
+
+``quad_order`` is the tensor-Gauss order of near pairs.  A far element
+pair, and every cross-curve pair, uses the order of ``_pair_orders``:
+the fewest points whose Gauss error bound reaches machine epsilon, from
+the pair's separation relative to its longer element and from the decay
+of the kernel along an element (Sauter and Schwab, *Boundary Element
+Methods*, ch. 5).  The rule is symmetric in the pair, so the swapped
+blocks stay transposes.
 
 Per-pair contributions are independent and reduced into matrices with no
 ordering dependence; assembled objects are immutable, so all routines
 are safe for concurrent use.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +55,8 @@ from .quadrature import gauss01, log_gauss01
 
 # Tangential derivative signs of the two nodal basis functions.
 _DSIGN = np.array([-1.0, 1.0])
+# Error target of the per-pair Gauss orders.
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -108,16 +119,66 @@ def _weighted_basis(s, w):
     return w[:, None] * np.column_stack([1.0 - s, s])
 
 
-def _contract(ker, wb):
-    """Tensor-Gauss pairing of kernel values with the weighted basis.
+def _gauss_rules(order):
+    """Gauss rules of every order 1..``order``, keyed by order.
 
-    ``ker[e, k, f, l]`` is the kernel at Gauss point ``k`` of element
-    ``e`` and ``l`` of ``f``; returns the ``(e, f, 2, 2)`` blocks
-    ``sum_kl wb[k, p] wb[l, q] ker[e, k, f, l]`` as two BLAS
-    contractions over the Gauss axes.
+    Built up front whichever orders the pairs use, so one assembly
+    builds every rule any assembly of the same ``order`` looks up.
     """
-    t = np.tensordot(ker, wb, axes=(3, 0))                  # (e, k, f, q)
-    return np.tensordot(t, wb, axes=(1, 0)).transpose(0, 1, 3, 2)
+    return {q: gauss01(q) for q in range(1, order + 1)}
+
+
+def _midpoints(mesh):
+    return mesh.first_nodes + 0.5 * mesh.directions
+
+
+def _gauss_points(mesh, s):
+    """Points at parameters ``s`` of every element, ``(m, q, 2)``."""
+    return (mesh.first_nodes[:, None, :]
+            + s[None, :, None] * mesh.directions[:, None, :])
+
+
+# log of 2^(2q+1) (q!)^4 / ((2q+1) ((2q)!)^3), the constant of the q-point
+# Gauss error on [-1, 1] times the 2q-th derivative of the integrand
+def _log_gauss_error_constant(q):
+    return ((2 * q + 1) * math.log(2.0) + 4 * math.lgamma(q + 1)
+            - math.log(2 * q + 1) - 3 * math.lgamma(2 * q + 1))
+
+
+def _pair_orders(mid1, L1, mid2, L2, a, quad_order):
+    """Tensor-Gauss order of element pairs, from their geometry.
+
+    ``q = min(quad_order, max(q_sep, q_exp))``, both the smallest order
+    whose Gauss error bound reaches machine epsilon:
+
+    * ``q_sep`` from analyticity: with ``delta = |mid1 - mid2| - (L1 +
+      L2) / 2`` (a lower bound on the element distance) and ``L =
+      max(L1, L2)``, a singularity ``delta`` beyond the end of an
+      element of length ``L`` sits at ``t = 1 + 2 delta / L`` in its
+      [-1, 1] parameter, so the kernel is analytic inside the Bernstein
+      ellipse ``rho = t + sqrt(t^2 - 1)`` and the error decays as
+      ``rho^(-2q)``.  A singularity beside the element has a slightly
+      smaller ellipse; the oracle tests pin the resulting accuracy;
+    * ``q_exp`` from decay: the Gauss error bound of ``exp(c x)`` on
+      [-1, 1] with ``c = a L / 2``, the exponential variation of the
+      kernel along one element.
+
+    Touching pairs (``delta <= 0``, self and adjacent pairs among them)
+    get ``quad_order``; no pair gets fewer than 2 points, the degree of
+    the P1 basis products.  The rule is symmetric in the two elements
+    and never rises with ``delta``.
+    """
+    L = np.maximum(L1, L2)
+    delta = np.hypot(*(mid1 - mid2).T) - 0.5 * (L1 + L2)
+    log_rho = np.arccosh(1.0 + 2.0 * np.maximum(delta, 0.0) / L)
+    with np.errstate(divide="ignore"):
+        q_sep = np.ceil(-np.log(_EPS) / (2.0 * log_rho))
+    c = 0.5 * a * L
+    q_exp = np.full(L.shape, quad_order)
+    for q in range(quad_order - 1, 1, -1):      # the smallest passing q wins
+        log_err = _log_gauss_error_constant(q) + 2 * q * np.log(c) + c
+        q_exp[log_err <= np.log(_EPS)] = q
+    return np.minimum(quad_order, np.maximum(q_sep, q_exp)).astype(int)
 
 
 def _smooth_pair_tables(mesh, a, order, chunk=4096):
@@ -125,35 +186,42 @@ def _smooth_pair_tables(mesh, a, order, chunk=4096):
 
     Returns ``(v_loc, k_loc)`` where ``v_loc[e, f]`` is the 2x2
     single-layer block of the ordered pair and ``k_loc`` the double-layer
-    block (kernel ``d/dn(y) G``).  K0 and K1 are evaluated once per
-    unordered pair ``e <= f``, ``chunk`` pairs at a time; the (f, e)
-    blocks are the transposed (e, f) ones, the double layer with ``-n_e``
-    in place of ``n_f``.  Self-pair blocks (distance placeholder 1) are
-    for the singular corrections to overwrite.
+    block (kernel ``d/dn(y) G``).  Each unordered pair ``e <= f`` is
+    integrated with the order of ``_pair_orders``; K0 and K1 are
+    evaluated once per pair, order by order, ``chunk`` pairs at a time.
+    The (f, e) blocks are the transposed (e, f) ones, the double layer
+    with ``-n_e`` in place of ``n_f``.  Self-pair blocks (distance
+    placeholder 1) are for the singular corrections to overwrite.
     """
     m = mesh.n_elements
-    s, w = gauss01(order)
-    wb = _weighted_basis(s, w)
-    pts = mesh.first_nodes[:, None, :] + s[None, :, None] * mesh.directions[:, None, :]
-    px, py = pts[..., 0], pts[..., 1]                        # (m, q)
+    L = mesh.lengths
+    mid = _midpoints(mesh)
     nx, ny = mesh.normals[:, 0, None, None], mesh.normals[:, 1, None, None]
+    rules = _gauss_rules(order)
+    rows, cols = np.triu_indices(m)
+    pair_q = _pair_orders(mid[rows], L[rows], mid[cols], L[cols], a, order)
 
     v_loc, k_loc = np.empty((2, m, m, 2, 2))
-    rows, cols = np.triu_indices(m)
-    for p0 in range(0, len(rows), chunk):
-        e, f = rows[p0:p0 + chunk], cols[p0:p0 + chunk]
-        dx = px[e, :, None] - px[f, None, :]                 # (pair, k, l)
-        dy = py[e, :, None] - py[f, None, :]
-        r = np.sqrt(dx * dx + dy * dy)
-        r[e == f] = 1.0                                      # self pairs
-        ll = (mesh.lengths[e] * mesh.lengths[f])[:, None, None]
-        v = ll * (wb.T @ (k0(a * r) / TWO_PI) @ wb)
-        v_loc[e, f] = v
-        v_loc[f, e] = v.transpose(0, 2, 1)
-        g1 = (a / TWO_PI) * k1(a * r) / r
-        k_loc[e, f] = ll * (wb.T @ (g1 * (dx * nx[f] + dy * ny[f])) @ wb)
-        k_loc[f, e] = (ll * (wb.T @ (g1 * -(dx * nx[e] + dy * ny[e]))
-                             @ wb)).transpose(0, 2, 1)
+    for q in np.unique(pair_q):
+        s, w = rules[q]
+        wb = _weighted_basis(s, w)
+        pts = _gauss_points(mesh, s)
+        px, py = pts[..., 0], pts[..., 1]                    # (m, q)
+        sel = np.flatnonzero(pair_q == q)
+        for p0 in range(0, len(sel), chunk):
+            e, f = rows[sel[p0:p0 + chunk]], cols[sel[p0:p0 + chunk]]
+            dx = px[e, :, None] - px[f, None, :]             # (pair, k, l)
+            dy = py[e, :, None] - py[f, None, :]
+            r = np.sqrt(dx * dx + dy * dy)
+            r[e == f] = 1.0                                  # self pairs
+            ll = (L[e] * L[f])[:, None, None]
+            v = ll * (wb.T @ (k0(a * r) / TWO_PI) @ wb)
+            v_loc[e, f] = v
+            v_loc[f, e] = v.transpose(0, 2, 1)
+            g1 = (a / TWO_PI) * k1(a * r) / r
+            k_loc[e, f] = ll * (wb.T @ (g1 * (dx * nx[f] + dy * ny[f])) @ wb)
+            k_loc[f, e] = (ll * (wb.T @ (g1 * -(dx * nx[e] + dy * ny[e]))
+                                 @ wb)).transpose(0, 2, 1)
     return v_loc, k_loc
 
 
@@ -346,14 +414,16 @@ def assemble_calderon_2d(mesh, params, side="interior", operators=None):
 
 
 def cross_block(obs_mesh, src_mesh, a, obs_normal_sign=1.0,
-                src_normal_sign=1.0, quad_order=8, chunk=64):
+                src_normal_sign=1.0, quad_order=8, chunk=4096):
     """Trace-on-obs of the potential generated on a disjoint source curve.
 
     Returns the 2x2 block matrix pairing P1 tests on the observation
     curve with P1 densities on the source curve.  All kernels are smooth
-    because the curves do not intersect, so plain tensor Gauss applies.
-    The normal signs select the orientation of the common subdomain on
-    each curve relative to the stored (outward of enclosed) normals.
+    because the curves do not intersect, so plain tensor Gauss applies,
+    each (obs, src) element pair with the order of ``_pair_orders`` and
+    ``chunk`` pairs at a time.  The normal signs select the orientation
+    of the common subdomain on each curve relative to the stored
+    (outward of enclosed) normals.
 
     With ``g(r) = K0(a r) / (2 pi)``, ``g' = -a K1(a r) / (2 pi)`` and
     ``g'' = a^2 g - g' / r``, the four kernels are ``ns . grad g``
@@ -363,49 +433,49 @@ def cross_block(obs_mesh, src_mesh, a, obs_normal_sign=1.0,
     if obs_mesh is src_mesh:
         raise ValueError("cross blocks require two distinct curves")
     a = _check_a(a)
-    s, w = gauss01(quad_order)
-    wb = _weighted_basis(s, w)
-    xo = obs_mesh.first_nodes[:, None, :] + s[None, :, None] * obs_mesh.directions[:, None, :]
-    ys = src_mesh.first_nodes[:, None, :] + s[None, :, None] * src_mesh.directions[:, None, :]
     n_obs = obs_normal_sign * obs_mesh.normals
     n_src = src_normal_sign * src_mesh.normals
-    nsx = n_src[None, None, :, None, 0]
-    nsy = n_src[None, None, :, None, 1]
     mo, ms = obs_mesh.n_elements, src_mesh.n_elements
     Lo, Ls = obs_mesh.lengths, src_mesh.lengths
     tol = 1e-12 * max(Lo.max(), Ls.max())
+    rules = _gauss_rules(quad_order)
+    rows, cols = np.divmod(np.arange(mo * ms), ms)
+    pair_q = _pair_orders(_midpoints(obs_mesh)[rows], Lo[rows],
+                          _midpoints(src_mesh)[cols], Ls[cols], a, quad_order)
 
-    blocks = {name: np.zeros((mo, ms, 2, 2)) for name in ("vv", "vq", "qv", "qq")}
-    for e0 in range(0, mo, chunk):
-        e1 = min(e0 + chunk, mo)
-        dx = xo[e0:e1, :, None, None, 0] - ys[None, None, :, :, 0]
-        dy = xo[e0:e1, :, None, None, 1] - ys[None, None, :, :, 1]
-        r = np.sqrt(dx * dx + dy * dy)
-        if r.min() <= tol:
-            raise ValueError("curves intersect or touch")
-        nox = n_obs[e0:e1, None, None, None, 0]
-        noy = n_obs[e0:e1, None, None, None, 1]
-        ro = (nox * dx + noy * dy) / r                       # no . rhat
-        rs = (nsx * dx + nsy * dy) / r                       # ns . rhat
-        del dx, dy
-        g = k0(a * r) / TWO_PI
-        blocks["vq"][e0:e1] = _contract(g, wb)
-        gp = (-a / TWO_PI) * k1(a * r)
-        blocks["vv"][e0:e1] = _contract(gp * rs, wb)
-        blocks["qq"][e0:e1] = _contract(gp * ro, wb)
-        g *= a * a
-        g -= gp / r                                          # g''
-        rors = ro * rs
-        del ro, rs
-        nn = nox * nsx + noy * nsy
-        blocks["qv"][e0:e1] = _contract(g * rors + gp * (nn - rors) / r, wb)
-    LL = (Lo[:, None] * Ls[None, :])[:, :, None, None]
+    # vv, vq, qv, qq element blocks
+    blocks = np.empty((4, mo, ms, 2, 2))
+    for q in np.unique(pair_q):
+        s, w = rules[q]
+        wb = _weighted_basis(s, w)
+        xo, ys = _gauss_points(obs_mesh, s), _gauss_points(src_mesh, s)
+        sel = np.flatnonzero(pair_q == q)
+        for p0 in range(0, len(sel), chunk):
+            e, f = rows[sel[p0:p0 + chunk]], cols[sel[p0:p0 + chunk]]
+            dx = xo[e, :, None, 0] - ys[f, None, :, 0]       # (pair, k, l)
+            dy = xo[e, :, None, 1] - ys[f, None, :, 1]
+            r = np.sqrt(dx * dx + dy * dy)
+            if r.min() <= tol:
+                raise ValueError("curves intersect or touch")
+            nox, noy = n_obs[e, 0, None, None], n_obs[e, 1, None, None]
+            nsx, nsy = n_src[f, 0, None, None], n_src[f, 1, None, None]
+            ro = (nox * dx + noy * dy) / r                   # no . rhat
+            rs = (nsx * dx + nsy * dy) / r                   # ns . rhat
+            g = k0(a * r) / TWO_PI
+            gp = (-a / TWO_PI) * k1(a * r)
+            gpp = a * a * g - gp / r
+            ll = (Lo[e] * Ls[f])[:, None, None]
+            for k, ker in enumerate((
+                    gp * rs, g,
+                    gpp * ro * rs + gp * (nox * nsx + noy * nsy - ro * rs) / r,
+                    gp * ro)):
+                blocks[k, e, f] = ll * (wb.T @ ker @ wb)
     no_nodes, ns_nodes = obs_mesh.n_nodes, src_mesh.n_nodes
     R = np.zeros((2 * no_nodes, 2 * ns_nodes))
-    for (name, ri, ci) in (("vv", 0, 0), ("vq", 0, 1), ("qv", 1, 0), ("qq", 1, 1)):
+    for k, (ri, ci) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         _scatter(R[ri * no_nodes:(ri + 1) * no_nodes,
                    ci * ns_nodes:(ci + 1) * ns_nodes],
-                 obs_mesh.elements, src_mesh.elements, blocks[name] * LL)
+                 obs_mesh.elements, src_mesh.elements, blocks[k])
     return R
 
 

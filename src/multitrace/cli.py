@@ -19,7 +19,6 @@ import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field, make_dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,20 +39,33 @@ def _split_list(text, cast):
     return [cast(tok) for tok in str(text).split(",") if tok != ""]
 
 
+def _number(value):
+    """``value`` itself; a boolean, which is a number to Python and to
+    JSON readers, raises."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    return value
+
+
+def _real(value):
+    return float(_number(value))
+
+
 def _floats(values):
-    return _split_list(values, float)
+    return _split_list(values, _real)
 
 
 def _complexes(values):
     """Complex literals; values with zero imaginary part stay real."""
-    out = [complex(v.replace(" ", "")) for v in _split_list(values, str)]
+    out = [complex(str(v).replace(" ", ""))
+           for v in _split_list(values, _number)]
     return [c if c.imag != 0 else c.real for c in out]
 
 
 def _integer(value):
     """Integers and their literals; booleans and fractions raise."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
+    value = _number(value)
+    if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
 
@@ -115,15 +127,11 @@ def _jsonable(obj):
     return obj
 
 
-def _per_subdomain(cfg, name, count):
-    """``count`` values of the list field ``name``; one value is shared."""
+def _per_subdomain(cfg, name):
+    """The values of the list field ``name``, one per subdomain of the
+    mode (``_COUNTS``); a single value is shared by all of them."""
     values = list(getattr(cfg, name))
-    if len(values) == 1:
-        return values * count
-    if len(values) != count:
-        raise ConfigError(f"{name} needs {count} value(s) in mode "
-                          f"{cfg.mode!r}, got {len(values)}")
-    return values
+    return values * _COUNTS[cfg.mode][name] if len(values) == 1 else values
 
 
 def _sigma_grid(cfg):
@@ -144,10 +152,11 @@ def _gnuplot_script(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _run_line(cfg, out, report, count):
+def _run_line(cfg, out, report):
     """Exact line operator: iteration history towards the fixed point."""
-    (a,) = _per_subdomain(cfg, "a", 1)
-    sigmas = _per_subdomain(cfg, "sigma", count)
+    (a,) = cfg.a
+    sigmas = _per_subdomain(cfg, "sigma")
+    count = len(sigmas)
     jumps = (line1d.JumpData(cfg.alpha, cfg.beta),
              line1d.JumpData(cfg.alpha2, cfg.beta2))[:count - 1]
     build = (line1d.jacobi_operator_2dom if count == 2
@@ -172,7 +181,7 @@ def _run_line(cfg, out, report, count):
 
 
 def _run_bounded(cfg, out, report):
-    (a,) = _per_subdomain(cfg, "a", 1)
+    (a,) = cfg.a
     geom = interval1d.BoundedGeometry(cfg.gamma, a)
     P1, P2 = interval1d.calderon_bounded(geom)
     pair = interval1d.dtn_operators(geom)
@@ -197,9 +206,7 @@ def _run_bounded(cfg, out, report):
 
 
 def _run_schwarz(cfg, out, report):
-    (a,) = _per_subdomain(cfg, "a", 1)
-    if len(cfg.start) != 4:
-        raise ConfigError("start state needs 4 values (u1, du1, u2, du2)")
+    (a,) = cfg.a
     geom = interval1d.BoundedGeometry(cfg.gamma, a)
     rep = interval1d.equivalence_check(
         geom, interval1d.SchwarzState(*cfg.start), cfg.steps)
@@ -263,11 +270,12 @@ def _setup_2d(cfg, a):
         P1, P2, coupling, spectra.RelaxationConfig(sigmas))
 
 
-def _run_spectrum(cfg, out, report, count):
-    """Spectrum of the 2D Jacobi pencil: ``count`` 2 on one curve, 3 on
-    the annulus."""
-    a = _per_subdomain(cfg, "a", count)
-    sigmas = _per_subdomain(cfg, "sigma", count)
+def _run_spectrum(cfg, out, report):
+    """Spectrum of the 2D Jacobi pencil: two subdomains on one curve,
+    three on the annulus."""
+    a = _per_subdomain(cfg, "a")
+    sigmas = _per_subdomain(cfg, "sigma")
+    count = len(sigmas)
     pencil = _timed(report, "assembly_s", _setup_2d, cfg, a)
     A, B = _timed(report, "pencil_s", pencil, sigmas)
     result = _timed(report, "eigensolve_s", spectra.pencil_spectrum,
@@ -315,7 +323,7 @@ _SWEEPS = {
 def _run_sweep(cfg, out, report):
     grid = _sigma_grid(cfg)
     label, factory, count = _SWEEPS[cfg.kind]
-    (a,) = _per_subdomain(cfg, "a", 1)
+    (a,) = cfg.a
     builder = _timed(report, "assembly_s", factory, cfg, a, count)
     rows = spectra.sigma_sweep(builder, grid, cfg.eps)
     spectra.write_sweep_csv(report.record(out / "sweep.csv"), rows)
@@ -337,16 +345,29 @@ def _run_sweep(cfg, out, report):
 
 # mode -> runner(cfg, out, report) returning the results payload
 _RUNNERS = {
-    "1d-2dom": partial(_run_line, count=2),
-    "1d-3dom": partial(_run_line, count=3),
+    "1d-2dom": _run_line,
+    "1d-3dom": _run_line,
     "1d-bounded": _run_bounded,
     "schwarz-equiv": _run_schwarz,
-    "spectrum-2d": partial(_run_spectrum, count=2),
-    "spectrum-2d-3dom": partial(_run_spectrum, count=3),
+    "spectrum-2d": _run_spectrum,
+    "spectrum-2d-3dom": _run_spectrum,
     "sweep": _run_sweep,
 }
 MODES = tuple(_RUNNERS)
 SWEEP_KINDS = tuple(_SWEEPS)
+# mode -> number of values each list field it reads needs; a single a or
+# sigma is shared by all subdomains, the start state needs all four
+# (u1, du1, u2, du2)
+_COUNTS = {
+    "1d-2dom": {"a": 1, "sigma": 2},
+    "1d-3dom": {"a": 1, "sigma": 3},
+    "1d-bounded": {"a": 1},
+    "schwarz-equiv": {"a": 1, "start": 4},
+    "spectrum-2d": {"a": 2, "sigma": 2},
+    "spectrum-2d-3dom": {"a": 3, "sigma": 3},
+    "sweep": {"a": 1},
+}
+_SHARED = ("a", "sigma")
 
 
 # config field -> (flag, default, cast of file and flag values, help): the
@@ -365,23 +386,25 @@ _FIELDS = {
                    "elements per curve (spectrum/sweep modes)"),
     "radii": ("--radii", [0.5, 1.0], _floats,
               "inner,outer radii of the annulus preset"),
-    "gamma": ("--gamma", 0.5, float, "interface location in (0, 1)"),
-    "alpha": ("--alpha", 1.0, float, "solution jump (first interface)"),
-    "beta": ("--beta", 0.0, float, "derivative jump (first interface)"),
-    "alpha2": ("--alpha2", 0.0, float, "solution jump (second interface)"),
-    "beta2": ("--beta2", 1.0, float, "derivative jump (second interface)"),
+    "gamma": ("--gamma", 0.5, _real, "interface location in (0, 1)"),
+    "alpha": ("--alpha", 1.0, _real, "solution jump (first interface)"),
+    "beta": ("--beta", 0.0, _real, "derivative jump (first interface)"),
+    "alpha2": ("--alpha2", 0.0, _real, "solution jump (second interface)"),
+    "beta2": ("--beta2", 1.0, _real, "derivative jump (second interface)"),
     "start": ("--start", [1.0, -0.4, 0.3, 2.0], _floats,
               "start state, comma separated"),
     "steps": ("--steps", 12, _integer,
               "iteration count, or grid size in sweep mode"),
-    "sigma_min": ("--sigma-min", -0.95, float, "first sigma of the sweep"),
-    "sigma_max": ("--sigma-max", 3.0, float, "last sigma of the sweep"),
-    "eps": ("--eps", 0.05, float, "cluster radius"),
-    "quad_order": ("--quad-order", 8, _integer, "Gauss points per element"),
+    "sigma_min": ("--sigma-min", -0.95, _real, "first sigma of the sweep"),
+    "sigma_max": ("--sigma-max", 3.0, _real, "last sigma of the sweep"),
+    "eps": ("--eps", 0.05, _real, "cluster radius"),
+    "quad_order": ("--quad-order", 8, _integer,
+                   "Gauss points per element on near element pairs; far "
+                   "pairs use fewer, graded by their distance"),
     "kind": ("--kind", "1d", _OneOf(SWEEP_KINDS), "sweep operator family"),
     "out": ("--out", "mtf-out", str, "output directory"),
 }
-_REAL_CASTS = (float, _floats, _complexes)   # their fields must be finite
+_REAL_CASTS = (_real, _floats, _complexes)   # their fields must be finite
 
 
 class RunConfig(make_dataclass("RunConfig", list(_FIELDS))):
@@ -468,6 +491,11 @@ def _validate(cfg):
         value = getattr(cfg, name)
         if cast in _REAL_CASTS and not np.all(np.isfinite(value)):
             raise ConfigError(f"{name} must be finite, got {value}")
+    for name, count in _COUNTS[cfg.mode].items():
+        given = len(getattr(cfg, name))
+        if given != count and not (given == 1 and name in _SHARED):
+            raise ConfigError(f"{name} needs {count} value(s) in mode "
+                              f"{cfg.mode!r}, got {given}")
     if any(v <= 0 for v in cfg.a):
         raise ConfigError("a (material constant) must be positive")
     if any(complex(s) == -1 for s in cfg.sigma):

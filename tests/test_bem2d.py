@@ -347,6 +347,103 @@ class TestPairTableSymmetry:
         assert np.array_equal(v.transpose(1, 0, 3, 2)[off], v[off])
 
 
+# curves of the graded-order oracle; the outer annulus curve is the
+# n = 128 circle, so the annulus adds its inner curve and cross blocks
+GRADED_MESHES = {
+    "circle-128": lambda: make_circle(128),
+    "circle-256": lambda: make_circle(256),
+    "square-128": lambda: make_square(32),
+    "square-256": lambda: make_square(64),
+    "annulus-inner-128": lambda: make_three_domain(128, 128)[0],
+}
+GRADED_A = [0.05, 1.0, 5.0, 10.0, 30.0]
+
+
+class TestGradedOrders:
+    """Far element pairs and cross-curve pairs use the per-pair Gauss
+    order of ``_pair_orders`` and still match the full-order einsum
+    references to rounding."""
+
+    @pytest.mark.parametrize("a", GRADED_A)
+    @pytest.mark.parametrize("name", GRADED_MESHES)
+    def test_operators_match_full_order_reference(self, name, a,
+                                                  monkeypatch):
+        mesh = GRADED_MESHES[name]()
+        par = KernelParams(a)
+        fast = assemble_operators(mesh, par)
+        monkeypatch.setattr(assembly, "_smooth_pair_tables",
+                            smooth_pair_tables_reference)
+        slow = assemble_operators(mesh, par)
+        for op in ("single_layer", "double_layer", "adj_double_layer",
+                   "hypersingular"):
+            assert relative_error(getattr(fast, op),
+                                  getattr(slow, op)) <= 1e-14, op
+
+    @pytest.mark.parametrize("a", GRADED_A)
+    def test_annulus_cross_blocks_match_full_order_reference(self, a):
+        inner, outer = make_three_domain(128, 128)
+        coup = assemble_coupling(inner, outer, KernelParams(a))
+        assert relative_error(
+            coup.R12, cross_block_reference(inner, outer, a, -1.0, 1.0)
+        ) <= 1e-14
+        assert relative_error(
+            coup.R21, cross_block_reference(outer, inner, a, 1.0, -1.0)
+        ) <= 1e-14
+
+    @pytest.mark.parametrize("quad_order", [2, 3, 8, 12])
+    @pytest.mark.parametrize("a", GRADED_A)
+    def test_order_rule_bounds_and_symmetry(self, a, quad_order):
+        rng = np.random.default_rng(7)
+        mid1, mid2 = rng.uniform(-2.0, 2.0, (2, 500, 2))
+        L1, L2 = rng.uniform(1e-3, 0.5, (2, 500))
+        q12 = assembly._pair_orders(mid1, L1, mid2, L2, a, quad_order)
+        q21 = assembly._pair_orders(mid2, L2, mid1, L1, a, quad_order)
+        assert np.array_equal(q12, q21)
+        assert q12.min() >= min(2, quad_order)
+        assert q12.max() <= quad_order
+
+    @pytest.mark.parametrize("a", GRADED_A)
+    @pytest.mark.parametrize("geometry", ["circle", "square"])
+    def test_touching_pairs_keep_quad_order(self, geometry, a):
+        mesh = make_circle(64) if geometry == "circle" else make_square(16)
+        mid, L = assembly._midpoints(mesh), mesh.lengths
+        for other in (np.arange(mesh.n_elements), mesh.next_element()):
+            q = assembly._pair_orders(mid, L, mid[other], L[other], a, 8)
+            assert np.all(q == 8)
+
+    @pytest.mark.parametrize("a", GRADED_A)
+    @pytest.mark.parametrize("lengths", [(0.05, 0.05), (0.02, 0.1)])
+    def test_order_never_rises_with_separation(self, a, lengths):
+        L1, L2 = (np.full(400, length) for length in lengths)
+        gap = np.geomspace(1e-4, 1e3, 400)
+        mid2 = np.column_stack([0.5 * (L1 + L2) + gap, np.zeros(400)])
+        q = assembly._pair_orders(np.zeros((400, 2)), L1, mid2, L2, a, 8)
+        assert np.all(np.diff(q) <= 0)
+        assert q[0] == 8
+        if a * max(lengths) <= 1.0:     # else the decay term keeps 8
+            assert q[-1] < 8
+
+    @pytest.mark.parametrize("a", [1.0, 30.0])
+    def test_cross_block_chunk_size_changes_nothing(self, a):
+        inner, outer = make_three_domain(24, 32)
+        ref = cross_block(inner, outer, a, -1.0, 1.0)
+        for chunk in (1, 7):
+            assert np.array_equal(
+                cross_block(inner, outer, a, -1.0, 1.0, chunk=chunk), ref)
+
+    def test_one_assembly_builds_every_gauss_rule(self):
+        # a small assembly builds every Gauss rule later assemblies and
+        # cross blocks of the same quad_order look up, whichever orders
+        # their pairs use
+        assembly.gauss01.cache_clear()
+        assemble_operators(make_circle(4), KernelParams(1.0))
+        built = assembly.gauss01.cache_info().misses
+        inner, outer = make_three_domain(64, 64)
+        assemble_coupling(inner, outer, KernelParams(1.0))
+        assemble_operators(make_square(16), KernelParams(1.0))
+        assert assembly.gauss01.cache_info().misses == built
+
+
 def element_tables(mesh, a, monkeypatch):
     """The ``(m, m, 2, 2)`` V and K element tables that
     ``assemble_operators`` scatters, read by wrapping ``_scatter``."""

@@ -228,6 +228,10 @@ class TestRejectedInput:
         (["1d-2dom", "--n", "2"], "n_elements"),
         (["sweep", "--steps", "1"], "steps"),
         (["1d-2dom", "--sigma", "-1"], "sigma"),
+        (["schwarz-equiv", "--start", "1,2"], "start"),
+        (["1d-2dom", "--sigma", "0.1,0.2,0.3"], "sigma"),
+        (["spectrum-2d", "--geometry", "circle", "--a", "1,2,3"], "a"),
+        (["sweep", "--a", "1,2"], "a"),
     ])
     def test_exit_2_naming_the_field(self, argv, field, tmp_path, capsys):
         # rejected by parse_config, before any assembly starts
@@ -259,6 +263,20 @@ class TestConfigFile:
         path.write_text(json.dumps({"mode": "1d-2dom", key: value}))
         with pytest.raises(ConfigError, match=f"^{key} cannot be read"):
             parse_config(["--config", str(path)])
+
+    @pytest.mark.parametrize("key, value", [
+        ("eps", True), ("alpha", False), ("gamma", True), ("sigma_max", False),
+        ("a", [True]), ("radii", [0.5, True]), ("sigma", [True, 0.2]),
+        ("start", [1.0, 2.0, 3.0, False]),
+    ])
+    def test_real_fields_reject_booleans(self, key, value, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "1d-2dom", key: value}))
+        assert main(["--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key} cannot be read"), err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", [12, "12", 12.0])
     def test_integer_fields_accept_integral_values(self, value, tmp_path):
