@@ -18,25 +18,21 @@ the adjoint double layer is the exact transpose of the double layer.
 
 ``assemble_operators`` is one pipeline: the smooth table covers every
 ordered element pair, and the singular corrections then overwrite the
-self and adjacent entries.  Adjacent tables are computed with the shared
-node first on both elements and stored with the local basis axis of the
-element whose shared node is its end node reversed.
+self and adjacent entries.  The smooth table and the adjacent Duffy
+tables integrate each unordered pair once: the (f, e) blocks are the
+transposed (e, f) ones, the double layer with the other element's normal.
 
-The smooth pair tables evaluate K0 and K1 once per unordered element
-pair: the (f, e) blocks are the transposed (e, f) ones, the double layer
-with the other element's normal.  Each point of a cross-curve pair
-evaluates K0 and K1 once for the four coupling kernels (gradient along
-either normal, value, Hessian bilinear form).  Both pair the kernel
-values with the weighted basis ``wb = w[:, None] * basis`` as a batched
-``wb.T @ ker @ wb``.
-
-``quad_order`` is the tensor-Gauss order of near pairs.  A far element
-pair, and every cross-curve pair, uses the order of ``_pair_orders``:
-the fewest points whose Gauss error bound reaches machine epsilon, from
-the pair's separation relative to its longer element and from the decay
-of the kernel along an element (Sauter and Schwab, *Boundary Element
-Methods*, ch. 5).  The rule is symmetric in the pair, so the swapped
-blocks stay transposes.
+``quad_order`` is the tensor-Gauss order of near pairs.  The element
+pairs of one curve and the cross-curve pairs go through the same graded
+loop, ``_graded_pairs``, where a far pair uses the order of
+``_pair_orders``: the fewest points whose Gauss error bound reaches
+machine epsilon, from the pair's separation relative to its longer
+element and from the decay of the kernel along an element (Sauter and
+Schwab, *Boundary Element Methods*, ch. 5).  The rule is symmetric in the
+pair, so swapped blocks stay transposes.  Kernel values are paired with
+the weighted basis ``wb = w[:, None] * basis`` as a batched ``wb.T @ ker
+@ wb``; a cross-curve point gives all four coupling kernels from one K0
+and one K1.
 
 Per-pair contributions are independent and reduced into matrices with no
 ordering dependence; assembled objects are immutable, so all routines
@@ -114,17 +110,14 @@ def _scatter(target, elements_rows, elements_cols, loc):
     np.add.at(target, (I, J), loc)
 
 
-def _weighted_basis(s, w):
-    """Gauss weight times nodal basis value, ``(q, 2)``."""
-    return w[:, None] * np.column_stack([1.0 - s, s])
+def _p1(x):
+    """Nodal basis values at parameters ``x``: stack of (1 - x, x)."""
+    return np.stack([1.0 - x, x], axis=-1)
 
 
 def _gauss_rules(order):
-    """Gauss rules of every order 1..``order``, keyed by order.
-
-    Built up front whichever orders the pairs use, so one assembly
-    builds every rule any assembly of the same ``order`` looks up.
-    """
+    """Gauss rules of every order 1..``order``, built up front so that one
+    assembly builds every rule any assembly of the same ``order`` uses."""
     return {q: gauss01(q) for q in range(1, order + 1)}
 
 
@@ -181,47 +174,57 @@ def _pair_orders(mid1, L1, mid2, L2, a, quad_order):
     return np.minimum(quad_order, np.maximum(q_sep, q_exp)).astype(int)
 
 
+def _graded_pairs(obs, src, rows, cols, a, order, chunk):
+    """Element pairs ``(rows[i], cols[i])`` of the curves ``obs`` and
+    ``src``, each with the tensor-Gauss order of ``_pair_orders``, order
+    by order and ``chunk`` pairs at a time.
+
+    Yields ``e, f, dx, dy, r, ll, wb``: the element indices, the offsets
+    ``x - y`` of their Gauss points and the distances, ``(pair, k, l)``,
+    the length products ``(pair, 1, 1)`` and the weighted basis.
+    """
+    Lo, Ls = obs.lengths, src.lengths
+    rules = _gauss_rules(order)
+    pair_q = _pair_orders(_midpoints(obs)[rows], Lo[rows],
+                          _midpoints(src)[cols], Ls[cols], a, order)
+    for q in np.unique(pair_q):
+        s, w = rules[q]
+        wb = w[:, None] * _p1(s)                             # (q, 2)
+        xo, ys = _gauss_points(obs, s), _gauss_points(src, s)
+        sel = np.flatnonzero(pair_q == q)
+        for p0 in range(0, len(sel), chunk):
+            e, f = rows[sel[p0:p0 + chunk]], cols[sel[p0:p0 + chunk]]
+            dx = xo[e, :, None, 0] - ys[f, None, :, 0]
+            dy = xo[e, :, None, 1] - ys[f, None, :, 1]
+            r = np.sqrt(dx * dx + dy * dy)
+            yield e, f, dx, dy, r, (Lo[e] * Ls[f])[:, None, None], wb
+
+
 def _smooth_pair_tables(mesh, a, order, chunk=4096):
     """Tensor-Gauss V/K pair integrals for all ordered element pairs.
 
     Returns ``(v_loc, k_loc)`` where ``v_loc[e, f]`` is the 2x2
     single-layer block of the ordered pair and ``k_loc`` the double-layer
-    block (kernel ``d/dn(y) G``).  Each unordered pair ``e <= f`` is
-    integrated with the order of ``_pair_orders``; K0 and K1 are
-    evaluated once per pair, order by order, ``chunk`` pairs at a time.
-    The (f, e) blocks are the transposed (e, f) ones, the double layer
-    with ``-n_e`` in place of ``n_f``.  Self-pair blocks (distance
-    placeholder 1) are for the singular corrections to overwrite.
+    block (kernel ``d/dn(y) G``).  K0 and K1 are evaluated once per
+    unordered pair ``e <= f`` of ``_graded_pairs``.  The (f, e) blocks
+    are the transposed (e, f) ones, the double layer with ``-n_e`` in
+    place of ``n_f``.  Self-pair blocks (distance placeholder 1) are for
+    the singular corrections to overwrite.
     """
     m = mesh.n_elements
-    L = mesh.lengths
-    mid = _midpoints(mesh)
     nx, ny = mesh.normals[:, 0, None, None], mesh.normals[:, 1, None, None]
-    rules = _gauss_rules(order)
     rows, cols = np.triu_indices(m)
-    pair_q = _pair_orders(mid[rows], L[rows], mid[cols], L[cols], a, order)
-
     v_loc, k_loc = np.empty((2, m, m, 2, 2))
-    for q in np.unique(pair_q):
-        s, w = rules[q]
-        wb = _weighted_basis(s, w)
-        pts = _gauss_points(mesh, s)
-        px, py = pts[..., 0], pts[..., 1]                    # (m, q)
-        sel = np.flatnonzero(pair_q == q)
-        for p0 in range(0, len(sel), chunk):
-            e, f = rows[sel[p0:p0 + chunk]], cols[sel[p0:p0 + chunk]]
-            dx = px[e, :, None] - px[f, None, :]             # (pair, k, l)
-            dy = py[e, :, None] - py[f, None, :]
-            r = np.sqrt(dx * dx + dy * dy)
-            r[e == f] = 1.0                                  # self pairs
-            ll = (L[e] * L[f])[:, None, None]
-            v = ll * (wb.T @ (k0(a * r) / TWO_PI) @ wb)
-            v_loc[e, f] = v
-            v_loc[f, e] = v.transpose(0, 2, 1)
-            g1 = (a / TWO_PI) * k1(a * r) / r
-            k_loc[e, f] = ll * (wb.T @ (g1 * (dx * nx[f] + dy * ny[f])) @ wb)
-            k_loc[f, e] = (ll * (wb.T @ (g1 * -(dx * nx[e] + dy * ny[e]))
-                                 @ wb)).transpose(0, 2, 1)
+    for e, f, dx, dy, r, ll, wb in _graded_pairs(mesh, mesh, rows, cols, a,
+                                                 order, chunk):
+        r[e == f] = 1.0                                      # self pairs
+        v = ll * (wb.T @ (k0(a * r) / TWO_PI) @ wb)
+        v_loc[e, f] = v
+        v_loc[f, e] = v.transpose(0, 2, 1)
+        g1 = (a / TWO_PI) * k1(a * r) / r
+        k_loc[e, f] = ll * (wb.T @ (g1 * (dx * nx[f] + dy * ny[f])) @ wb)
+        k_loc[f, e] = (ll * (wb.T @ (g1 * -(dx * nx[e] + dy * ny[e]))
+                             @ wb)).transpose(0, 2, 1)
     return v_loc, k_loc
 
 
@@ -238,7 +241,7 @@ def _coincident_tables(mesh, a, order):
     u = np.abs(su[:, None] - sv[None, :])                    # z / (a L)
     z = a * (L[:, None, None] * u[None, :, :])
     smooth = (k0(z) + np.log(u) * i0(z)) / TWO_PI
-    part_a = _weighted_basis(su, wu).T @ smooth @ _weighted_basis(sv, wv)
+    part_a = (wu[:, None] * _p1(su)).T @ smooth @ (wv[:, None] * _p1(sv))
 
     ulog, wlog = log_gauss01(order)
     sw, ww = gauss01(order)
@@ -253,32 +256,31 @@ def _coincident_tables(mesh, a, order):
     return (L ** 2)[:, None, None] * (part_a + part_b)
 
 
-def _p1(x):
-    """Nodal basis values at parameters ``x``: stack of (1 - x, x)."""
-    return np.stack([1.0 - x, x], axis=-1)
-
-
-def _adjacent_pair_tables(d1, d2, L1, L2, n_src, a, order):
-    """V and K blocks for ordered adjacent pairs (vectorized over pairs).
+def _adjacent_pair_tables(d1, d2, L1, L2, n1, n2, a, order):
+    """V and K blocks of adjacent pairs (e, f), vectorized over pairs.
 
     Both elements are parametrized from the shared node, which is local
     basis index 0 on both, so the distance on each Duffy triangle is
     ``s * m(v)`` with ``m(v) = |d1 - v d2|`` bounded away from zero;
     ``log s`` goes to the log-weighted rule.  The weighted basis products
     of a triangle are one ``(q, q, 2, 2)`` array shared by all pairs.
+    Returns V and K ``(2, npair, 2, 2)``: the double layer of (e, f) with
+    normal ``n2``, and that of (f, e), transposed, with normal ``n1`` and
+    the offset reversed, from the same Bessel values.
     """
     sg, wg = gauss01(order)
     ul, wl = log_gauss01(order)
     v_loc = k_loc = 0.0
 
     def pair(ker, bw):
-        return np.tensordot(ker, bw, axes=([1, 2], [0, 1]))
+        return np.tensordot(ker, bw, axes=([-2, -1], [0, 1]))
 
     # triangle 1: (x, y) at (s, s v); triangle 2: at (s v, s)
     for sign, dd1, dd2 in ((1.0, d1, d2), (-1.0, d2, d1)):
         mv = dd1[:, None, :] - sg[None, :, None] * dd2[:, None, :]
         m = np.linalg.norm(mv, axis=-1)                      # (npair, qv)
-        c = sign * np.sum(n_src[:, None, :] * mv, axis=-1)
+        # n . (x - y) / s for (e, f); (f, e) sees y - x
+        c = sign * np.einsum("pnd,nvd->pnv", np.stack([n2, -n1]), mv)
 
         def wbb(outer, w_outer):
             b_out = _p1(outer)[:, None, :]                   # (k, 1, 2)
@@ -293,7 +295,7 @@ def _adjacent_pair_tables(d1, d2, L1, L2, n_src, a, order):
         log_s = np.log(sg)[None, :, None]                    # log(z / (a m))
         ker_v = (k0(z) + log_s * i0(z)) / TWO_PI
         # s K1(z) is bounded: its 1/z part times the Jacobian s is smooth
-        ker_k = ((a / TWO_PI) * (c / m)[:, None, :] * sg[None, :, None]
+        ker_k = ((a / TWO_PI) * (c / m)[:, :, None, :] * sg[None, :, None]
                  * (k1(z) - log_s * i1(z)))
         v_loc += pair(ker_v * sg[None, :, None], bw_g)
         k_loc += pair(ker_k, bw_g)
@@ -302,46 +304,35 @@ def _adjacent_pair_tables(d1, d2, L1, L2, n_src, a, order):
         bw_l = wbb(ul, wl)
         zl = a * ul[None, :, None] * m[:, None, :]
         v_loc += pair(i0(zl) * ul[None, :, None], bw_l) / TWO_PI
-        k_loc -= pair((a / TWO_PI) * (c / m)[:, None, :]
+        k_loc -= pair((a / TWO_PI) * (c / m)[:, :, None, :]
                       * ul[None, :, None] * i1(zl), bw_l)
     LL = (L1 * L2)[:, None, None]
     return LL * v_loc, LL * k_loc
-
-
-def _adjacency(mesh):
-    """Ordered adjacent pairs: (e, next(e)) and (e, prev(e))."""
-    nxt = mesh.next_element()
-    prv = np.empty_like(nxt)
-    prv[nxt] = np.arange(mesh.n_elements)
-    return nxt, prv
 
 
 def assemble_operators(mesh, params):
     """Assemble single layer V, double layer K, adjoint K', regularized
     hypersingular W and the mass matrix on one mesh."""
     a = params.a
-    m = mesh.n_elements
-    nxt, prv = _adjacency(mesh)
     v_loc, k_loc = _smooth_pair_tables(mesh, a, params.quad_order)
 
     # singular pairs overwrite their smooth entries; the double layer
     # vanishes on a straight element
-    ar = np.arange(m)
+    ar = np.arange(mesh.n_elements)
     v_loc[ar, ar] = _coincident_tables(mesh, a, params.singular_order)
     k_loc[ar, ar] = 0.0
 
-    # adjacent pairs, tabulated with the shared node first on both
-    # elements: for f = next(e) it is e's end node (p axis reversed),
-    # for f = prev(e) it is f's end node (q axis reversed)
-    nodes, els = mesh.nodes, mesh.elements
+    # adjacent pairs (e, next(e)), tabulated from the shared node, the
+    # end node of e (its basis axis reversed); (next(e), e) is the transpose
+    nxt = mesh.next_element()
     L = mesh.lengths
-    for f, e_end, flip_axis in ((nxt, 1, 1), (prv, 0, 2)):
-        shared = nodes[els[:, e_end]]
-        v_adj, k_adj = _adjacent_pair_tables(
-            nodes[els[:, 1 - e_end]] - shared, nodes[els[f, e_end]] - shared,
-            L, L[f], mesh.normals[f], a, params.singular_order)
-        v_loc[ar, f] = np.flip(v_adj, flip_axis)
-        k_loc[ar, f] = np.flip(k_adj, flip_axis)
+    v_adj, k_adj = _adjacent_pair_tables(
+        -mesh.directions, mesh.directions[nxt], L, L[nxt], mesh.normals,
+        mesh.normals[nxt], a, params.singular_order)
+    v_loc[ar, nxt] = v_adj[:, ::-1]
+    v_loc[nxt, ar] = v_adj[:, ::-1].transpose(0, 2, 1)
+    k_loc[ar, nxt] = k_adj[0, :, ::-1]
+    k_loc[nxt, ar] = k_adj[1, :, ::-1].transpose(0, 2, 1)
 
     LL = L[:, None] * L[None, :]
     s0_full = v_loc.sum(axis=(2, 3)) / LL     # partition of unity
@@ -351,6 +342,7 @@ def assemble_operators(mesh, params):
              + (a * a) * nn[:, :, None, None] * v_loc)
 
     n = mesh.n_nodes
+    els = mesh.elements
     V = np.zeros((n, n))
     K = np.zeros((n, n))
     W = np.zeros((n, n))
@@ -359,6 +351,26 @@ def assemble_operators(mesh, params):
     _scatter(W, els, els, w_loc)
     return BemOperatorSet(V, K, K.T.copy(), W, mass_matrix(mesh),
                           mesh, params)
+
+
+def _segments_meet(obs, src, tol):
+    """Whether an element of ``obs`` crosses an element of ``src`` or
+    comes within ``tol`` of it (points as complex numbers)."""
+    p, u = (x[:, None] @ [1, 1j] for x in (obs.first_nodes, obs.directions))
+    q, v = (x @ [1, 1j] for x in (src.first_nodes, src.directions))
+
+    def side(d, x):                          # sign of the cross product
+        return np.sign((d.conjugate() * x).imag)
+
+    def gap(x, b, d):                        # distance of x to [b, b + d]
+        t = np.clip(((x - b) * d.conjugate()).real / abs(d) ** 2, 0.0, 1.0)
+        return abs(x - b - t * d)
+
+    crossing = ((side(u, q - p) * side(u, q + v - p) < 0)
+                & (side(v, p - q) * side(v, p + u - q) < 0))
+    near = np.minimum.reduce([gap(p, q, v), gap(p + u, q, v),
+                              gap(q, p, u), gap(q + v, p, u)]) <= tol
+    return bool(np.any(crossing | near))
 
 
 @dataclass(frozen=True)
@@ -419,11 +431,11 @@ def cross_block(obs_mesh, src_mesh, a, obs_normal_sign=1.0,
 
     Returns the 2x2 block matrix pairing P1 tests on the observation
     curve with P1 densities on the source curve.  All kernels are smooth
-    because the curves do not intersect, so plain tensor Gauss applies,
-    each (obs, src) element pair with the order of ``_pair_orders`` and
-    ``chunk`` pairs at a time.  The normal signs select the orientation
-    of the common subdomain on each curve relative to the stored
-    (outward of enclosed) normals.
+    because the curves do not meet (checked segment by segment), so plain
+    tensor Gauss applies to the (obs, src) element pairs of
+    ``_graded_pairs``.  The normal signs select the orientation of the
+    common subdomain on each curve relative to the stored (outward of
+    enclosed) normals.
 
     With ``g(r) = K0(a r) / (2 pi)``, ``g' = -a K1(a r) / (2 pi)`` and
     ``g'' = a^2 g - g' / r``, the four kernels are ``ns . grad g``
@@ -433,50 +445,35 @@ def cross_block(obs_mesh, src_mesh, a, obs_normal_sign=1.0,
     if obs_mesh is src_mesh:
         raise ValueError("cross blocks require two distinct curves")
     a = _check_a(a)
+    tol = 1e-12 * max(obs_mesh.lengths.max(), src_mesh.lengths.max())
+    if _segments_meet(obs_mesh, src_mesh, tol):
+        raise ValueError("curves intersect or touch")
     n_obs = obs_normal_sign * obs_mesh.normals
     n_src = src_normal_sign * src_mesh.normals
     mo, ms = obs_mesh.n_elements, src_mesh.n_elements
-    Lo, Ls = obs_mesh.lengths, src_mesh.lengths
-    tol = 1e-12 * max(Lo.max(), Ls.max())
-    rules = _gauss_rules(quad_order)
     rows, cols = np.divmod(np.arange(mo * ms), ms)
-    pair_q = _pair_orders(_midpoints(obs_mesh)[rows], Lo[rows],
-                          _midpoints(src_mesh)[cols], Ls[cols], a, quad_order)
 
     # vv, vq, qv, qq element blocks
-    blocks = np.empty((4, mo, ms, 2, 2))
-    for q in np.unique(pair_q):
-        s, w = rules[q]
-        wb = _weighted_basis(s, w)
-        xo, ys = _gauss_points(obs_mesh, s), _gauss_points(src_mesh, s)
-        sel = np.flatnonzero(pair_q == q)
-        for p0 in range(0, len(sel), chunk):
-            e, f = rows[sel[p0:p0 + chunk]], cols[sel[p0:p0 + chunk]]
-            dx = xo[e, :, None, 0] - ys[f, None, :, 0]       # (pair, k, l)
-            dy = xo[e, :, None, 1] - ys[f, None, :, 1]
-            r = np.sqrt(dx * dx + dy * dy)
-            if r.min() <= tol:
-                raise ValueError("curves intersect or touch")
-            nox, noy = n_obs[e, 0, None, None], n_obs[e, 1, None, None]
-            nsx, nsy = n_src[f, 0, None, None], n_src[f, 1, None, None]
-            ro = (nox * dx + noy * dy) / r                   # no . rhat
-            rs = (nsx * dx + nsy * dy) / r                   # ns . rhat
-            g = k0(a * r) / TWO_PI
-            gp = (-a / TWO_PI) * k1(a * r)
-            gpp = a * a * g - gp / r
-            ll = (Lo[e] * Ls[f])[:, None, None]
-            for k, ker in enumerate((
-                    gp * rs, g,
-                    gpp * ro * rs + gp * (nox * nsx + noy * nsy - ro * rs) / r,
-                    gp * ro)):
-                blocks[k, e, f] = ll * (wb.T @ ker @ wb)
-    no_nodes, ns_nodes = obs_mesh.n_nodes, src_mesh.n_nodes
-    R = np.zeros((2 * no_nodes, 2 * ns_nodes))
-    for k, (ri, ci) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        _scatter(R[ri * no_nodes:(ri + 1) * no_nodes,
-                   ci * ns_nodes:(ci + 1) * ns_nodes],
-                 obs_mesh.elements, src_mesh.elements, blocks[k])
-    return R
+    blocks = np.empty((2, 2, mo, ms, 2, 2))
+    for e, f, dx, dy, r, ll, wb in _graded_pairs(obs_mesh, src_mesh, rows,
+                                                 cols, a, quad_order, chunk):
+        nox, noy = n_obs[e, 0, None, None], n_obs[e, 1, None, None]
+        nsx, nsy = n_src[f, 0, None, None], n_src[f, 1, None, None]
+        ro = (nox * dx + noy * dy) / r                       # no . rhat
+        rs = (nsx * dx + nsy * dy) / r                       # ns . rhat
+        g = k0(a * r) / TWO_PI
+        gp = (-a / TWO_PI) * k1(a * r)
+        gpp = a * a * g - gp / r
+        for k, ker in zip(np.ndindex(2, 2), (
+                gp * rs, g,
+                gpp * ro * rs + gp * (nox * nsx + noy * nsy - ro * rs) / r,
+                gp * ro)):
+            blocks[k][e, f] = ll * (wb.T @ ker @ wb)
+    R = np.zeros((2, obs_mesh.n_nodes, 2, src_mesh.n_nodes))
+    for ri, ci in np.ndindex(2, 2):
+        _scatter(R[ri, :, ci], obs_mesh.elements, src_mesh.elements,
+                 blocks[ri, ci])
+    return R.reshape(2 * obs_mesh.n_nodes, -1)
 
 
 @dataclass(frozen=True)

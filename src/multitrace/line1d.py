@@ -337,24 +337,12 @@ def block_jacobi_run(op, U0, n_steps):
 
 
 def represent_1d_3dom(a, jump_left, jump_right, interfaces=(-1.0, 1.0)):
-    """Solution with jumps at both interfaces of a middle interval.
-
-    Superposes one representation formula per interface; evaluation at
-    either interface raises ``ValueError``.  Note the right interface
-    jump is oriented middle-minus-right, mirroring the left one, so the
-    Dirichlet kernel term flips sign there.
+    """Solution with jumps at both interfaces of a middle interval: the
+    sum of one :func:`represent_1d` field per interface.  The right jump
+    is oriented middle-minus-right, so its ``alpha`` flips sign;
+    evaluation at either interface raises ``ValueError``.
     """
-    a = _check_a(a)
     xl, xr = interfaces
-
-    def u(x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x == xl) or np.any(x == xr):
-            raise ValueError("evaluation at an interface")
-        left = (jump_left.beta * green_1d(a, x - xl)
-                - jump_left.alpha * green_1d_deriv(a, x - xl))
-        right = (jump_right.beta * green_1d(a, x - xr)
-                 + jump_right.alpha * green_1d_deriv(a, x - xr))
-        return left + right
-
-    return u
+    left = represent_1d(a, JumpData(jump_left.alpha, jump_left.beta, xl))
+    right = represent_1d(a, JumpData(-jump_right.alpha, jump_right.beta, xr))
+    return lambda x: left(x) + right(x)

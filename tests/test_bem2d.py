@@ -189,6 +189,23 @@ class TestCalderon:
             assemble_calderon_2d(mesh, KernelParams(2.0), operators=ops)
 
 
+# curve pairs that cross or touch somewhere other than at Gauss points,
+# and disjoint ones, the coarse annuli among them with midpoint
+# separations that are not positive
+MEETING_CURVES = {
+    "crossing": lambda: (make_circle(12), make_circle(12, center=(0.5, 0.0))),
+    "touching-at-node": lambda: (make_circle(12),
+                                 make_circle(12, center=(2.0, 0.0))),
+    "shared-edge": lambda: (make_square(4), make_square(4, center=(1.0, 0.0))),
+}
+DISJOINT_CURVES = {
+    "annulus-8-8": lambda: make_three_domain(8, 8),
+    "annulus-12-16": lambda: make_three_domain(12, 16),
+    "annulus-3-3": lambda: make_three_domain(3, 3),
+    "far-circles": lambda: (make_circle(12), make_circle(12, center=(5.0, 0.0))),
+}
+
+
 class TestCoupling:
     def test_curves_must_differ(self):
         mesh = make_circle(12)
@@ -198,6 +215,19 @@ class TestCoupling:
     def test_touching_curves_rejected(self):
         with pytest.raises(ValueError, match="intersect or touch"):
             cross_block(make_circle(12), make_circle(12), 1.0)
+
+    @pytest.mark.parametrize("name", MEETING_CURVES)
+    def test_meeting_curves_rejected(self, name):
+        obs, src = MEETING_CURVES[name]()
+        for pair in ((obs, src), (src, obs)):
+            with pytest.raises(ValueError, match="intersect or touch"):
+                cross_block(*pair, 1.0)
+
+    @pytest.mark.parametrize("name", DISJOINT_CURVES)
+    def test_disjoint_curves_assemble(self, name):
+        obs, src = DISJOINT_CURVES[name]()
+        for pair in ((obs, src), (src, obs)):
+            assert np.all(np.isfinite(cross_block(*pair, 1.0)))
 
     def test_nonpositive_a_rejected(self):
         inner, outer = make_three_domain(8, 8)
@@ -327,8 +357,9 @@ class TestFastPathOracle:
 
 
 class TestPairTableSymmetry:
-    """The smooth pair tables evaluate K0/K1 once per unordered element
-    pair and fill the (f, e) blocks from the (e, f) ones."""
+    """The smooth pair tables and the adjacent singular tables evaluate
+    K0/K1 once per unordered element pair and fill the (f, e) blocks from
+    the (e, f) ones."""
 
     @pytest.mark.parametrize("geometry, a", [("circle", 1.0), ("square", 5.0)])
     def test_chunk_size_changes_nothing(self, geometry, a):
@@ -339,12 +370,48 @@ class TestPairTableSymmetry:
             assert np.array_equal(v, v_ref), chunk
             assert np.array_equal(k, k_ref), chunk
 
-    @pytest.mark.parametrize("geometry, a", [("circle", 1.0), ("square", 5.0)])
-    def test_single_layer_swapped_pair_is_transpose(self, geometry, a):
+    # the assembled element tables hold the adjacent singular blocks too
+    @pytest.mark.parametrize("geometry, a, tables", [
+        pytest.param("circle", 1.0, "smooth", id="circle-1.0"),
+        pytest.param("square", 5.0, "smooth", id="square-5.0"),
+        pytest.param("circle", 1.0, "assembled", id="circle-1.0-assembled"),
+        pytest.param("square", 5.0, "assembled", id="square-5.0-assembled")])
+    def test_single_layer_swapped_pair_is_transpose(self, geometry, a, tables,
+                                                    monkeypatch):
         mesh = make_circle(33) if geometry == "circle" else make_square(8)
-        v, _ = assembly._smooth_pair_tables(mesh, a, 8)
+        if tables == "smooth":
+            v, _ = assembly._smooth_pair_tables(mesh, a, 8)
+        else:
+            v, _ = element_tables(mesh, a, monkeypatch)
         off = ~np.eye(mesh.n_elements, dtype=bool)
         assert np.array_equal(v.transpose(1, 0, 3, 2)[off], v[off])
+
+    def test_bessel_points_of_one_assembly(self, monkeypatch):
+        """Points passed to the K0, K1, I0 and I1 that ``assembly`` looks
+        up, in total and outside the smooth table (the coincident and
+        adjacent singular corrections), on the 16-element circle."""
+        points = []
+
+        def counting(bessel):
+            def counted(z):
+                points.append(np.size(z))
+                return bessel(z)
+            return counted
+
+        for name in ("k0", "k1", "i0", "i1"):
+            monkeypatch.setattr(assembly, name, counting(getattr(assembly, name)))
+        smooth, in_smooth = assembly._smooth_pair_tables, []
+
+        def smooth_counted(*args, **kwargs):
+            before = sum(points)
+            tables = smooth(*args, **kwargs)
+            in_smooth.append(sum(points) - before)
+            return tables
+
+        monkeypatch.setattr(assembly, "_smooth_pair_tables", smooth_counted)
+        assemble_operators(make_circle(16), KernelParams(1.0))
+        assert sum(points) == 48_560
+        assert sum(points) - sum(in_smooth) == 32_832
 
 
 # curves of the graded-order oracle; the outer annulus curve is the
