@@ -10,8 +10,7 @@ Run:  python3 demos/demo_sigma_sweep.py
 import numpy as np
 
 from multitrace import line1d, spectra
-from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
-                              assemble_operators, make_circle)
+from multitrace.bem2d import KernelParams, assemble_calderon_2d, make_circle
 from multitrace.linalg import eig_dense
 
 grid = np.array([-0.9, -0.6, -0.5, -0.4, -0.2, -0.05, 0.0, 0.05,
@@ -27,9 +26,8 @@ def analytic(s):
 
 mesh = make_circle(48)
 par = KernelParams(1.0)
-ops = assemble_operators(mesh, par)
-P1 = assemble_calderon_2d(mesh, par, "interior", operators=ops)
-P2 = assemble_calderon_2d(mesh, par, "exterior", operators=ops)
+P1 = assemble_calderon_2d(mesh, par, "interior")
+P2 = assemble_calderon_2d(mesh, par, "exterior")
 
 
 def discrete(s):

@@ -26,8 +26,8 @@ ops = assemble_operators(mesh, par)
 V = ops.single_layer
 print("  single layer symmetry:", np.max(np.abs(V - V.T)))
 
-cal_in = assemble_calderon_2d(mesh, par, "interior", operators=ops)
-cal_ex = assemble_calderon_2d(mesh, par, "exterior", operators=ops)
+cal_in = assemble_calderon_2d(mesh, par, "interior")
+cal_ex = assemble_calderon_2d(mesh, par, "exterior")
 
 # traces of an exact field with source outside the disk
 x0 = np.array([2.5, 0.4])

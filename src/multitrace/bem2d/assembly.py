@@ -35,11 +35,17 @@ the weighted basis ``wb = w[:, None] * basis`` as a batched ``wb.T @ ker
 and one K1.
 
 Per-pair contributions are independent and reduced into matrices with no
-ordering dependence; assembled objects are immutable, so all routines
-are safe for concurrent use.
+ordering dependence.
+
+``assemble_operators`` keeps one set per mesh object and ``KernelParams``,
+so every subdomain that meets a curve shares its V, K, K' and W.  Meshes
+compare by identity, the stored matrices are read-only, and a set is
+freed with its mesh.  Two threads that miss at once each assemble an
+equal set, which is harmless.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +85,8 @@ class BemOperatorSet:
 
     ``single_layer`` and ``hypersingular`` are symmetric up to assembly
     tolerance; ``adj_double_layer`` is exactly the transpose of
-    ``double_layer`` (valid since trial and test spaces coincide).
+    ``double_layer`` (valid since trial and test spaces coincide).  The
+    arrays are read-only: one set serves every caller on its mesh.
     """
 
     single_layer: np.ndarray
@@ -87,7 +94,6 @@ class BemOperatorSet:
     adj_double_layer: np.ndarray
     hypersingular: np.ndarray
     mass: np.ndarray
-    mesh: object
     params: KernelParams
 
 
@@ -310,9 +316,21 @@ def _adjacent_pair_tables(d1, d2, L1, L2, n1, n2, a, order):
     return LL * v_loc, LL * k_loc
 
 
+# mesh -> {KernelParams: BemOperatorSet}; an entry goes with its mesh
+_SETS = weakref.WeakKeyDictionary()
+
+
 def assemble_operators(mesh, params):
-    """Assemble single layer V, double layer K, adjoint K', regularized
-    hypersingular W and the mass matrix on one mesh."""
+    """Single layer V, double layer K, adjoint K', regularized
+    hypersingular W and the mass matrix on one mesh, assembled on the
+    first call for this mesh object and ``params`` and shared after."""
+    sets = _SETS.setdefault(mesh, {})
+    if params not in sets:
+        sets[params] = _assemble_operators(mesh, params)
+    return sets[params]
+
+
+def _assemble_operators(mesh, params):
     a = params.a
     v_loc, k_loc = _smooth_pair_tables(mesh, a, params.quad_order)
 
@@ -349,8 +367,10 @@ def assemble_operators(mesh, params):
     _scatter(V, els, els, v_loc)
     _scatter(K, els, els, k_loc)
     _scatter(W, els, els, w_loc)
-    return BemOperatorSet(V, K, K.T.copy(), W, mass_matrix(mesh),
-                          mesh, params)
+    mats = (V, K, K.T.copy(), W, mass_matrix(mesh))
+    for x in mats:
+        x.flags.writeable = False
+    return BemOperatorSet(*mats, params)
 
 
 def _segments_meet(obs, src, tol):
@@ -401,7 +421,7 @@ class DiscreteCalderon:
         return scipy.linalg.solve(self.M_block, self.P, assume_a="pos")
 
 
-def assemble_calderon_2d(mesh, params, side="interior", operators=None):
+def assemble_calderon_2d(mesh, params, side="interior"):
     """Discrete Calderon projector of the region inside (or outside) the
     closed curve, with the jump-relation 1/2 carried by the mass block.
 
@@ -411,12 +431,7 @@ def assemble_calderon_2d(mesh, params, side="interior", operators=None):
     """
     if side not in ("interior", "exterior"):
         raise ValueError(f"side must be 'interior' or 'exterior', got {side!r}")
-    ops = operators if operators is not None else assemble_operators(mesh, params)
-    if ops.mesh is not mesh:
-        raise ValueError("operator set was assembled on a different mesh")
-    if ops.params != params:
-        raise ValueError(f"operator set was assembled with {ops.params}, "
-                         f"not {params}")
+    ops = assemble_operators(mesh, params)
     V, K, Kt, W, M = (ops.single_layer, ops.double_layer,
                       ops.adj_double_layer, ops.hypersingular, ops.mass)
     k = 1.0 if side == "interior" else -1.0     # double-layer sign
@@ -504,21 +519,16 @@ class CouplingSet:
         return (self.P1_tilde.mesh, self.P2_tilde.mesh)
 
 
-def assemble_coupling(inner_mesh, outer_mesh, params, operators=None):
+def assemble_coupling(inner_mesh, outer_mesh, params):
     """Middle-subdomain (annular region) Calderon blocks.
 
     The middle region lies outside ``inner_mesh`` and inside
     ``outer_mesh``; its outward normal is the reverse of the inner
     mesh's normal and coincides with the outer mesh's normal.  The
     off-diagonal blocks couple the two curves through smooth kernels.
-    ``operators`` is an optional ``(inner_ops, outer_ops)`` pair of
-    operator sets already assembled with ``params`` on the two curves.
     """
-    inner_ops, outer_ops = operators if operators is not None else (None, None)
-    pt1 = assemble_calderon_2d(inner_mesh, params, side="exterior",
-                               operators=inner_ops)
-    pt2 = assemble_calderon_2d(outer_mesh, params, side="interior",
-                               operators=outer_ops)
+    pt1 = assemble_calderon_2d(inner_mesh, params, side="exterior")
+    pt2 = assemble_calderon_2d(outer_mesh, params, side="interior")
     R12 = cross_block(inner_mesh, outer_mesh, params.a,
                       obs_normal_sign=-1.0, src_normal_sign=1.0,
                       quad_order=params.quad_order)

@@ -6,18 +6,19 @@ the region the curve encloses.  Orientation is validated via the signed
 area, and segment connectivity must form one cycle per curve id.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryMesh:
     """Closed polyline(s) with P1 node/element connectivity.
 
     ``nodes``: (n, 2) coordinates.  ``elements``: (m, 2) node index
     pairs traversed counterclockwise.  ``curve_id``: (m,) integer label
-    of the closed curve each element belongs to.
+    of the closed curve each element belongs to.  Meshes compare and
+    hash by identity: two meshes with equal nodes are distinct curves.
     """
 
     nodes: np.ndarray

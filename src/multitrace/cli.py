@@ -26,8 +26,7 @@ import scipy
 
 from . import interval1d, line1d, spectra
 from .bem2d import (KernelParams, assemble_calderon_2d, assemble_coupling,
-                    assemble_operators, make_circle, make_square,
-                    make_three_domain)
+                    make_circle, make_square, make_three_domain)
 from .linalg import DIMENSION_CAP, SingularMatrixError, eig_dense
 
 GEOMETRIES = ("circle", "square", "annulus")
@@ -233,39 +232,23 @@ def _setup_2d(cfg, a):
 
     Two constants give the two subdomains of the one curve of
     ``cfg.geometry``, three give ``(middle, inner, outer)`` of the
-    annulus; each distinct (curve, constant) operator set is assembled
-    once and shared by every side that needs it.  Returns
-    ``pencil(sigmas) -> (A, B)``, the half-size red pencil of
-    :func:`spectra.jacobi_pencil`, in the matching sigma order.
+    annulus; sides of one curve with one constant share its operator
+    set.  Returns ``pencil(sigmas) -> (A, B)``, the half-size red pencil
+    of :func:`spectra.jacobi_pencil`, in the matching sigma order.
     """
-    sets = {}
-
-    def operators(curve, a_k):
-        key = (id(curve), a_k)
-        if key not in sets:
-            sets[key] = assemble_operators(curve,
-                                           KernelParams(a_k, cfg.quad_order))
-        return sets[key]
-
-    def calderon(curve, a_k, side):
-        ops = operators(curve, a_k)
-        return assemble_calderon_2d(curve, ops.params, side, operators=ops)
-
+    par = [KernelParams(a_k, cfg.quad_order) for a_k in a]
     if len(a) == 2:
         mesh = (make_circle(cfg.n_elements) if cfg.geometry == "circle"
                 else make_square(cfg.n_elements // 4))
-        P1 = calderon(mesh, a[0], "interior")
-        P2 = calderon(mesh, a[1], "exterior")
+        P1 = assemble_calderon_2d(mesh, par[0], "interior")
+        P2 = assemble_calderon_2d(mesh, par[1], "exterior")
         return lambda sigmas: spectra.jacobi_2d_2dom(
             P1, P2, spectra.RelaxationConfig(sigmas))
-    a0, a1, a2 = a
     inner, outer = make_three_domain(cfg.n_elements, cfg.n_elements,
                                      cfg.radii[0], cfg.radii[1])
-    P1 = calderon(inner, a1, "interior")
-    P2 = calderon(outer, a2, "exterior")
-    inner_ops, outer_ops = operators(inner, a0), operators(outer, a0)
-    coupling = assemble_coupling(inner, outer, inner_ops.params,
-                                 operators=(inner_ops, outer_ops))
+    P1 = assemble_calderon_2d(inner, par[1], "interior")
+    P2 = assemble_calderon_2d(outer, par[2], "exterior")
+    coupling = assemble_coupling(inner, outer, par[0])
     return lambda sigmas: spectra.jacobi_2d_3dom(
         P1, P2, coupling, spectra.RelaxationConfig(sigmas))
 

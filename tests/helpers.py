@@ -44,8 +44,10 @@ def _gauss_points(mesh, s):
 
 
 def _pair_integrals(ker, w, bas, L_rows, L_cols):
-    """Tensor-Gauss pairing as one five-operand einsum (no BLAS path)."""
-    loc = np.einsum("k,l,kp,lq,ekfl->efpq", w, w, bas, bas, ker)
+    """Tensor-Gauss pairing of pointwise kernel values as one
+    five-operand einsum, its contraction order chosen by numpy."""
+    loc = np.einsum("k,l,kp,lq,ekfl->efpq", w, w, bas, bas, ker,
+                    optimize=True)
     return (L_rows[:, None] * L_cols[None, :])[:, :, None, None] * loc
 
 

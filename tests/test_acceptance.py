@@ -13,8 +13,8 @@ import scipy.linalg
 
 from multitrace import interval1d, line1d, spectra
 from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
-                              assemble_coupling, assemble_operators,
-                              make_circle, make_square, make_three_domain)
+                              assemble_coupling, make_circle, make_square,
+                              make_three_domain)
 from multitrace.bem2d.kernels import kernel_2d, kernel_radial_deriv
 from multitrace.linalg import eig_dense
 from helpers import match_multisets, trace_flip
@@ -35,9 +35,8 @@ def sigma_points(*sigmas):
 def square_interior_a1():
     mesh = make_square(32)                      # 128 elements
     par = KernelParams(1.0)
-    ops = assemble_operators(mesh, par)
-    P1 = assemble_calderon_2d(mesh, par, "interior", operators=ops)
-    P2 = assemble_calderon_2d(mesh, par, "exterior", operators=ops)
+    P1 = assemble_calderon_2d(mesh, par, "interior")
+    P2 = assemble_calderon_2d(mesh, par, "exterior")
     return mesh, P1, P2
 
 
@@ -146,9 +145,8 @@ def test_criterion_06_cluster_reproduction(square_interior_a1):
     t0 = time.perf_counter()
     mesh = make_circle(128)
     par = KernelParams(1.0)
-    ops = assemble_operators(mesh, par)
-    P1 = assemble_calderon_2d(mesh, par, "interior", operators=ops)
-    P2 = assemble_calderon_2d(mesh, par, "exterior", operators=ops)
+    P1 = assemble_calderon_2d(mesh, par, "interior")
+    P2 = assemble_calderon_2d(mesh, par, "exterior")
     cfg = spectra.RelaxationConfig((0.1, 0.1))
     A, B = spectra.jacobi_2d_2dom(P1, P2, cfg)
     res = spectra.pencil_spectrum(A, B, cfg.sigmas, eps=0.05)
@@ -236,9 +234,8 @@ def test_criterion_10_discrete_identities_refinement():
     for n in (64, 128, 256):
         mesh = make_circle(n)
         par = KernelParams(1.0)
-        ops = assemble_operators(mesh, par)
-        P1 = assemble_calderon_2d(mesh, par, "interior", operators=ops)
-        P2 = assemble_calderon_2d(mesh, par, "exterior", operators=ops)
+        P1 = assemble_calderon_2d(mesh, par, "interior")
+        P2 = assemble_calderon_2d(mesh, par, "exterior")
         Q = scipy.linalg.solve(P1.M_block, P1.P)
         # projector residual of M^-1 P, measured in the mass pairing
         pencil_residuals.append(np.linalg.norm(P1.P @ Q - P1.P, 2))

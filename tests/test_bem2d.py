@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -75,14 +77,14 @@ class TestOperatorSet:
     def test_constant_single_layer_on_circle(self, ops):
         # rotational symmetry: V applied to the constant density is a
         # constant function, so nodal values of V1/M1 coincide
-        n = ops.mesh.n_nodes
+        n = len(ops.mass)
         ratio = (ops.single_layer @ np.ones(n)) / (ops.mass @ np.ones(n))
         assert ratio.max() - ratio.min() < 1e-12 * abs(ratio.max())
 
     def test_hypersingular_kills_no_constant(self, ops):
         # unlike the zero-frequency case the a^2 term keeps constants
         # out of the kernel of W
-        n = ops.mesh.n_nodes
+        n = len(ops.mass)
         w1 = ops.hypersingular @ np.ones(n)
         assert np.linalg.norm(w1) > 1e-3
 
@@ -150,9 +152,8 @@ class TestCalderon:
     def test_complement_identity_exact(self):
         mesh = make_circle(20)
         par = KernelParams(1.0)
-        ops = assemble_operators(mesh, par)
-        P1 = assemble_calderon_2d(mesh, par, "interior", operators=ops)
-        P2 = assemble_calderon_2d(mesh, par, "exterior", operators=ops)
+        P1 = assemble_calderon_2d(mesh, par, "interior")
+        P2 = assemble_calderon_2d(mesh, par, "exterior")
         X = trace_flip(mesh.n_nodes)
         resid = X @ P2.P @ X + P1.P - P1.M_block
         assert np.max(np.abs(resid)) < 1e-15
@@ -176,17 +177,77 @@ class TestCalderon:
         with pytest.raises(ValueError):
             assemble_calderon_2d(make_circle(8), KernelParams(1.0), "outside")
 
-    def test_foreign_operator_set_rejected(self):
-        m1, m2 = make_circle(8), make_circle(12)
-        ops = assemble_operators(m1, KernelParams(1.0))
-        with pytest.raises(ValueError):
-            assemble_calderon_2d(m2, KernelParams(1.0), operators=ops)
 
-    def test_operator_set_of_other_params_rejected(self):
-        mesh = make_circle(8)
-        ops = assemble_operators(mesh, KernelParams(1.0))
-        with pytest.raises(ValueError, match="assembled with"):
-            assemble_calderon_2d(mesh, KernelParams(2.0), operators=ops)
+class TestOperatorSetCache:
+    """One operator set per mesh object and ``KernelParams``, read-only,
+    and freed with its mesh."""
+
+    def test_calderon_and_coupling_share_the_sets(self, monkeypatch):
+        seen = []
+        original = assembly._assemble_operators
+
+        def counted(mesh, params):
+            seen.append(mesh)
+            return original(mesh, params)
+
+        monkeypatch.setattr(assembly, "_assemble_operators", counted)
+        inner, outer = make_three_domain(12, 16)
+        par = KernelParams(1.5)
+        assemble_calderon_2d(inner, par, "interior")
+        shared = assemble_coupling(inner, outer, par)
+        assert len(seen) == 2
+        assert seen[0] is inner and seen[1] is outer
+        # the shared sets change nothing against sets of fresh curves
+        fresh = assemble_coupling(*make_three_domain(12, 16), par)
+        assert np.array_equal(shared.P, fresh.P)
+        assert np.array_equal(shared.M_block, fresh.M_block)
+
+    def test_second_call_returns_the_same_set(self):
+        mesh = make_circle(12)
+        first = assemble_operators(mesh, KernelParams(1.0))
+        assert assemble_operators(mesh, KernelParams(1.0)) is first
+        other = assemble_operators(mesh, KernelParams(2.0))
+        assert other is not first
+        assert not np.array_equal(other.single_layer, first.single_layer)
+
+    def test_fresh_mesh_gets_a_new_equal_set(self):
+        par = KernelParams(1.0)
+        mesh, twin = make_circle(12), make_circle(12)
+        assert twin != mesh                 # meshes compare by identity
+        first = assemble_operators(mesh, par)
+        again = assemble_operators(twin, par)
+        assert again is not first
+        assert assemble_operators(mesh, par) is first
+        for name in ("single_layer", "double_layer", "adj_double_layer",
+                     "hypersingular", "mass"):
+            assert np.array_equal(getattr(again, name), getattr(first, name))
+
+    def test_shared_matrices_are_read_only(self):
+        ops = assemble_operators(make_circle(8), KernelParams(1.0))
+        with pytest.raises(ValueError, match="read-only"):
+            ops.single_layer[0, 0] = 0.0
+        for name in ("double_layer", "adj_double_layer", "hypersingular",
+                     "mass"):
+            assert not getattr(ops, name).flags.writeable, name
+
+    def test_sets_are_freed_with_their_mesh(self, monkeypatch):
+        # meshes of other tests may still be alive: start from an empty
+        # store; without the cyclic collector only reference counting
+        # frees the meshes and their sets
+        monkeypatch.setattr(assembly, "_SETS", weakref.WeakKeyDictionary())
+        gc.disable()
+        try:
+            inner, outer = make_three_domain(8, 8)
+            par = KernelParams(1.0)
+            P1 = assemble_calderon_2d(inner, par, "interior")
+            coupling = assemble_coupling(inner, outer, par)
+            assert len(assembly._SETS) == 2
+            dead = weakref.ref(inner)
+            del inner, outer, P1, coupling
+            assert dead() is None
+            assert len(assembly._SETS) == 0
+        finally:
+            gc.enable()
 
 
 # curve pairs that cross or touch somewhere other than at Gauss points,
@@ -233,16 +294,6 @@ class TestCoupling:
         inner, outer = make_three_domain(8, 8)
         with pytest.raises(ValueError, match="positive"):
             cross_block(inner, outer, 0.0)
-
-    def test_passed_operator_sets_change_nothing(self):
-        inner, outer = make_three_domain(12, 16)
-        par = KernelParams(1.5)
-        plain = assemble_coupling(inner, outer, par)
-        shared = assemble_coupling(
-            inner, outer, par, operators=(assemble_operators(inner, par),
-                                          assemble_operators(outer, par)))
-        assert np.array_equal(shared.P, plain.P)
-        assert np.array_equal(shared.M_block, plain.M_block)
 
     @pytest.mark.parametrize("a", [1.0, 3.0])
     def test_cross_blocks_are_signed_block_transposes(self, a):
@@ -322,12 +373,15 @@ class TestFastPathOracle:
 
     @pytest.mark.parametrize("geometry, a", [("circle", 1.0), ("square", 5.0)])
     def test_operators_match_einsum_reference(self, geometry, a, monkeypatch):
-        mesh = make_circle(32) if geometry == "circle" else make_square(8)
+        def build():        # a fresh mesh per call: the reference misses
+            return make_circle(32) if geometry == "circle" else make_square(8)
+
         par = KernelParams(a)
-        fast = assemble_operators(mesh, par)
+        fast = assemble_operators(build(), par)
         monkeypatch.setattr(assembly, "_smooth_pair_tables",
                             smooth_pair_tables_reference)
-        slow = assemble_operators(mesh, par)
+        slow = assemble_operators(build(), par)
+        assert slow is not fast
         for name in ("single_layer", "double_layer", "hypersingular"):
             assert relative_error(getattr(fast, name),
                                   getattr(slow, name)) <= 1e-14, name
@@ -435,12 +489,12 @@ class TestGradedOrders:
     @pytest.mark.parametrize("name", GRADED_MESHES)
     def test_operators_match_full_order_reference(self, name, a,
                                                   monkeypatch):
-        mesh = GRADED_MESHES[name]()
         par = KernelParams(a)
-        fast = assemble_operators(mesh, par)
+        fast = assemble_operators(GRADED_MESHES[name](), par)
         monkeypatch.setattr(assembly, "_smooth_pair_tables",
                             smooth_pair_tables_reference)
-        slow = assemble_operators(mesh, par)
+        slow = assemble_operators(GRADED_MESHES[name](), par)   # a fresh mesh
+        assert slow is not fast
         for op in ("single_layer", "double_layer", "adj_double_layer",
                    "hypersingular"):
             assert relative_error(getattr(fast, op),

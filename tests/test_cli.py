@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from multitrace import cli
+from multitrace.bem2d import assembly
 from multitrace.cli import (_RUNNERS, _SWEEPS, ConfigError, main,
                             parse_config, run)
 
@@ -333,7 +334,7 @@ class TestDimensionCap:
         ["sweep", "--kind", "2d-3dom", "--n", "1000"],
     ])
     def test_accepted_up_to_the_cap(self, argv, monkeypatch):
-        monkeypatch.setattr(cli, "assemble_operators", None)   # never called
+        monkeypatch.setattr(assembly, "_assemble_operators", None)  # never called
         cfg = parse_config(argv)
         assert cfg.n_elements == int(argv[argv.index("--n") + 1])
 
@@ -357,13 +358,13 @@ class TestOperatorSetReuse:
     def test_each_distinct_set_assembled_once(self, argv, calls, tmp_path,
                                               monkeypatch):
         seen = []
-        original = cli.assemble_operators
+        original = assembly._assemble_operators
 
         def counted(mesh, params):
             seen.append(params.a)
             return original(mesh, params)
 
-        monkeypatch.setattr(cli, "assemble_operators", counted)
+        monkeypatch.setattr(assembly, "_assemble_operators", counted)
         run(parse_config(argv + ["--n", "8", "--out", str(tmp_path / "o")]))
         assert len(seen) == calls
 

@@ -8,8 +8,8 @@ import scipy.optimize
 
 from multitrace import spectra
 from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
-                              assemble_coupling, assemble_operators,
-                              make_circle, make_three_domain)
+                              assemble_coupling, make_circle,
+                              make_three_domain)
 from multitrace.spectra import (RelaxationConfig, analytic_spectrum_2dom,
                                 analytic_spectrum_3dom, cluster_report,
                                 jacobi_2d_2dom, jacobi_2d_3dom,
@@ -28,9 +28,8 @@ def minus_symmetric(eigs, tol):
 def circle_projectors():
     mesh = make_circle(48)
     par = KernelParams(1.0)
-    ops = assemble_operators(mesh, par)
-    P1 = assemble_calderon_2d(mesh, par, "interior", operators=ops)
-    P2 = assemble_calderon_2d(mesh, par, "exterior", operators=ops)
+    P1 = assemble_calderon_2d(mesh, par, "interior")
+    P2 = assemble_calderon_2d(mesh, par, "exterior")
     return P1, P2
 
 
@@ -162,9 +161,8 @@ class TestDiscretePencils:
         for n in (16, 32, 64):
             mesh = make_circle(n)
             par = KernelParams(1.0)
-            ops = assemble_operators(mesh, par)
-            P1 = assemble_calderon_2d(mesh, par, "interior", operators=ops)
-            P2 = assemble_calderon_2d(mesh, par, "exterior", operators=ops)
+            P1 = assemble_calderon_2d(mesh, par, "interior")
+            P2 = assemble_calderon_2d(mesh, par, "exterior")
             cfg = RelaxationConfig((0.1, 0.1))
             A, B = jacobi_2d_2dom(P1, P2, cfg)
             res = pencil_spectrum(A, B, cfg.sigmas, eps=0.05)
