@@ -25,8 +25,8 @@ class BoundedGeometry:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not self.a > 0:
-            raise ValueError(f"a must be positive, got {self.a}")
+        if not 0 < self.a < np.inf:
+            raise ValueError(f"a must be finite and positive, got {self.a}")
 
 
 @dataclass(frozen=True)

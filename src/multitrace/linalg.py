@@ -1,19 +1,20 @@
 """Dense linear algebra substrate.
 
-Thin, contract-enforcing wrappers around LAPACK (through scipy) for the
-small-to-medium dense problems that arise when discretized multitrace
-operators are solved or their spectra computed.  Real input stays in
-real arithmetic (eigenvalues of real matrices then come in exact
-conjugate pairs); complex input, as from complex relaxation parameters,
-takes the complex LAPACK path.  Every function is pure (inputs are never
-mutated), so concurrent use is safe.
+Thin, contract-enforcing wrappers around LAPACK for the small-to-medium
+dense problems of discretized multitrace operators.  The drivers are
+called directly, in the precision scipy picks for the same arrays, so
+results equal scipy's bit for bit without its per-call wrapper cost.
+Real input stays in real arithmetic (eigenvalues of real matrices then
+come in exact conjugate pairs); complex input, as from complex
+relaxation parameters, takes the complex LAPACK path.  Every function is
+pure (inputs are never mutated), so concurrent use is safe.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 
 # Dense eigendecompositions beyond this size are out of scope; every
@@ -48,8 +49,8 @@ class EigenResult:
 
 def _as_square(A, name="A"):
     A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ValueError(f"{name} must be square and non-empty, got {A.shape}")
     if A.shape[0] > DIMENSION_CAP:
         raise ValueError(
             f"{name} has dimension {A.shape[0]} beyond the cap {DIMENSION_CAP}"
@@ -59,16 +60,20 @@ def _as_square(A, name="A"):
     return A.astype(np.result_type(A, float), copy=False)
 
 
-def _lu_checked(A, name):
-    """Pivoted LU factors of ``A``, rejected when the smallest pivot is
-    at noise level."""
-    # singularity is reported below with its pivot; scipy's own advisory
-    # warning would only duplicate it
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A)
+def _lapack(name, arrays, *args, **kwargs):
+    driver, = get_lapack_funcs((name,), arrays)
+    *out, info = driver(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {driver.__name__} info = {info}")
+    return out
+
+
+def _solve_checked(A, B, name):
+    """``A^-1 B`` by pivoted LU, rejected at a noise-level pivot of ``A``."""
+    # getrf's info > 0 is an exactly zero pivot: the test below rejects it
+    lu, piv, _ = get_lapack_funcs(("getrf",), (A,))[0](A)
     diag = np.abs(np.diag(lu))
-    scale = diag.max() if diag.size else 0.0
+    scale = diag.max()
     tol = lu.shape[0] * np.finfo(float).eps * scale
     if scale == 0.0 or diag.min() <= tol:
         raise SingularMatrixError(
@@ -76,7 +81,20 @@ def _lu_checked(A, name):
             f"(smallest pivot magnitude {diag.min():.3e})",
             pivot_magnitude=float(diag.min()),
         )
-    return lu, piv
+    X, = _lapack("getrs", (lu, B), lu, piv, B)
+    return X
+
+
+def _eig(C, compute_vectors, A, B=None):
+    """Eigenvalues (and vectors) of ``C``, the pencil ``(A, B)`` reduced;
+    real ``geev`` returns the eigenvalues as real and imaginary parts."""
+    if compute_vectors:
+        w, v = scipy.linalg.eig(C, right=True)
+        return EigenResult(w, v, _residual(A, w, v, B))
+    lwork, = _lapack("geev_lwork", (C,), len(C), compute_vl=0, compute_vr=0)
+    *w, _, _ = _lapack("geev", (C,), C, compute_vl=0, compute_vr=0,
+                       lwork=int(lwork.real))
+    return EigenResult(w[0] if len(w) == 1 else w[0] + 1j * w[1], None, 0.0)
 
 
 def solve_dense(A, B):
@@ -93,7 +111,9 @@ def solve_dense(A, B):
         B = B[:, None]
     if B.shape[0] != A.shape[0]:
         raise ValueError(f"rhs rows {B.shape[0]} != matrix dimension {A.shape[0]}")
-    X = scipy.linalg.lu_solve(_lu_checked(A, "A"), B)
+    if not np.all(np.isfinite(B)):
+        raise ValueError("B contains non-finite entries")
+    X = _solve_checked(A, B, "A")
     return X[:, 0] if vector_rhs else X
 
 
@@ -104,12 +124,7 @@ def eig_dense(A, compute_vectors=False):
     real input, whose eigenvalues then come out in exact conjugate pairs.
     """
     A = _as_square(A)
-    if compute_vectors:
-        w, v = scipy.linalg.eig(A, right=True)
-        res = _residual(A, w, v)
-        return EigenResult(w, v, res)
-    w = scipy.linalg.eigvals(A)
-    return EigenResult(w, None, 0.0)
+    return _eig(A, compute_vectors, A)
 
 
 def eig_generalized(A, B, compute_vectors=False):
@@ -126,13 +141,8 @@ def eig_generalized(A, B, compute_vectors=False):
     B = _as_square(B, "B")
     if A.shape != B.shape:
         raise ValueError(f"pencil shapes differ: {A.shape} vs {B.shape}")
-    C = scipy.linalg.lu_solve(_lu_checked(B, "B"), A)
-    if compute_vectors:
-        w, v = scipy.linalg.eig(C, right=True)
-        res = _residual(A, w, v, B)
-        return EigenResult(w, v, res)
-    w = scipy.linalg.eigvals(C)
-    return EigenResult(w, None, 0.0)
+    C = _as_square(_solve_checked(B, A, "B"), "B^-1 A")
+    return _eig(C, compute_vectors, A, B)
 
 
 def _residual(A, w, v, B=None):

@@ -22,6 +22,7 @@ and the one to the left stores ``(u(x0-), +u'(x0-))``.  Jump data
 """
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -77,10 +78,25 @@ class JacobiOperator1D:
     rhs_tilde: np.ndarray
     sigmas: tuple
 
+    @cached_property
+    def fixed_point(self):
+        """See :func:`jacobi_fixed_point`."""
+        J, F = self.matrix, self.rhs_tilde
+        if any(self.sigmas):
+            U = solve_dense(np.eye(len(F)) - J, F)
+        else:
+            U, term = np.zeros(len(F), dtype=complex), F
+            for _ in range(len(F)):
+                U, term = U + term, J @ term
+                if not np.any(term):
+                    break
+        U.flags.writeable = False
+        return U
+
 
 def _check_a(a):
-    if not (np.isreal(a) and a > 0):
-        raise ValueError(f"material constant a must be positive, got {a}")
+    if not (np.isreal(a) and 0 < a < np.inf):
+        raise ValueError(f"material constant a must be finite and > 0, got {a}")
     return float(a)
 
 
@@ -225,6 +241,13 @@ def assemble_mtf(projectors, sigmas, data):
     return MtfSystem(M, line.S * line.data, line.sigmas)
 
 
+@lru_cache
+def _block_layout(n):
+    idx = np.arange(n)  # trace t is in 2x2 block t // 2, swapped with t ^ 2
+    return ((idx[:, None] // 2 == idx // 2).astype(float), idx ^ 2,
+            np.tile(X2.diagonal(), n // 2))
+
+
 def jacobi_operator(projectors, sigmas, data):
     """Block Jacobi operator of :func:`assemble_mtf`, per 2x2 trace block.
 
@@ -233,19 +256,16 @@ def jacobi_operator(projectors, sigmas, data):
     ``F = (S Id + D) d / (1+S)``.  Because each block ``D`` is a projector
     and ``D (P - D) = 0``, this holds at ``sigma = 0`` too (no division
     by ``s``), where ``J`` is nilpotent of order ``2 (k - 1)`` for ``k``
-    subdomains.
+    subdomains.  The returned arrays are read-only.
     """
     line = _line(projectors, sigmas, data)
-    n = len(line.S)
-    blocks = np.arange(n // 2)
-    J = line.P.astype(complex)
-    J4 = J.reshape(n // 2, 2, n // 2, 2)
-    Q = J4[blocks, :, blocks, :]        # a copy of the 2x2 blocks D
-    Q[:, [0, 1], [0, 1]] += line.S.reshape(-1, 2)
-    J4[blocks, :, blocks, :] = 0.0
-    J4[blocks, :, blocks ^ 1, :] = Q * X2.diagonal()
+    same_block, swap, sign = _block_layout(len(line.S))
+    D = line.P * same_block
+    Q = D + np.diag(line.S)
+    J = (line.P - D) + Q[:, swap] * sign
     J /= (1 + line.S)[:, None]
-    F = (Q @ line.data.reshape(-1, 2, 1)).ravel() / (1 + line.S)
+    F = Q @ line.data / (1 + line.S)
+    J.flags.writeable = F.flags.writeable = False
     return JacobiOperator1D(J, F, line.sigmas)
 
 
@@ -287,24 +307,14 @@ def jacobi_operator_3dom(a, sigma0, sigma1, sigma2, jump_left, jump_right,
 
 
 def jacobi_fixed_point(op):
-    """Exact fixed point of ``U = J U + F``.
+    """Exact fixed point of ``U = J U + F``, as a read-only array.
 
     Solved directly when ``Id - J`` is safely invertible; in the
     vanishing-relaxation case the nilpotent iteration is summed to
-    completion instead (``sum_k J^k F`` terminates exactly).
+    completion instead (``sum_k J^k F`` terminates exactly).  Either
+    runs once per operator, whose arrays are read-only.
     """
-    J, F = op.matrix, op.rhs_tilde
-    n = J.shape[0]
-    if all(s == 0 for s in op.sigmas):
-        U = np.zeros(n, dtype=complex)
-        term = F.copy()
-        for _ in range(n):
-            U = U + term
-            term = J @ term
-            if np.max(np.abs(term)) == 0.0:
-                break
-        return U
-    return solve_dense(np.eye(n) - J, F)
+    return op.fixed_point
 
 
 @dataclass(frozen=True)

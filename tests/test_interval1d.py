@@ -28,6 +28,11 @@ class TestGeometry:
         with pytest.raises(ValueError):
             BoundedGeometry(0.5, -1.0)
 
+    @pytest.mark.parametrize("a", [np.inf, -np.inf, np.nan])
+    def test_non_finite_a_rejected(self, a):
+        with pytest.raises(ValueError, match="a must be finite"):
+            BoundedGeometry(0.5, a)
+
 
 class TestTransmissionSolve:
     def test_zero_jumps(self):

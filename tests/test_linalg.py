@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from multitrace import linalg
 from multitrace.linalg import (DIMENSION_CAP, SingularMatrixError, eig_dense,
                                eig_generalized, solve_dense)
 from helpers import match_multisets
@@ -138,6 +141,50 @@ def test_complex_input_takes_the_complex_lapack_path():
                                       scipy.linalg.eigvals(M))
 
 
+def test_lapack_drivers_match_scipy_bitwise():
+    # the drivers are called in the precision scipy picks for the same
+    # arrays, so mixed real/complex input gives scipy's result exactly
+    rng = np.random.default_rng(14)
+    A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    B = np.eye(7) + 0.2 * rng.standard_normal((7, 7))
+    A256 = rng.standard_normal((256, 256))
+    B256 = np.eye(256) + 0.05 * rng.standard_normal((256, 256))
+    for A_, B_ in ((A, B), (A256, B256)):
+        reduced = scipy.linalg.lu_solve(scipy.linalg.lu_factor(B_), A_)
+        np.testing.assert_array_equal(eig_generalized(A_, B_).eigenvalues,
+                                      scipy.linalg.eigvals(reduced))
+    b = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    np.testing.assert_array_equal(
+        solve_dense(B, b), scipy.linalg.lu_solve(scipy.linalg.lu_factor(B), b))
+
+
+def test_exactly_singular_matrix_reports_zero_pivot_silently():
+    # getrf meets an exactly zero pivot (info > 0) and emits no warning
+    A = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError) as err:
+            solve_dense(A, np.ones(2))
+    assert err.value.pivot_magnitude == 0.0
+
+
+def test_lapack_failure_raises(monkeypatch):
+    lookup = linalg.get_lapack_funcs
+
+    def failing_geev(names, arrays):
+        if names != ("geev",):
+            return lookup(names, arrays)
+        geev, = lookup(names, arrays)
+        return (lambda *args, **kwargs: (*geev(*args, **kwargs)[:-1], 1),)
+
+    monkeypatch.setattr(linalg, "get_lapack_funcs", failing_geev)
+    A = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
+        eig_dense(A)
+    with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
+        eig_generalized(A, np.eye(3))
+
+
 def test_eig_generalized_rejects_singular_mass():
     A = np.eye(3)
     B = np.diag([1.0, 1.0, 0.0])
@@ -153,6 +200,11 @@ def test_eig_generalized_pencil_residual():
     assert res.residual_norm < 1e-8 * np.linalg.norm(A, 2)
 
 
+def test_empty_matrix_rejected():
+    with pytest.raises(ValueError, match="non-empty"):
+        eig_dense(np.zeros((0, 0)))
+
+
 def test_dimension_cap_enforced():
     with pytest.raises(ValueError, match="cap"):
         eig_dense(np.zeros((DIMENSION_CAP + 1, DIMENSION_CAP + 1)))
@@ -162,3 +214,5 @@ def test_nonfinite_rejected():
     A = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError, match="finite"):
         solve_dense(A, np.ones(2))
+    with pytest.raises(ValueError, match="B contains non-finite"):
+        solve_dense(np.eye(2), np.array([1.0, np.inf]))

@@ -45,6 +45,14 @@ class TestGreen:
         with pytest.raises(ValueError):
             green_1d(0.0, 1.0)
 
+    @pytest.mark.parametrize("a", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_a(self, a):
+        for build in (lambda: green_1d(a, 1.0), lambda: calderon_halfline(a),
+                      lambda: calderon_middle_3dom(a),
+                      lambda: jacobi_operator_2dom(a, 0.1, 0.2, JumpData(1, 0))):
+            with pytest.raises(ValueError, match="material constant a"):
+                build()
+
 
 class TestRepresentation:
     def test_pure_neumann_jump(self):
@@ -235,6 +243,32 @@ class TestBlockJacobiRun:
         star = jacobi_fixed_point(jacobi_operator_2dom(a, s1, s2, jump))
         sys2 = assemble_mtf_2dom(a, s1, s2, jump)
         assert sys2.residual(star) < 1e-12
+
+
+class TestFixedPointOnce:
+    """Each operator solves its fixed point once (the nilpotent sum at
+    sigma = 0 included) and is read-only, so the cached value holds."""
+
+    @pytest.mark.parametrize("sigmas, solves", [
+        ((0.4, -0.2), 1), ((0.3, 1.1, -0.6), 1), ((0.0, 0.0), 0),
+        ((0.0, 0.0, 0.0), 0)])
+    def test_solved_once(self, monkeypatch, sigmas, solves):
+        calls = []
+        solve = line1d.solve_dense
+        monkeypatch.setattr(line1d, "solve_dense",
+                            lambda *args: calls.append(1) or solve(*args))
+        jumps = JumpData(0.3, -1.1), JumpData(0.8, 0.5)
+        if len(sigmas) == 2:
+            op = jacobi_operator_2dom(1.3, *sigmas, jumps[0])
+        else:
+            op = jacobi_operator_3dom(1.3, *sigmas, *jumps)
+        hist = block_jacobi_run(op, np.ones(op.matrix.shape[0]), 4)
+        assert jacobi_fixed_point(op) is hist.fixed_point
+        assert jacobi_fixed_point(op) is hist.fixed_point
+        assert len(calls) == solves
+        for array in (op.matrix, op.rhs_tilde, hist.fixed_point):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
 
 class TestMiddleSubdomain:
