@@ -33,9 +33,8 @@ print("  |R12 R21| =", f"{np.linalg.norm(Q12 @ Q21, 2):.2e}",
       "  |R21 R12| =", f"{np.linalg.norm(Q21 @ Q12, 2):.2e}")
 
 for sig in ((0.25, 0.25, 0.25), (-0.4, 1.0, 0.25)):
-    cfg = spectra.RelaxationConfig(sig)
-    A, B = spectra.jacobi_2d_3dom(P1, P2, coupling, cfg)
-    res = spectra.pencil_spectrum(A, B, cfg.sigmas, eps=0.1)
+    A, B = spectra.jacobi_2d_3dom(P1, P2, coupling, sig)
+    res = spectra.pencil_spectrum(A, B, sig, eps=0.1)
     pts = np.unique(np.round(res.theoretical_points, 5))
     print(f"\nsigma = {sig}:")
     print("  predicted accumulation points:", pts)

@@ -26,7 +26,7 @@ for x in (-1.5, -0.5, 0.5, 1.5):
 print("  decay: u(8) =", f"{u(8.0):.2e}")
 
 print("\n== Calderon projector of a half line ==")
-P = line1d.calderon_halfline(a).matrix
+P = line1d.calderon_halfline(a)
 print(P)
 print("  P^2 - P max:", np.max(np.abs(P @ P - P)))
 

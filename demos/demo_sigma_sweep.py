@@ -31,7 +31,7 @@ P2 = assemble_calderon_2d(mesh, par, "exterior")
 
 
 def discrete(s):
-    A, B = spectra.jacobi_2d_2dom(P1, P2, spectra.RelaxationConfig((s, s)))
+    A, B = spectra.jacobi_2d_2dom(P1, P2, (s, s))
     return spectra.pencil_spectrum(A, B, (s, s)).eigenvalues
 
 

@@ -48,9 +48,8 @@ for name, c_in, c_ex in (
             assemble_calderon_2d(m, par, "interior"),
             assemble_calderon_2d(m, par, "exterior")))(make_square(max(n // 4, 1)))),
 ):
-    cfg = spectra.RelaxationConfig((0.1, 0.1))
-    A, B = spectra.jacobi_2d_2dom(c_in, c_ex, cfg)
-    res = spectra.pencil_spectrum(A, B, cfg.sigmas, eps=0.05)
+    A, B = spectra.jacobi_2d_2dom(c_in, c_ex, (0.1, 0.1))
+    res = spectra.pencil_spectrum(A, B, (0.1, 0.1), eps=0.05)
     inside = 1.0 - res.remainder_fraction
     print(f"  {name}: spectral radius {res.spectral_radius:.4f}, "
           f"{inside:.1%} of eigenvalues within 0.05 of +-0.301511")

@@ -16,11 +16,11 @@ jl = line1d.JumpData(1.0, 0.5)
 jr = line1d.JumpData(-0.3, 2.0)
 
 print("== middle-interval projector (interfaces at -1 and 1) ==")
-P0 = line1d.calderon_middle_3dom(a).matrix
+P0 = line1d.calderon_middle_3dom(a)
 print(np.round(P0, 4))
 print("  P0^2 - P0 max:", np.max(np.abs(P0 @ P0 - P0)))
 R = line1d.middle_coupling_matrix(a)
-P = line1d.calderon_halfline(a).matrix
+P = line1d.calderon_halfline(a)
 print("  coupling identities: PR =", np.max(np.abs(P @ R)),
       " RP-R =", np.max(np.abs(R @ P - R)), " R^2 =", np.max(np.abs(R @ R)))
 

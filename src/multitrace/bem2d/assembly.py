@@ -47,6 +47,7 @@ equal set, which is harmless.
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -69,8 +70,7 @@ class KernelParams:
     quad_order: int = 8
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"a must be positive, got {self.a}")
+        _check_a(self.a)
         if self.quad_order < 2:
             raise ValueError("quad_order must be at least 2")
 
@@ -496,7 +496,8 @@ class CouplingSet:
     """Blocks of the middle-subdomain projector on two disjoint curves.
 
     As a subdomain record it is ``P = [[P1~, R12], [R21, P2~]]`` over the
-    curves ``(inner, outer)``, with the matching block-diagonal mass.
+    curves ``(inner, outer)``, with the matching block-diagonal mass;
+    both are built on first use and read-only, one array for every caller.
     """
 
     R12: np.ndarray
@@ -504,15 +505,19 @@ class CouplingSet:
     P1_tilde: DiscreteCalderon
     P2_tilde: DiscreteCalderon
 
-    @property
+    @cached_property
     def P(self):
-        return np.block([[self.P1_tilde.P, self.R12],
-                         [self.R21, self.P2_tilde.P]])
+        P = np.block([[self.P1_tilde.P, self.R12],
+                      [self.R21, self.P2_tilde.P]])
+        P.flags.writeable = False
+        return P
 
-    @property
+    @cached_property
     def M_block(self):
-        return scipy.linalg.block_diag(self.P1_tilde.M_block,
-                                       self.P2_tilde.M_block)
+        M = scipy.linalg.block_diag(self.P1_tilde.M_block,
+                                    self.P2_tilde.M_block)
+        M.flags.writeable = False
+        return M
 
     @property
     def curves(self):

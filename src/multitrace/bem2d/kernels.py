@@ -21,8 +21,9 @@ TWO_PI = 2.0 * np.pi
 
 
 def _check_a(a):
-    if not a > 0:
-        raise ValueError(f"kernel parameter a must be positive, got {a}")
+    if not 0 < a < np.inf:
+        raise ValueError(f"kernel parameter a must be finite and positive, "
+                         f"got {a}")
     return float(a)
 
 

@@ -128,9 +128,9 @@ def _jsonable(obj):
 
 def _per_subdomain(cfg, name):
     """The values of the list field ``name``, one per subdomain of the
-    mode (``_COUNTS``); a single value is shared by all of them."""
+    mode (``_MODES``); a single value is shared by all of them."""
     values = list(getattr(cfg, name))
-    return values * _COUNTS[cfg.mode][name] if len(values) == 1 else values
+    return values * _MODES[cfg.mode][1][name] if len(values) == 1 else values
 
 
 def _sigma_grid(cfg):
@@ -151,16 +151,20 @@ def _gnuplot_script(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
+def _line_operator(a, sigmas, jumps):
+    """Exact Jacobi operator of the line of ``len(sigmas)`` subdomains,
+    two or three, with the jump data of its interfaces from ``jumps``."""
+    build = (line1d.jacobi_operator_2dom if len(sigmas) == 2
+             else line1d.jacobi_operator_3dom)
+    return build(a, *sigmas, *jumps[:len(sigmas) - 1])
+
+
 def _run_line(cfg, out, report):
     """Exact line operator: iteration history towards the fixed point."""
     (a,) = cfg.a
-    sigmas = _per_subdomain(cfg, "sigma")
-    count = len(sigmas)
-    jumps = (line1d.JumpData(cfg.alpha, cfg.beta),
-             line1d.JumpData(cfg.alpha2, cfg.beta2))[:count - 1]
-    build = (line1d.jacobi_operator_2dom if count == 2
-             else line1d.jacobi_operator_3dom)
-    op = build(a, *sigmas, *jumps)
+    op = _line_operator(a, _per_subdomain(cfg, "sigma"),
+                        (line1d.JumpData(cfg.alpha, cfg.beta),
+                         line1d.JumpData(cfg.alpha2, cfg.beta2)))
     hist = line1d.block_jacobi_run(op, np.zeros(op.matrix.shape[0]),
                                    cfg.steps)
     eigs = eig_dense(op.matrix).eigenvalues
@@ -242,15 +246,13 @@ def _setup_2d(cfg, a):
                 else make_square(cfg.n_elements // 4))
         P1 = assemble_calderon_2d(mesh, par[0], "interior")
         P2 = assemble_calderon_2d(mesh, par[1], "exterior")
-        return lambda sigmas: spectra.jacobi_2d_2dom(
-            P1, P2, spectra.RelaxationConfig(sigmas))
+        return lambda sigmas: spectra.jacobi_2d_2dom(P1, P2, sigmas)
     inner, outer = make_three_domain(cfg.n_elements, cfg.n_elements,
                                      cfg.radii[0], cfg.radii[1])
     P1 = assemble_calderon_2d(inner, par[1], "interior")
     P2 = assemble_calderon_2d(outer, par[2], "exterior")
     coupling = assemble_coupling(inner, outer, par[0])
-    return lambda sigmas: spectra.jacobi_2d_3dom(
-        P1, P2, coupling, spectra.RelaxationConfig(sigmas))
+    return lambda sigmas: spectra.jacobi_2d_3dom(P1, P2, coupling, sigmas)
 
 
 def _run_spectrum(cfg, out, report):
@@ -280,9 +282,9 @@ def _run_spectrum(cfg, out, report):
 
 
 def _line_sweep(cfg, a, count):
-    analytic = (spectra.analytic_spectrum_2dom if count == 2
-                else spectra.analytic_spectrum_3dom)
-    return lambda s: analytic(a, *[s] * count).eigenvalues
+    zero = (line1d.JumpData(0.0, 0.0),) * 2
+    return lambda s: eig_dense(
+        _line_operator(a, [s] * count, zero).matrix).eigenvalues
 
 
 def _bem_sweep(cfg, a, count):
@@ -326,30 +328,20 @@ def _run_sweep(cfg, out, report):
     }
 
 
-# mode -> runner(cfg, out, report) returning the results payload
-_RUNNERS = {
-    "1d-2dom": _run_line,
-    "1d-3dom": _run_line,
-    "1d-bounded": _run_bounded,
-    "schwarz-equiv": _run_schwarz,
-    "spectrum-2d": _run_spectrum,
-    "spectrum-2d-3dom": _run_spectrum,
-    "sweep": _run_sweep,
+# mode -> (runner(cfg, out, report) returning the results payload, number
+# of values each list field it reads needs); a single a or sigma is shared
+# by all subdomains, the start state needs all four (u1, du1, u2, du2)
+_MODES = {
+    "1d-2dom": (_run_line, {"a": 1, "sigma": 2}),
+    "1d-3dom": (_run_line, {"a": 1, "sigma": 3}),
+    "1d-bounded": (_run_bounded, {"a": 1}),
+    "schwarz-equiv": (_run_schwarz, {"a": 1, "start": 4}),
+    "spectrum-2d": (_run_spectrum, {"a": 2, "sigma": 2}),
+    "spectrum-2d-3dom": (_run_spectrum, {"a": 3, "sigma": 3}),
+    "sweep": (_run_sweep, {"a": 1}),
 }
-MODES = tuple(_RUNNERS)
+MODES = tuple(_MODES)
 SWEEP_KINDS = tuple(_SWEEPS)
-# mode -> number of values each list field it reads needs; a single a or
-# sigma is shared by all subdomains, the start state needs all four
-# (u1, du1, u2, du2)
-_COUNTS = {
-    "1d-2dom": {"a": 1, "sigma": 2},
-    "1d-3dom": {"a": 1, "sigma": 3},
-    "1d-bounded": {"a": 1},
-    "schwarz-equiv": {"a": 1, "start": 4},
-    "spectrum-2d": {"a": 2, "sigma": 2},
-    "spectrum-2d-3dom": {"a": 3, "sigma": 3},
-    "sweep": {"a": 1},
-}
 _SHARED = ("a", "sigma")
 
 
@@ -474,7 +466,7 @@ def _validate(cfg):
         value = getattr(cfg, name)
         if cast in _REAL_CASTS and not np.all(np.isfinite(value)):
             raise ConfigError(f"{name} must be finite, got {value}")
-    for name, count in _COUNTS[cfg.mode].items():
+    for name, count in _MODES[cfg.mode][1].items():
         given = len(getattr(cfg, name))
         if given != count and not (given == 1 and name in _SHARED):
             raise ConfigError(f"{name} needs {count} value(s) in mode "
@@ -521,7 +513,7 @@ def run(cfg):
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     report = RunReport(run_id=cfg.run_id(), config=_jsonable(asdict(cfg)))
-    report.results = _timed(report, "total_s", _RUNNERS[cfg.mode],
+    report.results = _timed(report, "total_s", _MODES[cfg.mode][0],
                             cfg, out, report)
     with open(out / "run_report.json", "w") as fh:
         json.dump(_jsonable(asdict(report)), fh, indent=2)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .line1d import block_jacobi_run, jacobi_operator
+from .line1d import _check_a, block_jacobi_run, jacobi_operator
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,7 @@ class BoundedGeometry:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not 0 < self.a < np.inf:
-            raise ValueError(f"a must be finite and positive, got {self.a}")
+        _check_a(self.a)
 
 
 @dataclass(frozen=True)
@@ -81,19 +80,24 @@ def transmission_solve_bounded(geom, jump):
     """
     a, gamma = geom.a, geom.gamma
     p, q = a * gamma, a * (1.0 - gamma)
-    D = a * (np.cosh(q) * np.sinh(p) + np.sinh(q) * np.cosh(p))
-    c1 = (-a * np.cosh(q) * jump.alpha + np.sinh(q) * jump.beta) / D
-    c2 = (a * np.cosh(p) * jump.alpha + np.sinh(p) * jump.beta) / D
+    w = p + q
+    c1 = (-jump.alpha * _ch_ch_over_sh(0.0, q, w)
+          + jump.beta * _sh_ch_over_sh(q, 0.0, w) / a)
+    c2 = (jump.alpha * _ch_ch_over_sh(0.0, p, w)
+          + jump.beta * _sh_ch_over_sh(p, 0.0, w) / a)
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         if np.any((x < 0) | (x > 1)):
             raise ValueError("evaluation outside [0, 1]")
-        left = (-jump.alpha * _sh_ch_over_sh(a * x, q, p + q)
-                + jump.beta * _sh_sh_over_sh(a * x, q, p + q) / a)
-        right = (jump.alpha * _sh_ch_over_sh(a * (1.0 - x), p, p + q)
-                 + jump.beta * _sh_sh_over_sh(a * (1.0 - x), p, p + q) / a)
-        return np.where(x < gamma, left, right)
+        u = np.empty_like(x)
+        left = x < gamma            # off its side a branch overflows
+        xl, xr = a * x[left], a * (1.0 - x[~left])
+        u[left] = (-jump.alpha * _sh_ch_over_sh(xl, q, w)
+                   + jump.beta * _sh_sh_over_sh(xl, q, w) / a)
+        u[~left] = (jump.alpha * _sh_ch_over_sh(xr, p, w)
+                    + jump.beta * _sh_sh_over_sh(xr, p, w) / a)
+        return u
 
     return c1, c2, evaluate
 

@@ -6,12 +6,16 @@ without any discretization:
 
 * representation formulas from prescribed Dirichlet/Neumann jumps,
 * the 2x2 Calderon projectors of the two half lines and the 4x4
-  projector of a middle interval,
+  projector of a middle interval, as plain arrays,
 * the multitrace system of a line of subdomains listed left to right,
   coupling per-subdomain trace pairs with relaxation parameters
   (:func:`assemble_mtf`), and its block Jacobi iteration operator
   (:func:`jacobi_operator`); the two- and three-subdomain functions are
   adapters to these two.
+
+Relaxation parameters are checked in one place, :func:`_check_sigmas`,
+which every engine of the package calls: -1 makes a diagonal block
+singular.
 
 Trace convention: each subdomain carries the pair
 ``(u, outward normal derivative)`` on its interface side, so the
@@ -45,14 +49,6 @@ class JumpData:
         if not (np.isfinite(self.alpha) and np.isfinite(self.beta)
                 and np.isfinite(self.location)):
             raise ValueError("jump data must be finite")
-
-
-@dataclass(frozen=True)
-class CalderonProjector1D:
-    """A matrix P with P^2 = P mapping trace data to solution traces."""
-
-    matrix: np.ndarray
-    a: float
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,7 @@ def calderon_halfline(a):
     """
     a = _check_a(a)
     A = np.array([[0.0, 1.0 / a], [a, 0.0]])
-    return CalderonProjector1D((np.eye(2) + A) / 2.0, a)
+    return (np.eye(2) + A) / 2.0
 
 
 def middle_coupling_matrix(a):
@@ -170,9 +166,9 @@ def calderon_middle_3dom(a, interfaces=(-1.0, 1.0)):
         raise ValueError("interfaces must satisfy x_left < x_right")
     g = green_1d(a, xr - xl)
     P0 = np.empty((4, 4))
-    P0[:2, :2] = P0[2:, 2:] = calderon_halfline(a).matrix
+    P0[:2, :2] = P0[2:, 2:] = calderon_halfline(a)
     P0[:2, 2:] = P0[2:, :2] = 2.0 * a * g * middle_coupling_matrix(a)
-    return CalderonProjector1D(P0, a)
+    return P0
 
 
 class _Line(NamedTuple):
@@ -271,13 +267,13 @@ def jacobi_operator(projectors, sigmas, data):
 
 def assemble_mtf_2dom(a, sigma1, sigma2, jump):
     """:func:`assemble_mtf` of the two half lines meeting at ``jump``."""
-    P = calderon_halfline(a).matrix
+    P = calderon_halfline(a)
     return assemble_mtf([P, P], (sigma1, sigma2), [(jump.alpha, jump.beta)])
 
 
 def jacobi_operator_2dom(a, sigma1, sigma2, jump):
     """:func:`jacobi_operator` of the two half lines meeting at ``jump``."""
-    P = calderon_halfline(a).matrix
+    P = calderon_halfline(a)
     return jacobi_operator([P, P], (sigma1, sigma2), [(jump.alpha, jump.beta)])
 
 
@@ -285,8 +281,8 @@ def _line_3dom(a, sigma0, sigma1, sigma2, jump_left, jump_right, interfaces):
     """Left-to-right line arguments of a middle interval ``0`` between
     half lines ``1`` and ``2``; the right jump is oriented
     middle-minus-right, so its ``alpha`` flips sign."""
-    P = calderon_halfline(a).matrix
-    middle = calderon_middle_3dom(a, interfaces).matrix
+    P = calderon_halfline(a)
+    middle = calderon_middle_3dom(a, interfaces)
     return ([P, middle, P], (sigma1, sigma0, sigma2),
             [(jump_left.alpha, jump_left.beta),
              (-jump_right.alpha, jump_right.beta)])

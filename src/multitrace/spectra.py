@@ -13,7 +13,8 @@ with every curve between the two colours.  :func:`jacobi_pencil`
 therefore returns the half-size red pencil of the squared operator,
 from one factorization of the black diagonal blocks (mass matrices are
 never inverted), for any list of subdomain records (a
-``DiscreteCalderon`` on one curve, a ``CouplingSet`` on the annulus);
+``DiscreteCalderon`` on one curve, a ``CouplingSet`` on the annulus)
+and a tuple of relaxation parameters, one per record;
 :func:`pencil_spectrum` takes ``+-sqrt`` of its eigenvalues.
 ``jacobi_2d_2dom`` and ``jacobi_2d_3dom`` are its two- and
 three-subdomain forms.
@@ -25,20 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from . import line1d
-from .linalg import eig_dense, eig_generalized, solve_dense
-
-
-@dataclass(frozen=True)
-class RelaxationConfig:
-    """Relaxation parameters, one per subdomain; -1 is excluded."""
-
-    sigmas: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigmas",
-                           tuple(complex(s) for s in self.sigmas))
-        if any(s == -1 for s in self.sigmas):
-            raise ValueError("relaxation parameter -1 is not invertible")
+from .linalg import eig_generalized, solve_dense
 
 
 def theoretical_points(sigmas):
@@ -56,18 +44,9 @@ def spectral_radius_formula(sigma):
     return float(np.sqrt(abs(s / (1.0 + s))))
 
 
-@dataclass(frozen=True)
-class ClusterReport:
-    """Fraction of eigenvalues within ``eps`` of each theoretical point."""
-
-    points: np.ndarray
-    fractions: np.ndarray
-    remainder: float
-    eps: float
-
-
 def cluster_report(eigenvalues, points, eps):
-    """Per-point cluster fractions plus the fraction matching no point."""
+    """Fraction of eigenvalues within ``eps`` of each point, and the
+    fraction within ``eps`` of none, as ``(fractions, remainder)``."""
     if eps < 0:
         raise ValueError("cluster radius must be nonnegative")
     eigenvalues = np.asarray(eigenvalues, dtype=complex)
@@ -79,7 +58,7 @@ def cluster_report(eigenvalues, points, eps):
     inside = dist <= eps
     fractions = inside.sum(axis=0) / n
     remainder = float(np.count_nonzero(~inside.any(axis=1))) / n
-    return ClusterReport(points, fractions, remainder, eps)
+    return fractions, remainder
 
 
 @dataclass(frozen=True)
@@ -89,23 +68,15 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     spectral_radius: float
     theoretical_points: np.ndarray
-    clusters: ClusterReport
-
-    @property
-    def cluster_fractions(self):
-        return self.clusters.fractions
-
-    @property
-    def remainder_fraction(self):
-        return self.clusters.remainder
+    cluster_fractions: np.ndarray
+    remainder_fraction: float
 
 
 def summarize_spectrum(eigenvalues, sigmas, eps=0.05):
     eigenvalues = np.asarray(eigenvalues, dtype=complex)
     pts = theoretical_points(sigmas)
-    rep = cluster_report(eigenvalues, pts, eps)
     return SpectrumResult(eigenvalues, float(np.max(np.abs(eigenvalues))),
-                          pts, rep)
+                          pts, *cluster_report(eigenvalues, pts, eps))
 
 
 def _two_colouring(n_subdomains, sides):
@@ -157,18 +128,19 @@ def jacobi_pencil(subdomains, sigmas):
     matrices are real when every relaxation parameter is.
     """
     sigmas = [s.real if s.imag == 0 else s
-              for s in RelaxationConfig(sigmas).sigmas]
+              for s in line1d._check_sigmas(sigmas)]
     if len(sigmas) != len(subdomains):
         raise ValueError(f"{len(subdomains)} subdomains need as many "
                          f"relaxation parameters, got {len(sigmas)}")
+    P = [sd.P for sd in subdomains]
     sides = {}              # curve id -> [(subdomain, local column, nodes)]
     for j, sd in enumerate(subdomains):
         local = 0
         for curve in sd.curves:
             sides.setdefault(id(curve), []).append((j, local, curve.n_nodes))
             local += 2 * curve.n_nodes
-        if local != sd.P.shape[0]:
-            raise ValueError(f"subdomain {j}: P has {sd.P.shape[0]} rows "
+        if local != P[j].shape[0]:
+            raise ValueError(f"subdomain {j}: P has {P[j].shape[0]} rows "
                              f"but its curves carry {local} traces")
     for curve_sides in sides.values():
         if len(curve_sides) != 2:
@@ -177,17 +149,18 @@ def jacobi_pencil(subdomains, sigmas):
     colour = _two_colouring(len(subdomains), sides)
 
     rows, ends = [], [0, 0]         # unknowns of each subdomain in its half
-    for sd, c in zip(subdomains, colour):
-        rows.append(slice(ends[c], ends[c] + sd.P.shape[0]))
-        ends[c] += sd.P.shape[0]
+    for P_j, c in zip(P, colour):
+        rows.append(slice(ends[c], ends[c] + P_j.shape[0]))
+        ends[c] += P_j.shape[0]
     diagonal, exchange = [], []
-    for sd, s in zip(subdomains, sigmas):
+    for sd, P_j, s in zip(subdomains, P, sigmas):
+        M = sd.M_block
         if s == 0:
-            exchange.append(sd.P)
-            diagonal.append(sd.M_block)
+            exchange.append(P_j)
+            diagonal.append(M)
         else:
-            exchange.append(s * sd.M_block)
-            diagonal.append((1 + s) * sd.M_block - sd.P)
+            exchange.append(s * M)
+            diagonal.append((1 + s) * M - P_j)
     # coupling[c]: rows of colour c, columns of the other colour
     coupling = [np.zeros((ends[c], ends[1 - c]), np.result_type(*exchange))
                 for c in (0, 1)]
@@ -207,17 +180,17 @@ def jacobi_pencil(subdomains, sigmas):
     return A_RK @ A_KR, B_R
 
 
-def jacobi_2d_2dom(P1, P2, cfg):
+def jacobi_2d_2dom(P1, P2, sigmas):
     """Two subdomains sharing one curve: :func:`jacobi_pencil` of
-    ``(P1, P2)`` with ``cfg.sigmas = (s1, s2)``."""
-    return jacobi_pencil((P1, P2), cfg.sigmas)
+    ``(P1, P2)`` with ``sigmas = (s1, s2)``."""
+    return jacobi_pencil((P1, P2), sigmas)
 
 
-def jacobi_2d_3dom(P1, P2, coupling, cfg):
+def jacobi_2d_3dom(P1, P2, coupling, sigmas):
     """Annulus between two curves: :func:`jacobi_pencil` of the subdomain
-    order ``(inner, middle, outer)``; ``cfg.sigmas = (s0, s1, s2)`` lists
-    the middle subdomain first, so the unknowns are ``(U1, U01, U02, U2)``."""
-    s0, s1, s2 = cfg.sigmas
+    order ``(inner, middle, outer)``; ``sigmas = (s0, s1, s2)`` lists the
+    middle subdomain first, so the unknowns are ``(U1, U01, U02, U2)``."""
+    s0, s1, s2 = sigmas
     return jacobi_pencil((P1, coupling, P2), (s1, s0, s2))
 
 
@@ -226,22 +199,6 @@ def pencil_spectrum(A, B, sigmas, eps=0.05):
     red pencil of :func:`jacobi_pencil`, with cluster diagnostics."""
     roots = np.sqrt(eig_generalized(A, B).eigenvalues.astype(complex))
     return summarize_spectrum(np.concatenate([roots, -roots]), sigmas, eps)
-
-
-def analytic_spectrum_2dom(a, sigma1, sigma2, eps=0.05):
-    """Spectrum of the exact 4x4 line operator (zero jump data)."""
-    op = line1d.jacobi_operator_2dom(a, sigma1, sigma2,
-                                     line1d.JumpData(0.0, 0.0))
-    eigs = eig_dense(op.matrix).eigenvalues
-    return summarize_spectrum(eigs, (sigma1, sigma2), eps)
-
-
-def analytic_spectrum_3dom(a, sigma0, sigma1, sigma2, eps=0.05):
-    """Spectrum of the exact 8x8 line operator (zero jump data)."""
-    zero = line1d.JumpData(0.0, 0.0)
-    op = line1d.jacobi_operator_3dom(a, sigma0, sigma1, sigma2, zero, zero)
-    eigs = eig_dense(op.matrix).eigenvalues
-    return summarize_spectrum(eigs, (sigma0, sigma1, sigma2), eps)
 
 
 @dataclass(frozen=True)
@@ -259,20 +216,20 @@ def sigma_sweep(builder, sigma_grid, eps=0.05):
     """Spectral radius versus relaxation parameter.
 
     ``builder(sigma)`` must return the eigenvalue array of the Jacobi
-    operator with all relaxation parameters set to ``sigma``.  Grid
-    points are independent (order of evaluation is irrelevant); rows
-    come back ordered by the grid.  Near ``sigma = 0`` discretized
+    operator with all relaxation parameters set to ``sigma``; a grid
+    holding -1 raises before any point is built.  Grid points are
+    independent (order of evaluation is irrelevant); rows come back
+    ordered by the grid.  Near ``sigma = 0`` discretized
     operators overshoot the analytic radius; the per-row remainder
     fraction quantifies that contamination and no smoothing is applied.
     """
+    line1d._check_sigmas(sigma_grid)
     rows = []
     for s in sigma_grid:
-        if complex(s) == -1:
-            raise ValueError("sigma grid must avoid -1")
         eigs = np.asarray(builder(s), dtype=complex)
-        rep = cluster_report(eigs, theoretical_points([s]), eps)
         rows.append(SweepRow(complex(s), float(np.max(np.abs(eigs))),
-                             len(eigs), rep.fractions, rep.remainder))
+                             len(eigs), *cluster_report(
+                                 eigs, theoretical_points([s]), eps)))
     return rows
 
 

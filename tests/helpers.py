@@ -7,6 +7,10 @@ from scipy.special import i0, i1, k0, k1
 from multitrace.bem2d.kernels import (kernel_2d, kernel_gradient_dot,
                                       kernel_hessian_bilinear)
 from multitrace.bem2d.quadrature import gauss01
+from multitrace.line1d import (JumpData, jacobi_operator_2dom,
+                               jacobi_operator_3dom)
+from multitrace.linalg import eig_dense
+from multitrace.spectra import summarize_spectrum
 
 
 def match_multisets(values, reference, tol, label=""):
@@ -31,6 +35,15 @@ def match_multisets(values, reference, tol, label=""):
             f"max matched distance {worst:.3e} > {tol:.1e}"
         )
     return worst
+
+
+def line_spectrum(a, sigmas, eps=0.05):
+    """Spectrum of the exact line operator with zero jump data: two
+    subdomains ``(s1, s2)`` or three ``(s0, s1, s2)``, middle first."""
+    zero = JumpData(0.0, 0.0)
+    op = (jacobi_operator_2dom(a, *sigmas, zero) if len(sigmas) == 2
+          else jacobi_operator_3dom(a, *sigmas, zero, zero))
+    return summarize_spectrum(eig_dense(op.matrix).eigenvalues, sigmas, eps)
 
 
 def trace_flip(n):

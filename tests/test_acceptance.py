@@ -147,16 +147,16 @@ def test_criterion_06_cluster_reproduction(square_interior_a1):
     par = KernelParams(1.0)
     P1 = assemble_calderon_2d(mesh, par, "interior")
     P2 = assemble_calderon_2d(mesh, par, "exterior")
-    cfg = spectra.RelaxationConfig((0.1, 0.1))
-    A, B = spectra.jacobi_2d_2dom(P1, P2, cfg)
-    res = spectra.pencil_spectrum(A, B, cfg.sigmas, eps=0.05)
+    sigmas = (0.1, 0.1)
+    A, B = spectra.jacobi_2d_2dom(P1, P2, sigmas)
+    res = spectra.pencil_spectrum(A, B, sigmas, eps=0.05)
     t_circle = time.perf_counter() - t0
     results.append(("circle", 1.0 - res.remainder_fraction, t_circle))
     # square (shared fixture assembly counted separately)
     t0 = time.perf_counter()
     _, P1s, P2s = square_interior_a1
-    A, B = spectra.jacobi_2d_2dom(P1s, P2s, cfg)
-    res_s = spectra.pencil_spectrum(A, B, cfg.sigmas, eps=0.05)
+    A, B = spectra.jacobi_2d_2dom(P1s, P2s, sigmas)
+    res_s = spectra.pencil_spectrum(A, B, sigmas, eps=0.05)
     t_square = time.perf_counter() - t0
     results.append(("square", 1.0 - res_s.remainder_fraction, t_square))
 
@@ -171,9 +171,9 @@ def test_criterion_06_cluster_reproduction(square_interior_a1):
 
 def test_criterion_07_four_clusters(square_interior_a1):
     _, P1, P2 = square_interior_a1
-    cfg = spectra.RelaxationConfig((-0.4, 1.0))
-    A, B = spectra.jacobi_2d_2dom(P1, P2, cfg)
-    res = spectra.pencil_spectrum(A, B, cfg.sigmas, eps=0.1)
+    sigmas = (-0.4, 1.0)
+    A, B = spectra.jacobi_2d_2dom(P1, P2, sigmas)
+    res = spectra.pencil_spectrum(A, B, sigmas, eps=0.1)
     # points come in the order (+p0, -p0, +p1, -p1)
     assert abs(res.theoretical_points[0] - 0.816496580927726j) < 1e-12
     assert abs(res.theoretical_points[2] - 0.7071067811865476) < 1e-12
@@ -191,9 +191,9 @@ def test_criterion_07_four_clusters(square_interior_a1):
 def test_criterion_08_heterogeneous_a(square_interior_a1):
     mesh, P1, _ = square_interior_a1
     P2 = assemble_calderon_2d(mesh, KernelParams(5.0), "exterior")
-    cfg = spectra.RelaxationConfig((-0.4, 1.0))
-    A, B = spectra.jacobi_2d_2dom(P1, P2, cfg)
-    res = spectra.pencil_spectrum(A, B, cfg.sigmas, eps=0.1)
+    sigmas = (-0.4, 1.0)
+    A, B = spectra.jacobi_2d_2dom(P1, P2, sigmas)
+    res = spectra.pencil_spectrum(A, B, sigmas, eps=0.1)
     combined = float(res.cluster_fractions.sum())
     assert combined >= 0.60
     announce(8, f"material contrast a = (1, 5) preserves the accumulation "
@@ -207,16 +207,16 @@ def test_criterion_09_three_subdomains_2d():
     P2 = assemble_calderon_2d(outer, par, "exterior")
     coup = assemble_coupling(inner, outer, par)
 
-    cfg = spectra.RelaxationConfig((0.25, 0.25, 0.25))
-    A, B = spectra.jacobi_2d_3dom(P1, P2, coup, cfg)
-    res_eq = spectra.pencil_spectrum(A, B, cfg.sigmas, eps=0.1)
+    sigmas = (0.25, 0.25, 0.25)
+    A, B = spectra.jacobi_2d_3dom(P1, P2, coup, sigmas)
+    res_eq = spectra.pencil_spectrum(A, B, sigmas, eps=0.1)
     assert abs(abs(res_eq.theoretical_points[0]) - 0.4472135954999579) < 1e-12
     combined_eq = 1.0 - res_eq.remainder_fraction
     assert combined_eq >= 0.70
 
-    cfg2 = spectra.RelaxationConfig((-0.4, 1.0, 0.25))
-    A2, B2 = spectra.jacobi_2d_3dom(P1, P2, coup, cfg2)
-    res_d = spectra.pencil_spectrum(A2, B2, cfg2.sigmas, eps=0.1)
+    sigmas2 = (-0.4, 1.0, 0.25)
+    A2, B2 = spectra.jacobi_2d_3dom(P1, P2, coup, sigmas2)
+    res_d = spectra.pencil_spectrum(A2, B2, sigmas2, eps=0.1)
     combined_d = 1.0 - res_d.remainder_fraction
     assert combined_d >= 0.70
     # three distinct pairs all populated

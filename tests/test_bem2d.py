@@ -13,7 +13,8 @@ from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
                               cross_block, make_circle, make_square,
                               make_three_domain, mass_matrix)
 from multitrace.bem2d import assembly
-from multitrace.bem2d.kernels import kernel_2d, kernel_gradient_dot
+from multitrace.bem2d.kernels import (kernel_2d, kernel_gradient_dot,
+                                      kernel_radial_deriv)
 from helpers import (cross_block_reference, smooth_pair_tables_reference,
                      trace_flip)
 
@@ -294,6 +295,29 @@ class TestCoupling:
         inner, outer = make_three_domain(8, 8)
         with pytest.raises(ValueError, match="positive"):
             cross_block(inner, outer, 0.0)
+
+    @pytest.mark.parametrize("a", [np.inf, -np.inf, np.nan])
+    def test_non_finite_a_rejected(self, a):
+        inner, outer = make_three_domain(8, 8)
+        for build in (lambda: KernelParams(a),
+                      lambda: cross_block(inner, outer, a),
+                      lambda: kernel_2d(a, 1.0),
+                      lambda: kernel_radial_deriv(a, 1.0)):
+            with pytest.raises(ValueError,
+                               match="a must be finite and positive"):
+                build()
+
+    def test_subdomain_blocks_built_once(self):
+        inner, outer = make_three_domain(8, 12)
+        coup = assemble_coupling(inner, outer, KernelParams(1.0))
+        assert coup.P is coup.P
+        assert coup.M_block is coup.M_block
+        for shared in (coup.P, coup.M_block):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0, 0] = 1.0
+        np.testing.assert_array_equal(
+            coup.P, np.block([[coup.P1_tilde.P, coup.R12],
+                              [coup.R21, coup.P2_tilde.P]]))
 
     @pytest.mark.parametrize("a", [1.0, 3.0])
     def test_cross_blocks_are_signed_block_transposes(self, a):

@@ -10,7 +10,8 @@ import pytest
 
 from multitrace import cli
 from multitrace.bem2d import assembly
-from multitrace.cli import (_RUNNERS, _SWEEPS, ConfigError, main,
+from helpers import match_multisets
+from multitrace.cli import (_MODES, _SWEEPS, ConfigError, main,
                             parse_config, run)
 
 CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -102,12 +103,34 @@ class TestRunModes:
         report = run(cfg)
         assert report.results["converged_in"] <= 4
 
+    def test_1d_3dom_sigma_order(self, tmp_path):
+        # the first sigma belongs to the middle subdomain, which has two
+        # interfaces: its pair of eigenvalues comes twice
+        sigmas = (0.4, -0.3, 2.0)
+        report = run(parse_config(["1d-3dom", "--sigma", "0.4,-0.3,2",
+                                   "--out", str(tmp_path / "o")]))
+        eigs = [complex(e["re"], e["im"]) if isinstance(e, dict) else e
+                for e in report.results["eigenvalues"]]
+        ref = []
+        for s in (sigmas[0], *sigmas):
+            root = np.sqrt(complex(s / (1 + s)))
+            ref += [root, -root]
+        match_multisets(eigs, ref, 1e-10)
+
     def test_1d_bounded(self, tmp_path):
         cfg = parse_config(["1d-bounded", "--a", "1", "--gamma", "0.5",
                             "--out", str(tmp_path / "o")])
         report = run(cfg)
         assert abs(report.results["dtn"]["dtn1"] - 2.163953413738653) < 1e-12
         assert report.results["dtn_rebuild_residual"] < 1e-12
+
+    def test_1d_bounded_large_a_stays_finite(self, tmp_path):
+        assert main(["1d-bounded", "--a", "2000", "--gamma", "0.5",
+                     "--out", str(tmp_path / "o")]) == 0
+        # json.loads accepts bare NaN, so the parse constant makes it fail
+        data = json.loads((tmp_path / "o" / "run_report.json").read_text(),
+                          parse_constant=pytest.fail)
+        assert np.all(np.isfinite(data["results"]["coefficients"]))
 
     def test_schwarz_equiv(self, tmp_path):
         cfg = parse_config(["schwarz-equiv", "--steps", "4",
@@ -141,6 +164,18 @@ class TestRunModes:
         assert report.results["analytic_radius_max_error"] < 1e-10
         lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + report.results["n_grid"]
+
+    def test_sweep_analytic_three_subdomains(self, tmp_path):
+        # at equal sigmas each of +-sqrt(s/(1+s)) is a fourfold eigenvalue
+        # with 2x2 Jordan blocks, which an eigensolver resolves only to
+        # about sqrt(machine epsilon): 2.9e-8 at sigma = -0.95
+        report = run(parse_config(["sweep", "--kind", "1d-3dom",
+                                   "--steps", "40",
+                                   "--out", str(tmp_path / "o")]))
+        assert report.results["analytic_radius_max_error"] < 1e-7
+        rows = _sweep_rows(tmp_path / "o" / "sweep.csv")
+        assert len(rows) == report.results["n_grid"] == 40
+        assert all(n_eigs == 8 for _, n_eigs in rows)
 
     def test_sweep_report_times_the_assembly(self, tmp_path):
         run(parse_config(["sweep", "--kind", "2d", "--geometry", "circle",
@@ -411,6 +446,6 @@ def test_reference_configs_present():
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
 def test_reference_config_maps_to_mode_table(path):
     cfg = parse_config(["--config", str(path)])
-    assert cfg.mode in _RUNNERS
+    assert cfg.mode in _MODES
     if cfg.mode == "sweep":
         assert cfg.kind in _SWEEPS

@@ -34,7 +34,42 @@ class TestGeometry:
             BoundedGeometry(0.5, a)
 
 
+def raw_solve(geom, jump):
+    """The closed-form solve from raw cosh/sinh, which overflow once
+    ``a * max(gamma, 1 - gamma)`` passes about 710."""
+    a, gamma = geom.a, geom.gamma
+    p, q = a * gamma, a * (1.0 - gamma)
+    D = a * (np.cosh(q) * np.sinh(p) + np.sinh(q) * np.cosh(p))
+    c1 = (-a * np.cosh(q) * jump.alpha + np.sinh(q) * jump.beta) / D
+    c2 = (a * np.cosh(p) * jump.alpha + np.sinh(p) * jump.beta) / D
+    return c1, c2, lambda x: np.where(x < gamma, c1 * np.sinh(a * x),
+                                      c2 * np.sinh(a * (1.0 - x)))
+
+
 class TestTransmissionSolve:
+    def test_matches_raw_hyperbolic_form(self):
+        rng = np.random.default_rng(11)
+        x = np.linspace(0.0, 1.0, 57)
+        for geom in random_geometries(200, seed=11, a_range=(0.05, 50.0)):
+            jump = JumpData(*rng.standard_normal(2))
+            c1, c2, ev = transmission_solve_bounded(geom, jump)
+            r1, r2, ref = raw_solve(geom, jump)
+            assert abs(c1 - r1) <= 1e-12 * abs(r1)
+            assert abs(c2 - r2) <= 1e-12 * abs(r2)
+            u = ref(x)
+            assert np.max(np.abs(ev(x) - u)) <= 1e-12 * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("a", [2000.0, 1e4])
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
+    def test_large_a_stays_finite(self, a, gamma):
+        # RuntimeWarnings fail the suite, so no branch may overflow
+        c1, c2, ev = transmission_solve_bounded(BoundedGeometry(gamma, a),
+                                                JumpData(0.7, -1.3))
+        assert np.isfinite(c1) and np.isfinite(c2)
+        u = ev(np.linspace(0.0, 1.0, 401))
+        assert np.all(np.isfinite(u))
+        assert abs(ev(gamma) - ev(gamma - 1e-12) - 0.7) < 1e-6
+
     def test_zero_jumps(self):
         _, _, ev = transmission_solve_bounded(
             BoundedGeometry(0.4, 2.0), JumpData(0.0, 0.0))
@@ -92,7 +127,7 @@ class TestBoundedProjectors:
     def test_large_a_approaches_halfline(self):
         geom = BoundedGeometry(0.5, 40.0)
         P1, P2 = calderon_bounded(geom)
-        H = calderon_halfline(40.0).matrix
+        H = calderon_halfline(40.0)
         assert np.max(np.abs(P1 - H)) < 1e-12
         assert np.max(np.abs(P2 - H)) < 1e-12
 

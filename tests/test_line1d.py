@@ -24,8 +24,8 @@ def sigma_points(*sigmas):
 def line_projectors(a, interfaces):
     """Projectors of the subdomains of the line cut at ``interfaces``,
     left to right: a half line, the intervals in between, a half line."""
-    H = calderon_halfline(a).matrix
-    middles = [calderon_middle_3dom(a, pair).matrix
+    H = calderon_halfline(a)
+    middles = [calderon_middle_3dom(a, pair)
                for pair in zip(interfaces[:-1], interfaces[1:])]
     return [H, *middles, H]
 
@@ -106,18 +106,18 @@ class TestRepresentation:
 
 class TestHalflineProjector:
     def test_unit_a_matrix(self):
-        P = calderon_halfline(1.0).matrix
+        P = calderon_halfline(1.0)
         assert np.allclose(P, 0.5 * np.ones((2, 2)), atol=0)
 
     def test_reflection_squares_to_identity(self):
         for a in (0.2, 1.0, 17.0):
-            A = 2.0 * calderon_halfline(a).matrix - np.eye(2)
+            A = 2.0 * calderon_halfline(a) - np.eye(2)
             assert np.max(np.abs(A @ A - np.eye(2))) < 1e-15
 
     def test_projector_property(self):
         rng = np.random.default_rng(1)
         for a in np.exp(rng.uniform(np.log(0.01), np.log(100.0), 100)):
-            P = calderon_halfline(a).matrix
+            P = calderon_halfline(a)
             assert np.max(np.abs(P @ P - P)) < 1e-13
 
 
@@ -167,7 +167,7 @@ class TestJacobiTwoSubdomains:
     def test_rhs_limit_form(self):
         alpha, beta, a = 1.0, 2.0, 1.0
         op = jacobi_operator_2dom(a, 0.0, 0.0, JumpData(alpha, beta))
-        P = calderon_halfline(a).matrix
+        P = calderon_halfline(a)
         expected = np.concatenate([-P @ X2 @ [alpha, beta], P @ [alpha, beta]])
         assert np.max(np.abs(op.rhs_tilde - expected)) < 1e-15
 
@@ -274,14 +274,14 @@ class TestFixedPointOnce:
 class TestMiddleSubdomain:
     def test_coupling_block_identities(self):
         for a in (0.3, 1.0, 8.0):
-            P = calderon_halfline(a).matrix
+            P = calderon_halfline(a)
             R = middle_coupling_matrix(a)
             assert np.max(np.abs(P @ R)) < 1e-15
             assert np.max(np.abs(R @ P - R)) < 1e-15
             assert np.max(np.abs(R @ R)) < 1e-15
 
     def test_offdiagonal_scale(self):
-        P0 = calderon_middle_3dom(1.0).matrix
+        P0 = calderon_middle_3dom(1.0)
         # off-diagonal block is 2 a g(2) R = e^-2 R
         R = middle_coupling_matrix(1.0)
         assert np.max(np.abs(P0[:2, 2:] - 0.1353352832366127 * R)) < 1e-16
@@ -289,11 +289,11 @@ class TestMiddleSubdomain:
     def test_projector_property(self):
         rng = np.random.default_rng(12)
         for a in np.exp(rng.uniform(np.log(0.01), np.log(100.0), 100)):
-            P0 = calderon_middle_3dom(a).matrix
+            P0 = calderon_middle_3dom(a)
             assert np.max(np.abs(P0 @ P0 - P0)) < 1e-13
 
     def test_general_interval_still_projector(self):
-        P0 = calderon_middle_3dom(0.7, interfaces=(-0.2, 2.5)).matrix
+        P0 = calderon_middle_3dom(0.7, interfaces=(-0.2, 2.5))
         assert np.max(np.abs(P0 @ P0 - P0)) < 1e-14
 
 
@@ -452,8 +452,8 @@ class TestJacobiDenseOracle:
 
 
 class TestLineBuilderInput:
-    H = calderon_halfline(1.0).matrix
-    M = calderon_middle_3dom(1.0).matrix
+    H = calderon_halfline(1.0)
+    M = calderon_middle_3dom(1.0)
 
     @pytest.mark.parametrize("projectors, sigmas, data, match", [
         ([H], (0.1,), np.zeros((0, 2)), "at least two subdomains"),
@@ -492,7 +492,7 @@ class TestRepresentThreeSubdomains:
         uval = lambda x: cp * np.exp(a * x) + cm * np.exp(-a * x)
         uder = lambda x: a * cp * np.exp(a * x) - a * cm * np.exp(-a * x)
         traces = np.array([uval(-1), -uder(-1), uval(1), uder(1)])
-        P0 = calderon_middle_3dom(a).matrix
+        P0 = calderon_middle_3dom(a)
         data = np.array([jl.alpha, jl.beta, jr.alpha, jr.beta])
         assert np.max(np.abs(traces - P0 @ data)) < 1e-12
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import types
 
 import numpy as np
@@ -6,17 +7,16 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from multitrace import spectra
+from multitrace import line1d, spectra
 from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
                               assemble_coupling, make_circle,
                               make_three_domain)
-from multitrace.spectra import (RelaxationConfig, analytic_spectrum_2dom,
-                                analytic_spectrum_3dom, cluster_report,
-                                jacobi_2d_2dom, jacobi_2d_3dom,
-                                jacobi_pencil, pencil_spectrum, sigma_sweep,
+from multitrace.spectra import (cluster_report, jacobi_2d_2dom,
+                                jacobi_2d_3dom, jacobi_pencil,
+                                pencil_spectrum, sigma_sweep,
                                 spectral_radius_formula, theoretical_points,
                                 write_eigenvalues_csv, write_sweep_csv)
-from helpers import match_multisets, trace_flip
+from helpers import line_spectrum, match_multisets, trace_flip
 
 
 def minus_symmetric(eigs, tol):
@@ -31,6 +31,26 @@ def circle_projectors():
     P1 = assemble_calderon_2d(mesh, par, "interior")
     P2 = assemble_calderon_2d(mesh, par, "exterior")
     return P1, P2
+
+
+def _never_built(s):
+    raise AssertionError(f"sigma {s} was built before the grid was checked")
+
+
+# engine -> call with one relaxation parameter set to ``m``
+SIGMA_ENGINES = {
+    "jacobi_pencil": lambda circle, annulus, m: jacobi_pencil(
+        circle, (0.1, m)),
+    "jacobi_2d_2dom": lambda circle, annulus, m: jacobi_2d_2dom(
+        *circle, (m, 0.1)),
+    "jacobi_2d_3dom": lambda circle, annulus, m: jacobi_2d_3dom(
+        annulus[0], annulus[2], annulus[1], (0.25, m, 0.25)),
+    "sigma_sweep": lambda circle, annulus, m: sigma_sweep(
+        _never_built, [0.5, m]),
+    "line1d.jacobi_operator": lambda circle, annulus, m: (
+        line1d.jacobi_operator([line1d.calderon_halfline(1.0)] * 2,
+                               (m, 0.1), np.zeros((1, 2)))),
+}
 
 
 class TestTheory:
@@ -48,14 +68,21 @@ class TestTheory:
         assert spectral_radius_formula(0.0) == 0.0
         assert abs(spectral_radius_formula(-0.5) - 1.0) < 1e-15
 
-    def test_relaxation_config_validation(self):
-        with pytest.raises(ValueError):
-            RelaxationConfig((0.5, -1.0))
+    @pytest.mark.parametrize("minus_one", [-1, -1 + 0j, np.float64(-1)],
+                             ids=["int", "complex", "float64"])
+    @pytest.mark.parametrize("engine", SIGMA_ENGINES)
+    def test_minus_one_sigma_rejected(self, engine, minus_one,
+                                      circle_projectors, annulus_subdomains):
+        # one check for the whole package, before any work is done
+        with pytest.raises(ValueError, match=re.escape(
+                "relaxation parameter -1 makes a diagonal block singular")):
+            SIGMA_ENGINES[engine](circle_projectors, annulus_subdomains,
+                                  minus_one)
 
 
 class TestClusterReport:
     def test_exact_spectrum_all_inside(self):
-        res = analytic_spectrum_2dom(1.0, 0.3, 0.8, eps=1e-9)
+        res = line_spectrum(1.0, (0.3, 0.8), eps=1e-9)
         # every eigenvalue is captured: full coverage, nothing left over
         assert abs(res.cluster_fractions.sum() - 1.0) < 1e-15
         assert np.all(res.cluster_fractions == 0.25)
@@ -63,18 +90,18 @@ class TestClusterReport:
 
     def test_zero_radius_empty_for_perturbed(self):
         eigs = np.array([0.1 + 1e-13, -0.1 - 1e-13])
-        rep = cluster_report(eigs, np.array([0.1, -0.1]), 0.0)
-        assert np.all(rep.fractions == 0.0)
-        assert rep.remainder == 1.0
+        fractions, remainder = cluster_report(eigs, np.array([0.1, -0.1]), 0.0)
+        assert np.all(fractions == 0.0)
+        assert remainder == 1.0
 
     def test_fraction_bounds_disjoint(self):
         rng = np.random.default_rng(0)
         eigs = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         pts = np.array([2.5 + 0j, -2.5 + 0j])
-        rep = cluster_report(eigs, pts, 0.4)
-        assert np.all((rep.fractions >= 0) & (rep.fractions <= 1))
-        assert rep.fractions.sum() <= 1.0 + 1e-12
-        assert 0.0 <= rep.remainder <= 1.0
+        fractions, remainder = cluster_report(eigs, pts, 0.4)
+        assert np.all((fractions >= 0) & (fractions <= 1))
+        assert fractions.sum() <= 1.0 + 1e-12
+        assert 0.0 <= remainder <= 1.0
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
@@ -86,14 +113,14 @@ class TestAnalyticPaths:
         rng = np.random.default_rng(1)
         for _ in range(25):
             s1, s2 = rng.uniform(-0.9, 3.0, 2)
-            res = analytic_spectrum_2dom(1.3, s1, s2)
+            res = line_spectrum(1.3, (s1, s2))
             match_multisets(res.eigenvalues,
                             np.concatenate([theoretical_points([s1]),
                                             theoretical_points([s2])]), 1e-10)
 
     def test_three_subdomain_multiplicity(self):
         s = (0.4, -0.3, 2.0)
-        res = analytic_spectrum_3dom(1.0, *s)
+        res = line_spectrum(1.0, s)
         ref = np.concatenate([theoretical_points([s[0]]),
                               theoretical_points([s[0]]),
                               theoretical_points([s[1]]),
@@ -101,38 +128,38 @@ class TestAnalyticPaths:
         match_multisets(res.eigenvalues, ref, 1e-10)
 
     def test_nilpotent_all_zero(self):
-        res = analytic_spectrum_2dom(1.0, 0.0, 0.0)
+        res = line_spectrum(1.0, (0.0, 0.0))
         assert np.max(np.abs(res.eigenvalues)) < 1e-13
         assert res.spectral_radius < 1e-13
 
     def test_spectrum_minus_symmetric(self):
-        res = analytic_spectrum_2dom(2.0, 0.7, -0.3)
+        res = line_spectrum(2.0, (0.7, -0.3))
         minus_symmetric(res.eigenvalues, 1e-12)
 
 
 class TestDiscretePencils:
     def test_circle_clusters(self, circle_projectors):
         P1, P2 = circle_projectors
-        cfg = RelaxationConfig((0.1, 0.1))
-        A, B = jacobi_2d_2dom(P1, P2, cfg)
-        res = pencil_spectrum(A, B, cfg.sigmas, eps=0.05)
+        sigmas = (0.1, 0.1)
+        A, B = jacobi_2d_2dom(P1, P2, sigmas)
+        res = pencil_spectrum(A, B, sigmas, eps=0.05)
         assert res.remainder_fraction <= 0.05
         assert len(res.eigenvalues) == 4 * 48
 
     def test_sigma_zero_limit_path(self, circle_projectors):
         P1, P2 = circle_projectors
-        cfg = RelaxationConfig((0.0, 0.0))
-        A, B = jacobi_2d_2dom(P1, P2, cfg)
-        res = pencil_spectrum(A, B, cfg.sigmas, eps=0.05)
+        sigmas = (0.0, 0.0)
+        A, B = jacobi_2d_2dom(P1, P2, sigmas)
+        res = pencil_spectrum(A, B, sigmas, eps=0.05)
         # discrete operator is only approximately nilpotent; all
         # eigenvalues collapse toward 0 at the discretization scale
         assert res.spectral_radius < 0.2
 
     def test_mixed_zero_nonzero(self, circle_projectors):
         P1, P2 = circle_projectors
-        cfg = RelaxationConfig((0.0, 1.0))
-        A, B = jacobi_2d_2dom(P1, P2, cfg)
-        res = pencil_spectrum(A, B, cfg.sigmas, eps=0.1)
+        sigmas = (0.0, 1.0)
+        A, B = jacobi_2d_2dom(P1, P2, sigmas)
+        res = pencil_spectrum(A, B, sigmas, eps=0.1)
         # nonzero block clusters at +-sqrt(1/2), zero block near 0
         assert res.cluster_fractions[2] + res.cluster_fractions[3] > 0.4
 
@@ -141,19 +168,18 @@ class TestDiscretePencils:
         # the symmetry is checked on the QZ spectrum of the full pencil
         # and the computed spectrum is matched against it
         P1, P2 = circle_projectors
-        cfg = RelaxationConfig((0.25, 0.8))
-        A, B = jacobi_2d_2dom(P1, P2, cfg)
-        res = pencil_spectrum(A, B, cfg.sigmas)
-        qz = scipy.linalg.eigvals(*full_pencil_2dom(P1, P2, cfg.sigmas))
+        sigmas = (0.25, 0.8)
+        A, B = jacobi_2d_2dom(P1, P2, sigmas)
+        res = pencil_spectrum(A, B, sigmas)
+        qz = scipy.linalg.eigvals(*full_pencil_2dom(P1, P2, sigmas))
         minus_symmetric(qz, 1e-8)
         match_multisets(res.eigenvalues, qz, 1e-10)
 
     def test_complex_sigma(self, circle_projectors):
         P1, P2 = circle_projectors
-        s = (0.2 + 0.4j, 0.9)
-        cfg = RelaxationConfig(s)
-        A, B = jacobi_2d_2dom(P1, P2, cfg)
-        res = pencil_spectrum(A, B, cfg.sigmas, eps=0.1)
+        sigmas = (0.2 + 0.4j, 0.9)
+        A, B = jacobi_2d_2dom(P1, P2, sigmas)
+        res = pencil_spectrum(A, B, sigmas, eps=0.1)
         assert res.remainder_fraction < 0.2
 
     def test_refinement_improves_clusters(self):
@@ -163,9 +189,9 @@ class TestDiscretePencils:
             par = KernelParams(1.0)
             P1 = assemble_calderon_2d(mesh, par, "interior")
             P2 = assemble_calderon_2d(mesh, par, "exterior")
-            cfg = RelaxationConfig((0.1, 0.1))
-            A, B = jacobi_2d_2dom(P1, P2, cfg)
-            res = pencil_spectrum(A, B, cfg.sigmas, eps=0.05)
+            sigmas = (0.1, 0.1)
+            A, B = jacobi_2d_2dom(P1, P2, sigmas)
+            res = pencil_spectrum(A, B, sigmas, eps=0.05)
             fractions.append(1.0 - res.remainder_fraction)
         assert fractions[1] >= fractions[0] - 0.02
         assert fractions[2] >= fractions[1] - 0.02
@@ -176,9 +202,9 @@ class TestDiscretePencils:
         P1 = assemble_calderon_2d(inner, par, "interior")
         P2 = assemble_calderon_2d(outer, par, "exterior")
         coup = assemble_coupling(inner, outer, par)
-        cfg = RelaxationConfig((0.25, 0.25, 0.25))
-        A, B = jacobi_2d_3dom(P1, P2, coup, cfg)
-        res = pencil_spectrum(A, B, cfg.sigmas, eps=0.1)
+        sigmas = (0.25, 0.25, 0.25)
+        A, B = jacobi_2d_3dom(P1, P2, coup, sigmas)
+        res = pencil_spectrum(A, B, sigmas, eps=0.1)
         assert res.remainder_fraction < 0.1
         assert len(res.eigenvalues) == 8 * 24
         # squared spectrum concentrates at the single value s/(1+s)
@@ -191,9 +217,9 @@ class TestDiscretePencils:
         P1 = assemble_calderon_2d(inner, par, "interior")
         P2 = assemble_calderon_2d(outer, par, "exterior")
         coup = assemble_coupling(inner, outer, par)
-        cfg = RelaxationConfig((0.0, 0.5, 0.5))
-        A, B = jacobi_2d_3dom(P1, P2, coup, cfg)
-        res = pencil_spectrum(A, B, cfg.sigmas, eps=0.1)
+        sigmas = (0.0, 0.5, 0.5)
+        A, B = jacobi_2d_3dom(P1, P2, coup, sigmas)
+        res = pencil_spectrum(A, B, sigmas, eps=0.1)
         assert np.all(np.isfinite(res.eigenvalues))
 
 
@@ -252,7 +278,7 @@ class TestJacobiPencil:
     def test_two_subdomains_match_dense_form(self, circle_projectors,
                                              sigmas):
         P1, P2 = circle_projectors
-        A, B = jacobi_2d_2dom(P1, P2, RelaxationConfig(sigmas))
+        A, B = jacobi_2d_2dom(P1, P2, sigmas)
         if np.isrealobj(sigmas):
             assert A.dtype == B.dtype == float
         else:
@@ -265,7 +291,7 @@ class TestJacobiPencil:
     def test_annulus_matches_dense_form(self, annulus_subdomains, sigmas):
         P1, coup, P2 = annulus_subdomains
         s0, s1, s2 = sigmas
-        A, B = jacobi_2d_3dom(P1, P2, coup, RelaxationConfig(sigmas))
+        A, B = jacobi_2d_3dom(P1, P2, coup, sigmas)
         assert A.dtype == (float if np.isrealobj(sigmas) else complex)
         na, nb = P1.dim, P2.dim
         # unknowns (U1, U01, U02, U2); U1 <-> U01 and U02 <-> U2 exchange
@@ -305,7 +331,7 @@ class TestJacobiPencil:
         P1, P2 = circle_projectors
         other = dataclasses.replace(P2, mesh=make_circle(48))
         with pytest.raises(ValueError, match="bounds 1 subdomain"):
-            jacobi_2d_2dom(P1, other, RelaxationConfig((0.1, 0.1)))
+            jacobi_2d_2dom(P1, other, (0.1, 0.1))
 
     def test_curve_bounding_three_subdomains_rejected(self,
                                                       circle_projectors):
@@ -319,8 +345,7 @@ class TestJacobiPencil:
             coup, P1_tilde=dataclasses.replace(coup.P1_tilde,
                                                mesh=make_circle(8)))
         with pytest.raises(ValueError, match="bounds 1 subdomain"):
-            jacobi_2d_3dom(P1, P2, foreign,
-                           RelaxationConfig((0.25, 0.25, 0.25)))
+            jacobi_2d_3dom(P1, P2, foreign, (0.25, 0.25, 0.25))
 
     def test_trace_size_must_match_curves(self, circle_projectors):
         P1, P2 = circle_projectors
@@ -363,7 +388,7 @@ class TestSweep:
             sigma_sweep(builder, [-1.0])
 
     def test_csv_writers(self, tmp_path):
-        res = analytic_spectrum_2dom(1.0, 0.3, 0.3)
+        res = line_spectrum(1.0, (0.3, 0.3))
         eig_path = tmp_path / "eigs.csv"
         write_eigenvalues_csv(eig_path, res.eigenvalues)
         lines = eig_path.read_text().strip().splitlines()
@@ -371,7 +396,7 @@ class TestSweep:
         assert len(lines) == 1 + len(res.eigenvalues)
 
         def builder(s):
-            return analytic_spectrum_2dom(1.0, s, s).eigenvalues
+            return line_spectrum(1.0, (s, s)).eigenvalues
         rows = sigma_sweep(builder, [0.1, 0.5])
         sweep_path = tmp_path / "sweep.csv"
         write_sweep_csv(sweep_path, rows)
