@@ -31,7 +31,7 @@ print(P)
 print("  P^2 - P max:", np.max(np.abs(P @ P - P)))
 
 print("\n== multitrace system, sigma = (0.4, 0.9) ==")
-system = line1d.assemble_mtf_2dom(a, 0.4, 0.9, jump)
+system = line1d.assemble_mtf([P, P], (0.4, 0.9), [(jump.alpha, jump.beta)])
 U = system.solve()
 print("  traces U1 =", np.round(U[:2].real, 6), " U2 =", np.round(U[2:].real, 6))
 print("  jump recovery U1 - X U2 =",

@@ -39,10 +39,10 @@ rows_1d = spectra.sigma_sweep(analytic, grid)
 rows_2d = spectra.sigma_sweep(discrete, grid)
 
 print(f"{'sigma':>8} {'exact':>10} {'line op':>10} {'circle op':>10} {'leftover':>9}")
-for r1, r2 in zip(rows_1d, rows_2d):
-    exact = spectra.spectral_radius_formula(r1.sigma)
-    print(f"{r1.sigma.real:8.2f} {exact:10.4f} {r1.spectral_radius:10.4f} "
-          f"{r2.spectral_radius:10.4f} {r2.remainder:9.1%}")
+for (s, r1), (_, r2) in zip(rows_1d, rows_2d):
+    exact = spectra.spectral_radius_formula(s)
+    print(f"{s.real:8.2f} {exact:10.4f} {r1.spectral_radius:10.4f} "
+          f"{r2.spectral_radius:10.4f} {r2.remainder_fraction:9.1%}")
 
 print("\nThe 'leftover' column is the fraction of discrete eigenvalues"
       "\nfarther than 0.05 from the predicted pair; it flags the"

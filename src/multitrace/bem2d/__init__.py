@@ -3,8 +3,7 @@
 from .assembly import (BemOperatorSet, CouplingSet, DiscreteCalderon,
                        KernelParams, assemble_calderon_2d, assemble_coupling,
                        assemble_operators, cross_block, mass_matrix)
-from .kernels import (kernel_2d, kernel_normal_derivative,
-                      kernel_radial_deriv)
+from .kernels import kernel_2d, kernel_radial_deriv
 from .mesh import (BoundaryMesh, load_mesh, make_circle, make_square,
                    make_three_domain, save_mesh)
 from .quadrature import gauss01, log_gauss01
@@ -13,7 +12,7 @@ __all__ = [
     "BemOperatorSet", "BoundaryMesh", "CouplingSet", "DiscreteCalderon",
     "KernelParams", "assemble_calderon_2d", "assemble_coupling",
     "assemble_operators", "cross_block", "gauss01",
-    "kernel_2d", "kernel_normal_derivative", "kernel_radial_deriv",
+    "kernel_2d", "kernel_radial_deriv",
     "load_mesh", "log_gauss01", "make_circle", "make_square",
     "make_three_domain", "mass_matrix", "save_mesh",
 ]

@@ -53,6 +53,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import i0, i1, k0, k1
 
+from ..linalg import solve_dense
 from .kernels import TWO_PI, _check_a
 from .quadrature import gauss01, log_gauss01
 
@@ -60,6 +61,8 @@ from .quadrature import gauss01, log_gauss01
 _DSIGN = np.array([-1.0, 1.0])
 # Error target of the per-pair Gauss orders.
 _EPS = np.finfo(float).eps
+# Element pairs per batch of _graded_pairs: bounds the point arrays.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -180,10 +183,10 @@ def _pair_orders(mid1, L1, mid2, L2, a, quad_order):
     return np.minimum(quad_order, np.maximum(q_sep, q_exp)).astype(int)
 
 
-def _graded_pairs(obs, src, rows, cols, a, order, chunk):
+def _graded_pairs(obs, src, rows, cols, a, order):
     """Element pairs ``(rows[i], cols[i])`` of the curves ``obs`` and
     ``src``, each with the tensor-Gauss order of ``_pair_orders``, order
-    by order and ``chunk`` pairs at a time.
+    by order and ``_CHUNK`` pairs at a time.
 
     Yields ``e, f, dx, dy, r, ll, wb``: the element indices, the offsets
     ``x - y`` of their Gauss points and the distances, ``(pair, k, l)``,
@@ -198,15 +201,15 @@ def _graded_pairs(obs, src, rows, cols, a, order, chunk):
         wb = w[:, None] * _p1(s)                             # (q, 2)
         xo, ys = _gauss_points(obs, s), _gauss_points(src, s)
         sel = np.flatnonzero(pair_q == q)
-        for p0 in range(0, len(sel), chunk):
-            e, f = rows[sel[p0:p0 + chunk]], cols[sel[p0:p0 + chunk]]
+        for p0 in range(0, len(sel), _CHUNK):
+            e, f = rows[sel[p0:p0 + _CHUNK]], cols[sel[p0:p0 + _CHUNK]]
             dx = xo[e, :, None, 0] - ys[f, None, :, 0]
             dy = xo[e, :, None, 1] - ys[f, None, :, 1]
             r = np.sqrt(dx * dx + dy * dy)
             yield e, f, dx, dy, r, (Lo[e] * Ls[f])[:, None, None], wb
 
 
-def _smooth_pair_tables(mesh, a, order, chunk=4096):
+def _smooth_pair_tables(mesh, a, order):
     """Tensor-Gauss V/K pair integrals for all ordered element pairs.
 
     Returns ``(v_loc, k_loc)`` where ``v_loc[e, f]`` is the 2x2
@@ -222,7 +225,7 @@ def _smooth_pair_tables(mesh, a, order, chunk=4096):
     rows, cols = np.triu_indices(m)
     v_loc, k_loc = np.empty((2, m, m, 2, 2))
     for e, f, dx, dy, r, ll, wb in _graded_pairs(mesh, mesh, rows, cols, a,
-                                                 order, chunk):
+                                                 order):
         r[e == f] = 1.0                                      # self pairs
         v = ll * (wb.T @ (k0(a * r) / TWO_PI) @ wb)
         v_loc[e, f] = v
@@ -418,7 +421,7 @@ class DiscreteCalderon:
 
     def operator(self):
         """Coefficient-space operator ``M_block^{-1} P``."""
-        return scipy.linalg.solve(self.M_block, self.P, assume_a="pos")
+        return solve_dense(self.M_block, self.P)
 
 
 def assemble_calderon_2d(mesh, params, side="interior"):
@@ -441,7 +444,7 @@ def assemble_calderon_2d(mesh, params, side="interior"):
 
 
 def cross_block(obs_mesh, src_mesh, a, obs_normal_sign=1.0,
-                src_normal_sign=1.0, quad_order=8, chunk=4096):
+                src_normal_sign=1.0, quad_order=8):
     """Trace-on-obs of the potential generated on a disjoint source curve.
 
     Returns the 2x2 block matrix pairing P1 tests on the observation
@@ -471,7 +474,7 @@ def cross_block(obs_mesh, src_mesh, a, obs_normal_sign=1.0,
     # vv, vq, qv, qq element blocks
     blocks = np.empty((2, 2, mo, ms, 2, 2))
     for e, f, dx, dy, r, ll, wb in _graded_pairs(obs_mesh, src_mesh, rows,
-                                                 cols, a, quad_order, chunk):
+                                                 cols, a, quad_order):
         nox, noy = n_obs[e, 0, None, None], n_obs[e, 1, None, None]
         nsx, nsy = n_src[f, 0, None, None], n_src[f, 1, None, None]
         ro = (nox * dx + noy * dy) / r                       # no . rhat

@@ -45,24 +45,9 @@ def kernel_radial_deriv(a, r):
     return -a * k1(a * r) / TWO_PI
 
 
-def kernel_normal_derivative(a, x, y, normal_y):
-    """Kernel of the double layer: ``d/dn(y) G(x - y)``.
-
-    Arrays broadcast; the trailing axis holds the two coordinates.
-    Equals ``a K1(a r) (n(y) . (x - y)) / (2 pi r)``.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    normal_y = np.asarray(normal_y, dtype=float)
-    d = x - y
-    r = np.sqrt(np.sum(d * d, axis=-1))
-    if np.any(r <= 0):
-        raise ValueError("kernel requires distinct points")
-    return -kernel_radial_deriv(a, r) * np.sum(normal_y * d, axis=-1) / r
-
-
 def kernel_gradient_dot(a, d, r, vec):
-    """``vec . grad(G)`` evaluated at offset ``d`` with ``r = |d|``."""
+    """``vec . grad(G)`` evaluated at offset ``d`` with ``r = |d|``; at
+    ``d = x - y``, ``vec = n(y)`` it is minus the double-layer kernel."""
     return kernel_radial_deriv(a, r) * np.sum(vec * d, axis=-1) / r
 
 

@@ -23,9 +23,10 @@ def gauss01(n):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _log_weight_recurrence(n, dps=60):
-    """Three-term recurrence coefficients for the -log weight on [0, 1]."""
-    with mpmath.workdps(dps):
+def _log_weight_recurrence(n):
+    """Three-term recurrence coefficients for the -log weight on [0, 1],
+    at 60 digits or more: about 1.3 digits are lost per point."""
+    with mpmath.workdps(max(60, 2 * n + 20)):
         moments = [mpmath.mpf(1) / (k + 1) ** 2 for k in range(2 * n)]
         alpha = [moments[1] / moments[0]]
         beta = [moments[0]]

@@ -29,7 +29,7 @@ from .bem2d import (KernelParams, assemble_calderon_2d, assemble_coupling,
                     make_circle, make_square, make_three_domain)
 from .linalg import DIMENSION_CAP, SingularMatrixError, eig_dense
 
-GEOMETRIES = ("circle", "square", "annulus")
+GEOMETRIES = ("circle", "square")
 
 
 def _split_list(text, cast):
@@ -312,7 +312,7 @@ def _run_sweep(cfg, out, report):
     builder = _timed(report, "assembly_s", factory, cfg, a, count)
     rows = spectra.sigma_sweep(builder, grid, cfg.eps)
     spectra.write_sweep_csv(report.record(out / "sweep.csv"), rows)
-    radii = [r.spectral_radius for r in rows]
+    radii = [res.spectral_radius for _, res in rows]
     _gnuplot_script(report.record(out / "plot.gp"), [
         'set xlabel "sigma"', 'set ylabel "spectral radius"',
         f'plot "{out / "sweep.csv"}" every ::1 using 1:2 '
@@ -323,8 +323,8 @@ def _run_sweep(cfg, out, report):
         "max_radius": max(radii),
         "min_radius": min(radii),
         "analytic_radius_max_error": float(max(
-            abs(r.spectral_radius - spectra.spectral_radius_formula(r.sigma))
-            for r in rows)) if factory is _line_sweep else None,
+            abs(res.spectral_radius - spectra.spectral_radius_formula(s))
+            for s, res in rows)) if factory is _line_sweep else None,
     }
 
 
@@ -486,6 +486,9 @@ def _validate(cfg):
         raise ConfigError("gamma must lie in (0, 1)")
     if cfg.mode == "sweep" and cfg.steps < 2:
         raise ConfigError("steps (the sweep grid size) must be at least 2")
+    if cfg.mode == "sweep" and _sigma_grid(cfg).size == 0:
+        raise ConfigError("sigma_min and sigma_max give a sweep grid that "
+                          "holds only sigma = -1")
     if cfg.n_elements < 3:
         raise ConfigError("n_elements must be at least 3 per curve")
     if len(cfg.radii) != 2 or not 0 < cfg.radii[0] < cfg.radii[1]:
@@ -495,10 +498,8 @@ def _validate(cfg):
     run = cfg.kind if cfg.mode == "sweep" else cfg.mode
     rows = {"spectrum-2d": 2, "2d": 2, "spectrum-2d-3dom": 4,
             "2d-3dom": 4}.get(run, 0)
-    if rows == 2 and cfg.geometry not in ("circle", "square"):
-        raise ConfigError(f"geometry must be circle or square for {run!r} "
-                          f"(the annulus has its 3dom variant), "
-                          f"got {cfg.geometry!r}")
+    if rows == 2 and cfg.geometry is None:
+        raise ConfigError(f"geometry must be given for {run!r}")
     if rows == 2 and cfg.geometry == "square" and cfg.n_elements % 4:
         raise ConfigError("n_elements must be divisible by 4 for the square")
     dim = rows * cfg.n_elements

@@ -10,8 +10,8 @@ without any discretization:
 * the multitrace system of a line of subdomains listed left to right,
   coupling per-subdomain trace pairs with relaxation parameters
   (:func:`assemble_mtf`), and its block Jacobi iteration operator
-  (:func:`jacobi_operator`); the two- and three-subdomain functions are
-  adapters to these two.
+  (:func:`jacobi_operator`); ``jacobi_operator_2dom`` and
+  ``jacobi_operator_3dom`` are adapters to the latter.
 
 Relaxation parameters are checked in one place, :func:`_check_sigmas`,
 which every engine of the package calls: -1 makes a diagonal block
@@ -62,9 +62,6 @@ class MtfSystem:
     def solve(self):
         return solve_dense(self.system_matrix, self.rhs)
 
-    def residual(self, U):
-        return float(np.max(np.abs(self.system_matrix @ U - self.rhs)))
-
 
 @dataclass(frozen=True)
 class JacobiOperator1D:
@@ -81,6 +78,9 @@ class JacobiOperator1D:
         if any(self.sigmas):
             U = solve_dense(np.eye(len(F)) - J, F)
         else:
+            # exact for nilpotent J; at the Schwarz equivalence check's
+            # points (sigma = 0, F = 0) it returns after one matvec, and an
+            # LU solve here made the line-1d benchmark workload 3% slower
             U, term = np.zeros(len(F), dtype=complex), F
             for _ in range(len(F)):
                 U, term = U + term, J @ term
@@ -265,41 +265,28 @@ def jacobi_operator(projectors, sigmas, data):
     return JacobiOperator1D(J, F, line.sigmas)
 
 
-def assemble_mtf_2dom(a, sigma1, sigma2, jump):
-    """:func:`assemble_mtf` of the two half lines meeting at ``jump``."""
-    P = calderon_halfline(a)
-    return assemble_mtf([P, P], (sigma1, sigma2), [(jump.alpha, jump.beta)])
-
-
 def jacobi_operator_2dom(a, sigma1, sigma2, jump):
     """:func:`jacobi_operator` of the two half lines meeting at ``jump``."""
     P = calderon_halfline(a)
     return jacobi_operator([P, P], (sigma1, sigma2), [(jump.alpha, jump.beta)])
 
 
-def _line_3dom(a, sigma0, sigma1, sigma2, jump_left, jump_right, interfaces):
-    """Left-to-right line arguments of a middle interval ``0`` between
-    half lines ``1`` and ``2``; the right jump is oriented
-    middle-minus-right, so its ``alpha`` flips sign."""
+def _line_3dom(a, sigma0, sigma1, sigma2, jump_left, jump_right):
+    """Left-to-right line arguments of a middle interval ``0`` on
+    ``(-1, 1)`` between half lines ``1`` and ``2``; the right jump is
+    oriented middle-minus-right, so its ``alpha`` flips sign."""
     P = calderon_halfline(a)
-    middle = calderon_middle_3dom(a, interfaces)
+    middle = calderon_middle_3dom(a)
     return ([P, middle, P], (sigma1, sigma0, sigma2),
             [(jump_left.alpha, jump_left.beta),
              (-jump_right.alpha, jump_right.beta)])
 
 
-def assemble_mtf_3dom(a, sigma0, sigma1, sigma2, jump_left, jump_right,
-                      interfaces=(-1.0, 1.0)):
-    """8x8 :func:`assemble_mtf` with unknowns ``(U1, U01, U02, U2)``."""
-    return assemble_mtf(*_line_3dom(a, sigma0, sigma1, sigma2, jump_left,
-                                    jump_right, interfaces))
-
-
-def jacobi_operator_3dom(a, sigma0, sigma1, sigma2, jump_left, jump_right,
-                         interfaces=(-1.0, 1.0)):
-    """8x8 :func:`jacobi_operator`, nilpotent of order four at sigma = 0."""
+def jacobi_operator_3dom(a, sigma0, sigma1, sigma2, jump_left, jump_right):
+    """8x8 :func:`jacobi_operator` with unknowns ``(U1, U01, U02, U2)``,
+    nilpotent of order four at sigma = 0."""
     return jacobi_operator(*_line_3dom(a, sigma0, sigma1, sigma2, jump_left,
-                                       jump_right, interfaces))
+                                       jump_right))
 
 
 def jacobi_fixed_point(op):
@@ -342,13 +329,12 @@ def block_jacobi_run(op, U0, n_steps):
     return JacobiHistory(iters, errors, star)
 
 
-def represent_1d_3dom(a, jump_left, jump_right, interfaces=(-1.0, 1.0)):
-    """Solution with jumps at both interfaces of a middle interval: the
-    sum of one :func:`represent_1d` field per interface.  The right jump
-    is oriented middle-minus-right, so its ``alpha`` flips sign;
-    evaluation at either interface raises ``ValueError``.
+def represent_1d_3dom(a, jump_left, jump_right):
+    """Solution with jumps at both interfaces of the middle interval
+    ``(-1, 1)``: the sum of one :func:`represent_1d` field per interface.
+    The right jump is oriented middle-minus-right, so its ``alpha`` flips
+    sign; evaluation at either interface raises ``ValueError``.
     """
-    xl, xr = interfaces
-    left = represent_1d(a, JumpData(jump_left.alpha, jump_left.beta, xl))
-    right = represent_1d(a, JumpData(-jump_right.alpha, jump_right.beta, xr))
+    left = represent_1d(a, JumpData(jump_left.alpha, jump_left.beta, -1.0))
+    right = represent_1d(a, JumpData(-jump_right.alpha, jump_right.beta, 1.0))
     return lambda x: left(x) + right(x)

@@ -3,8 +3,9 @@
 The iteration operator for relaxation parameters ``sigma_j`` has the
 exact eigenvalues ``+-sqrt(sigma_j / (1 + sigma_j))`` in the analytic 1D
 setting; discretized 2D operators cluster around the same points.  This
-module computes those spectra, sweeps relaxation grids and quantifies
-how much of a spectrum sits near the theoretical points.
+module computes those spectra and quantifies how much of a spectrum sits
+near the theoretical points in one summary, :func:`summarize_spectrum`,
+which every spectrum and every point of a relaxation sweep goes through.
 
 The Jacobi operator is two-cyclic: its diagonal blocks belong to single
 subdomains and its coupling joins subdomains across a curve, and the
@@ -201,36 +202,20 @@ def pencil_spectrum(A, B, sigmas, eps=0.05):
     return summarize_spectrum(np.concatenate([roots, -roots]), sigmas, eps)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One relaxation grid point of a spectral radius sweep."""
-
-    sigma: complex
-    spectral_radius: float
-    n_eigs: int
-    cluster_fractions: np.ndarray
-    remainder: float
-
-
 def sigma_sweep(builder, sigma_grid, eps=0.05):
     """Spectral radius versus relaxation parameter.
 
     ``builder(sigma)`` must return the eigenvalue array of the Jacobi
     operator with all relaxation parameters set to ``sigma``; a grid
-    holding -1 raises before any point is built.  Grid points are
-    independent (order of evaluation is irrelevant); rows come back
-    ordered by the grid.  Near ``sigma = 0`` discretized
-    operators overshoot the analytic radius; the per-row remainder
-    fraction quantifies that contamination and no smoothing is applied.
+    holding -1 raises before any point is built.  Returns one pair
+    ``(sigma, SpectrumResult)`` per grid point, in grid order, the result
+    from :func:`summarize_spectrum`.  Near ``sigma = 0`` discretized
+    operators overshoot the analytic radius; the remainder fraction
+    quantifies that contamination and no smoothing is applied.
     """
     line1d._check_sigmas(sigma_grid)
-    rows = []
-    for s in sigma_grid:
-        eigs = np.asarray(builder(s), dtype=complex)
-        rows.append(SweepRow(complex(s), float(np.max(np.abs(eigs))),
-                             len(eigs), *cluster_report(
-                                 eigs, theoretical_points([s]), eps)))
-    return rows
+    return [(complex(s), summarize_spectrum(builder(s), [s], eps))
+            for s in sigma_grid]
 
 
 def write_eigenvalues_csv(path, eigenvalues):
@@ -243,15 +228,17 @@ def write_eigenvalues_csv(path, eigenvalues):
 
 
 def write_sweep_csv(path, rows):
-    """Sweep dump: ``sigma, rho, n_eigs, frac_cluster_*, frac_remainder``."""
+    """Sweep dump of the :func:`sigma_sweep` pairs: ``sigma, rho, n_eigs,
+    frac_cluster_*, frac_remainder``."""
     if not rows:
         raise ValueError("empty sweep")
-    k = len(rows[0].cluster_fractions)
+    k = len(rows[0][1].cluster_fractions)
     with open(path, "w") as fh:
         frac_names = ",".join(f"frac_cluster_{i + 1}" for i in range(k))
         fh.write(f"sigma,rho,n_eigs,{frac_names},frac_remainder\n")
-        for row in rows:
-            sig = row.sigma.real if row.sigma.imag == 0 else row.sigma
-            fracs = ",".join(f"{f:.6f}" for f in row.cluster_fractions)
-            fh.write(f"{sig},{row.spectral_radius:.16e},{row.n_eigs},"
-                     f"{fracs},{row.remainder:.6f}\n")
+        for sigma, res in rows:
+            sig = sigma.real if sigma.imag == 0 else sigma
+            fracs = ",".join(f"{f:.6f}" for f in res.cluster_fractions)
+            fh.write(f"{sig},{res.spectral_radius:.16e},"
+                     f"{len(res.eigenvalues)},{fracs},"
+                     f"{res.remainder_fraction:.6f}\n")

@@ -268,16 +268,16 @@ def test_criterion_11_sweep_curve():
     grid = grid[np.abs(grid + 1.0) > 1e-9]
     rows = spectra.sigma_sweep(builder, grid)
     worst = 0.0
-    for row in rows:
-        ref = spectra.spectral_radius_formula(row.sigma)
-        worst = max(worst, abs(row.spectral_radius - ref))
-        assert abs(row.spectral_radius - ref) <= 1e-10
-        if row.sigma.real < -0.5:
-            assert row.spectral_radius > 1.0
-        elif row.sigma.real == -0.5:
-            assert abs(row.spectral_radius - 1.0) <= 1e-12
+    for sigma, res in rows:
+        ref = spectra.spectral_radius_formula(sigma)
+        worst = max(worst, abs(res.spectral_radius - ref))
+        assert abs(res.spectral_radius - ref) <= 1e-10
+        if sigma.real < -0.5:
+            assert res.spectral_radius > 1.0
+        elif sigma.real == -0.5:
+            assert abs(res.spectral_radius - 1.0) <= 1e-12
         else:
-            assert row.spectral_radius < 1.0
+            assert res.spectral_radius < 1.0
     announce(11, f"spectral radius sweep matches sqrt|s/(1+s)| on "
                  f"{len(rows)} grid points (worst {worst:.1e}); "
                  "divergence boundary at -0.5 confirmed")

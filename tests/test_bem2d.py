@@ -440,11 +440,12 @@ class TestPairTableSymmetry:
     the (e, f) ones."""
 
     @pytest.mark.parametrize("geometry, a", [("circle", 1.0), ("square", 5.0)])
-    def test_chunk_size_changes_nothing(self, geometry, a):
+    def test_chunk_size_changes_nothing(self, geometry, a, monkeypatch):
         mesh = make_circle(33) if geometry == "circle" else make_square(8)
         v_ref, k_ref = assembly._smooth_pair_tables(mesh, a, 8)
         for chunk in (1, 7):
-            v, k = assembly._smooth_pair_tables(mesh, a, 8, chunk=chunk)
+            monkeypatch.setattr(assembly, "_CHUNK", chunk)
+            v, k = assembly._smooth_pair_tables(mesh, a, 8)
             assert np.array_equal(v, v_ref), chunk
             assert np.array_equal(k, k_ref), chunk
 
@@ -569,12 +570,13 @@ class TestGradedOrders:
             assert q[-1] < 8
 
     @pytest.mark.parametrize("a", [1.0, 30.0])
-    def test_cross_block_chunk_size_changes_nothing(self, a):
+    def test_cross_block_chunk_size_changes_nothing(self, a, monkeypatch):
         inner, outer = make_three_domain(24, 32)
         ref = cross_block(inner, outer, a, -1.0, 1.0)
         for chunk in (1, 7):
-            assert np.array_equal(
-                cross_block(inner, outer, a, -1.0, 1.0, chunk=chunk), ref)
+            monkeypatch.setattr(assembly, "_CHUNK", chunk)
+            assert np.array_equal(cross_block(inner, outer, a, -1.0, 1.0),
+                                  ref)
 
     def test_one_assembly_builds_every_gauss_rule(self):
         # a small assembly builds every Gauss rule later assemblies and

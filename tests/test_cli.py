@@ -219,6 +219,11 @@ class TestMainExitCodes:
         assert code == 0
         assert "finished" in capsys.readouterr().out
 
+    def test_high_quad_order(self, tmp_path):
+        # singular rules take quad_order + 4 = 48 log-weighted points
+        assert main(["spectrum-2d", "--geometry", "circle", "--n", "16",
+                     "--quad-order", "44", "--out", str(tmp_path / "o")]) == 0
+
     def test_config_error(self, capsys):
         assert main(["spectrum-2d"]) == 2
         assert "geometry" in capsys.readouterr().err
@@ -268,6 +273,9 @@ class TestRejectedInput:
         (["1d-2dom", "--sigma", "0.1,0.2,0.3"], "sigma"),
         (["spectrum-2d", "--geometry", "circle", "--a", "1,2,3"], "a"),
         (["sweep", "--a", "1,2"], "a"),
+        (["sweep", "--sigma-min", "-1", "--sigma-max", "-1", "--steps", "2"],
+         "sigma_min"),
+        (["spectrum-2d-3dom", "--geometry", "annulus"], "geometry"),
     ])
     def test_exit_2_naming_the_field(self, argv, field, tmp_path, capsys):
         # rejected by parse_config, before any assembly starts

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from multitrace.bem2d.kernels import (kernel_2d, kernel_hessian_bilinear,
-                                      kernel_normal_derivative,
+from multitrace.bem2d.kernels import (kernel_2d, kernel_gradient_dot,
+                                      kernel_hessian_bilinear,
                                       kernel_radial_deriv)
 from helpers import k0_smooth_remainder, k1_smooth_remainder
 from oracle_bessel import oracle_k0, oracle_k1
@@ -60,7 +60,9 @@ def test_normal_derivative_against_finite_difference():
     h = 1e-6
     num = (kernel_2d(a, np.linalg.norm(x - (y + h * n)))
            - kernel_2d(a, np.linalg.norm(x - (y - h * n)))) / (2 * h)
-    assert abs(kernel_normal_derivative(a, x, y, n) - num) < 1e-9
+    # the double-layer kernel d/dn(y) G(x - y) is -n(y) . grad G(x - y)
+    d = x - y
+    assert abs(-kernel_gradient_dot(a, d, np.linalg.norm(d), n) - num) < 1e-9
 
 
 def test_hessian_against_finite_difference():

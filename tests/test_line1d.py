@@ -4,15 +4,23 @@ import scipy.linalg
 
 from multitrace import line1d
 from multitrace.interval1d import BoundedGeometry, calderon_bounded
-from multitrace.line1d import (JumpData, X2, assemble_mtf, assemble_mtf_2dom,
-                               assemble_mtf_3dom, block_jacobi_run,
+from multitrace.line1d import (JumpData, X2, assemble_mtf, block_jacobi_run,
                                calderon_halfline, calderon_middle_3dom,
                                green_1d, jacobi_fixed_point, jacobi_operator,
                                jacobi_operator_2dom, jacobi_operator_3dom,
                                middle_coupling_matrix, represent_1d,
                                represent_1d_3dom)
-from multitrace.linalg import eig_dense
+from multitrace.linalg import eig_dense, solve_dense
 from helpers import match_multisets
+
+
+def mtf_2dom(a, sigma1, sigma2, jump):
+    P = calderon_halfline(a)
+    return assemble_mtf([P, P], (sigma1, sigma2), [(jump.alpha, jump.beta)])
+
+
+def residual(system, U):
+    return float(np.max(np.abs(system.system_matrix @ U - system.rhs)))
 
 
 def sigma_points(*sigmas):
@@ -123,23 +131,23 @@ class TestHalflineProjector:
 
 class TestMtfTwoSubdomains:
     def test_solution_consistency(self):
-        sys2 = assemble_mtf_2dom(1.3, 0.4, 0.9, JumpData(1.0, 2.0))
+        sys2 = mtf_2dom(1.3, 0.4, 0.9, JumpData(1.0, 2.0))
         U = sys2.solve()
-        assert sys2.residual(U) < 1e-12
+        assert residual(sys2, U) < 1e-12
 
     def test_solution_satisfies_jump_relation(self):
-        sys2 = assemble_mtf_2dom(2.0, 0.25, 0.7, JumpData(1.5, -0.5))
+        sys2 = mtf_2dom(2.0, 0.25, 0.7, JumpData(1.5, -0.5))
         U = sys2.solve()
         gap = U[:2] - X2 @ U[2:]
         assert np.max(np.abs(gap - np.array([-1.5, -0.5]))) < 1e-12
 
     def test_vanishing_relaxation_loses_data(self):
-        sys2 = assemble_mtf_2dom(1.0, 0.0, 0.0, JumpData(1.0, 2.0))
+        sys2 = mtf_2dom(1.0, 0.0, 0.0, JumpData(1.0, 2.0))
         assert np.all(sys2.rhs == 0)
 
     def test_sigma_minus_one_rejected(self):
         with pytest.raises(ValueError):
-            assemble_mtf_2dom(1.0, -1.0, 0.5, JumpData(1.0, 0.0))
+            mtf_2dom(1.0, -1.0, 0.5, JumpData(1.0, 0.0))
 
 
 class TestJacobiTwoSubdomains:
@@ -241,8 +249,7 @@ class TestBlockJacobiRun:
         a, s1, s2 = 1.4, 0.6, 0.2
         jump = JumpData(0.7, -1.1)
         star = jacobi_fixed_point(jacobi_operator_2dom(a, s1, s2, jump))
-        sys2 = assemble_mtf_2dom(a, s1, s2, jump)
-        assert sys2.residual(star) < 1e-12
+        assert residual(mtf_2dom(a, s1, s2, jump), star) < 1e-12
 
 
 class TestFixedPointOnce:
@@ -269,6 +276,21 @@ class TestFixedPointOnce:
         for array in (op.matrix, op.rhs_tilde, hist.fixed_point):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_nilpotent_sum_matches_lu_solve(self, count):
+        # at sigma = 0 the fixed point is the sum of J^k F, not an LU solve
+        rng = np.random.default_rng(count)
+        for a in np.exp(rng.uniform(np.log(0.1), np.log(10.0), 1000)):
+            jumps = [JumpData(*rng.standard_normal(2))
+                     for _ in range(count - 1)]
+            op = (jacobi_operator_2dom(a, 0.0, 0.0, *jumps) if count == 2
+                  else jacobi_operator_3dom(a, 0.0, 0.0, 0.0, *jumps))
+            ref = solve_dense(np.eye(len(op.rhs_tilde)) - op.matrix,
+                              op.rhs_tilde)
+            # traces scale with a, so the bound is relative
+            err = np.max(np.abs(jacobi_fixed_point(op) - ref))
+            assert err < 1e-14 * np.max(np.abs(ref))
 
 
 class TestMiddleSubdomain:
@@ -337,9 +359,9 @@ class TestThreeSubdomains:
         a, sig = 1.2, (0.4, 0.1, 0.9)
         jl, jr = JumpData(1.0, -0.3), JumpData(0.2, 2.0)
         op = jacobi_operator_3dom(a, *sig, jl, jr)
-        sys3 = assemble_mtf_3dom(a, *sig, jl, jr)
+        sys3 = assemble_mtf(*line1d._line_3dom(a, *sig, jl, jr))
         star = jacobi_fixed_point(op)
-        assert sys3.residual(star) < 1e-12
+        assert residual(sys3, star) < 1e-12
 
     def test_solution_is_exact_traces(self):
         # the right jump is oriented middle-minus-right in both the adapter
@@ -357,7 +379,8 @@ class TestThreeSubdomains:
         ur = u(2.0) * np.exp(a)
         exact = np.array([ul, a * ul, um(-1), -dm(-1), um(1), dm(1),
                           ur, a * ur])
-        U = assemble_mtf_3dom(a, 0.3, -0.2, 1.5, jl, jr).solve()
+        U = assemble_mtf(*line1d._line_3dom(a, 0.3, -0.2, 1.5, jl,
+                                            jr)).solve()
         assert np.max(np.abs(U - exact)) < 1e-12
 
 
@@ -395,7 +418,7 @@ class TestFourSubdomains:
         args = (line_projectors(1.2, self.interfaces), (0.4, 0.1, 0.9, 0.6),
                 self.jumps)
         star = jacobi_fixed_point(jacobi_operator(*args))
-        assert assemble_mtf(*args).residual(star) < 1e-12
+        assert residual(assemble_mtf(*args), star) < 1e-12
 
     def test_jump_relation_at_every_interface(self):
         # right minus left at every interface:

@@ -371,15 +371,15 @@ class TestSweep:
         grid = np.linspace(-0.95, 3.0, 200)
         grid = np.sort(np.append(grid, -0.5))
         rows = sigma_sweep(builder, grid)
-        for row in rows:
-            ref = spectral_radius_formula(row.sigma)
-            assert abs(row.spectral_radius - ref) < 1e-10
-            if row.sigma.real < -0.5:
-                assert row.spectral_radius > 1.0
-            elif row.sigma.real == -0.5:
-                assert abs(row.spectral_radius - 1.0) < 1e-12
+        for sigma, res in rows:
+            ref = spectral_radius_formula(sigma)
+            assert abs(res.spectral_radius - ref) < 1e-10
+            if sigma.real < -0.5:
+                assert res.spectral_radius > 1.0
+            elif sigma.real == -0.5:
+                assert abs(res.spectral_radius - 1.0) < 1e-12
             else:
-                assert row.spectral_radius < 1.0
+                assert res.spectral_radius < 1.0
 
     def test_grid_rejects_minus_one(self):
         def builder(s):
