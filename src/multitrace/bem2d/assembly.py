@@ -40,8 +40,8 @@ ordering dependence.
 ``assemble_operators`` keeps one set per mesh object and ``KernelParams``,
 so every subdomain that meets a curve shares its V, K, K' and W.  Meshes
 compare by identity, the stored matrices are read-only, and a set is
-freed with its mesh.  Two threads that miss at once each assemble an
-equal set, which is harmless.
+freed with its mesh; ``cross_block`` keeps each curve pair the same way.
+Two threads that miss at once each assemble an equal set, harmlessly.
 """
 
 import math
@@ -102,21 +102,19 @@ class BemOperatorSet:
 
 def mass_matrix(mesh):
     """P1 mass matrix of the polyline."""
-    n, m = mesh.n_nodes, mesh.n_elements
-    L = mesh.lengths
+    n, L, els = mesh.n_nodes, mesh.lengths, mesh.elements
     loc = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
     M = np.zeros((n, n))
-    vals = L[:, None, None] * loc[None, :, :]
-    I = np.broadcast_to(mesh.elements[:, :, None], (m, 2, 2))
-    J = np.broadcast_to(mesh.elements[:, None, :], (m, 2, 2))
-    np.add.at(M, (I, J), vals)
+    for k, l in np.ndindex(2, 2):
+        M[els[:, k], els[:, l]] += L * loc[k, l]
     return M
 
 
-def _scatter(target, elements_rows, elements_cols, loc):
-    I = np.broadcast_to(elements_rows[:, None, :, None], loc.shape)
-    J = np.broadcast_to(elements_cols[None, :, None, :], loc.shape)
-    np.add.at(target, (I, J), loc)
+def _scatter(target, rows, cols, loc):
+    """Add element blocks ``loc[..., e, f, k, l]`` at the nodes ``rows[e, k]``
+    and ``cols[f, l]``; a closed mesh's node columns are permutations."""
+    for k, l in np.ndindex(2, 2):
+        target[..., rows[:, k, None], cols[None, :, l]] += loc[..., k, l]
 
 
 def _p1(x):
@@ -321,6 +319,8 @@ def _adjacent_pair_tables(d1, d2, L1, L2, n1, n2, a, order):
 
 # mesh -> {KernelParams: BemOperatorSet}; an entry goes with its mesh
 _SETS = weakref.WeakKeyDictionary()
+# obs mesh -> src mesh -> {(a, quad_order): unsigned cross_block blocks}
+_CROSS = weakref.WeakKeyDictionary()
 
 
 def assemble_operators(mesh, params):
@@ -451,47 +451,66 @@ def cross_block(obs_mesh, src_mesh, a, obs_normal_sign=1.0,
     curve with P1 densities on the source curve.  All kernels are smooth
     because the curves do not meet (checked segment by segment), so plain
     tensor Gauss applies to the (obs, src) element pairs of
-    ``_graded_pairs``.  The normal signs select the orientation of the
-    common subdomain on each curve relative to the stored (outward of
-    enclosed) normals.
+    ``_graded_pairs``.  The normal signs, each -1 or 1, select the
+    orientation of the common subdomain on each curve relative to the
+    stored (outward of enclosed) normals.
 
     With ``g(r) = K0(a r) / (2 pi)``, ``g' = -a K1(a r) / (2 pi)`` and
     ``g'' = a^2 g - g' / r``, the four kernels are ``ns . grad g``
     (vv), ``g`` (vq), ``no^T Hess(g) ns`` (qv) and ``no . grad g`` (qq),
     all from one K0 and one K1 per point.
+
+    A curve pair is integrated unsigned once per ``(a, quad_order)`` and
+    kept until either curve is freed; a swapped call reads it as ``[[-qq^T,
+    vq^T], [qv^T, -vv^T]]``, and each call signs it exactly.
     """
     if obs_mesh is src_mesh:
         raise ValueError("cross blocks require two distinct curves")
     a = _check_a(a)
+    for name, sign in (("obs", obs_normal_sign), ("src", src_normal_sign)):
+        if sign not in (-1.0, 1.0):
+            raise ValueError(f"{name}_normal_sign must be -1 or 1: {sign!r}")
+    key = (a, quad_order)
+    blocks = _CROSS.get(obs_mesh, {}).get(src_mesh, {}).get(key)
+    if blocks is None:
+        swapped = _CROSS.get(src_mesh, {}).get(obs_mesh, {}).get(key)
+        if swapped is not None:
+            vv, vq, qv, qq = swapped
+            blocks = (-qq.T, vq.T, qv.T, -vv.T)
+        else:
+            blocks = _cross_blocks(obs_mesh, src_mesh, a, quad_order)
+            _CROSS.setdefault(obs_mesh, weakref.WeakKeyDictionary()
+                              ).setdefault(src_mesh, {})[key] = blocks
+    vv, vq, qv, qq = blocks
+    so, ss = obs_normal_sign, src_normal_sign
+    return np.block([[ss * vv, vq], [so * ss * qv, so * qq]])
+
+
+def _cross_blocks(obs_mesh, src_mesh, a, quad_order):
+    """Unsigned ``(vv, vq, qv, qq)`` node matrices of ``cross_block``."""
     tol = 1e-12 * max(obs_mesh.lengths.max(), src_mesh.lengths.max())
     if _segments_meet(obs_mesh, src_mesh, tol):
         raise ValueError("curves intersect or touch")
-    n_obs = obs_normal_sign * obs_mesh.normals
-    n_src = src_normal_sign * src_mesh.normals
     mo, ms = obs_mesh.n_elements, src_mesh.n_elements
     rows, cols = np.divmod(np.arange(mo * ms), ms)
-
-    # vv, vq, qv, qq element blocks
-    blocks = np.empty((2, 2, mo, ms, 2, 2))
+    blocks = np.empty((4, mo, ms, 2, 2))
     for e, f, dx, dy, r, ll, wb in _graded_pairs(obs_mesh, src_mesh, rows,
                                                  cols, a, quad_order):
-        nox, noy = n_obs[e, 0, None, None], n_obs[e, 1, None, None]
-        nsx, nsy = n_src[f, 0, None, None], n_src[f, 1, None, None]
+        nox, noy = obs_mesh.normals[e].T[:, :, None, None]
+        nsx, nsy = src_mesh.normals[f].T[:, :, None, None]
         ro = (nox * dx + noy * dy) / r                       # no . rhat
         rs = (nsx * dx + nsy * dy) / r                       # ns . rhat
         g = k0(a * r) / TWO_PI
         gp = (-a / TWO_PI) * k1(a * r)
         gpp = a * a * g - gp / r
-        for k, ker in zip(np.ndindex(2, 2), (
+        for k, ker in enumerate((
                 gp * rs, g,
                 gpp * ro * rs + gp * (nox * nsx + noy * nsy - ro * rs) / r,
                 gp * ro)):
-            blocks[k][e, f] = ll * (wb.T @ ker @ wb)
-    R = np.zeros((2, obs_mesh.n_nodes, 2, src_mesh.n_nodes))
-    for ri, ci in np.ndindex(2, 2):
-        _scatter(R[ri, :, ci], obs_mesh.elements, src_mesh.elements,
-                 blocks[ri, ci])
-    return R.reshape(2 * obs_mesh.n_nodes, -1)
+            blocks[k, e, f] = ll * (wb.T @ ker @ wb)
+    R = np.zeros((4, obs_mesh.n_nodes, src_mesh.n_nodes))
+    _scatter(R, obs_mesh.elements, src_mesh.elements, blocks)
+    return tuple(R)
 
 
 @dataclass(frozen=True)
@@ -501,6 +520,7 @@ class CouplingSet:
     As a subdomain record it is ``P = [[P1~, R12], [R21, P2~]]`` over the
     curves ``(inner, outer)``, with the matching block-diagonal mass;
     both are built on first use and read-only, one array for every caller.
+    ``R21`` is ``R12``'s signed block transpose, from one integration.
     """
 
     R12: np.ndarray
@@ -532,8 +552,8 @@ def assemble_coupling(inner_mesh, outer_mesh, params):
 
     The middle region lies outside ``inner_mesh`` and inside
     ``outer_mesh``; its outward normal is the reverse of the inner
-    mesh's normal and coincides with the outer mesh's normal.  The
-    off-diagonal blocks couple the two curves through smooth kernels.
+    mesh's normal and coincides with the outer mesh's normal.  One
+    ``cross_block`` integration gives both smooth off-diagonal blocks.
     """
     pt1 = assemble_calderon_2d(inner_mesh, params, side="exterior")
     pt2 = assemble_calderon_2d(outer_mesh, params, side="interior")

@@ -289,11 +289,7 @@ def _line_sweep(cfg, a, count):
 
 def _bem_sweep(cfg, a, count):
     pencil = _setup_2d(cfg, [a] * count)
-
-    def builder(s):
-        A, B = pencil([s] * count)
-        return spectra.pencil_spectrum(A, B, [s] * count).eigenvalues
-    return builder
+    return lambda s: spectra.pencil_eigenvalues(*pencil([s] * count))
 
 
 # sweep kind -> (report label, eigenvalue builder factory, subdomains)

@@ -16,7 +16,7 @@ from one factorization of the black diagonal blocks (mass matrices are
 never inverted), for any list of subdomain records (a
 ``DiscreteCalderon`` on one curve, a ``CouplingSet`` on the annulus)
 and a tuple of relaxation parameters, one per record;
-:func:`pencil_spectrum` takes ``+-sqrt`` of its eigenvalues.
+:func:`pencil_eigenvalues` takes ``+-sqrt`` of its eigenvalues.
 ``jacobi_2d_2dom`` and ``jacobi_2d_3dom`` are its two- and
 three-subdomain forms.
 """
@@ -195,11 +195,15 @@ def jacobi_2d_3dom(P1, P2, coupling, sigmas):
     return jacobi_pencil((P1, coupling, P2), (s1, s0, s2))
 
 
-def pencil_spectrum(A, B, sigmas, eps=0.05):
-    """Jacobi spectrum ``+-sqrt(mu)`` from the eigenvalues ``mu`` of the
-    red pencil of :func:`jacobi_pencil`, with cluster diagnostics."""
+def pencil_eigenvalues(A, B):
+    """Jacobi spectrum ``+-sqrt(mu)``, ``mu`` the red pencil's eigenvalues."""
     roots = np.sqrt(eig_generalized(A, B).eigenvalues.astype(complex))
-    return summarize_spectrum(np.concatenate([roots, -roots]), sigmas, eps)
+    return np.concatenate([roots, -roots])
+
+
+def pencil_spectrum(A, B, sigmas, eps=0.05):
+    """:func:`pencil_eigenvalues` with cluster diagnostics."""
+    return summarize_spectrum(pencil_eigenvalues(A, B), sigmas, eps)
 
 
 def sigma_sweep(builder, sigma_grid, eps=0.05):

@@ -307,6 +307,48 @@ class TestCoupling:
                                match="a must be finite and positive"):
                 build()
 
+    @pytest.mark.parametrize("obs_sign, src_sign",
+                             [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0),
+                              (-1.0, -1.0)])
+    def test_stored_blocks_match_fresh_integration(self, obs_sign,
+                                                   src_sign):
+        curves = make_three_domain(24, 32)
+        cross_block(*curves, 2.0)
+        for order in (1, -1):               # the stored order, then swapped
+            hit = cross_block(*curves[::order], 2.0, obs_sign, src_sign)
+            fresh = make_three_domain(24, 32)[::order]
+            miss = cross_block(*fresh, 2.0, obs_sign, src_sign)
+            assert relative_error(hit, miss) <= 1e-14
+
+    def test_signs_are_applied_exactly(self):
+        inner, outer = make_three_domain(24, 32)
+        R12 = assemble_coupling(inner, outer, KernelParams(1.0)).R12
+        unsigned = cross_block(*make_three_domain(24, 32), 1.0)
+        signed = unsigned.copy()
+        signed[inner.n_nodes:] *= -1.0      # obs_normal_sign = -1
+        assert np.array_equal(R12, signed)
+
+    @pytest.mark.parametrize("freed", [0, 1])
+    def test_cross_blocks_are_freed_with_either_curve(self, freed,
+                                                      monkeypatch):
+        # as for the operator sets: an empty store, no cyclic collector
+        monkeypatch.setattr(assembly, "_CROSS", weakref.WeakKeyDictionary())
+
+        def stored():
+            return sum(len(pairs) for pairs in assembly._CROSS.values())
+
+        gc.disable()
+        try:
+            curves = list(make_three_domain(8, 8))
+            coupling = assemble_coupling(*curves, KernelParams(1.0))
+            assert stored() == 1
+            dead = weakref.ref(curves[freed])
+            del coupling, curves[freed]
+            assert dead() is None
+            assert stored() == 0
+        finally:
+            gc.enable()
+
     def test_subdomain_blocks_built_once(self):
         inner, outer = make_three_domain(8, 12)
         coup = assemble_coupling(inner, outer, KernelParams(1.0))
@@ -319,18 +361,27 @@ class TestCoupling:
             coup.P, np.block([[coup.P1_tilde.P, coup.R12],
                               [coup.R21, coup.P2_tilde.P]]))
 
+    @pytest.mark.parametrize("name", ["obs_normal_sign", "src_normal_sign"])
+    @pytest.mark.parametrize("sign", [0.5, 0.0, -2.0, np.nan])
+    def test_bad_normal_signs_rejected(self, name, sign):
+        inner, outer = make_three_domain(8, 8)
+        with pytest.raises(ValueError, match=name):
+            cross_block(inner, outer, 1.0, **{name: sign})
+
     @pytest.mark.parametrize("a", [1.0, 3.0])
     def test_cross_blocks_are_signed_block_transposes(self, a):
         """R21 = [[-qq^T, vq^T], [qv^T, -vv^T]] for R12 = [[vv, vq],
         [qv, qq]]: the two curves see the same distances, and the
-        gradient of the kernel is odd in the offset."""
+        gradient of the kernel is odd in the offset.  The swapped call
+        reads R12's stored blocks that way; R21 integrated on a fresh
+        curve pair checks it."""
         inner, outer = make_three_domain(24, 32)
-        R12 = cross_block(inner, outer, a, -1.0, 1.0)
+        cross_block(inner, outer, a, -1.0, 1.0)
         R21 = cross_block(outer, inner, a, 1.0, -1.0)
-        ni, no = inner.n_nodes, outer.n_nodes
-        vv, vq, qv, qq = R12[:ni, :no], R12[:ni, no:], R12[ni:, :no], R12[ni:, no:]
-        expected = np.block([[-qq.T, vq.T], [qv.T, -vv.T]])
-        assert relative_error(R21, expected) <= 1e-14
+        fresh_inner, fresh_outer = make_three_domain(24, 32)
+        integrated = cross_block(fresh_outer, fresh_inner, a, 1.0, -1.0)
+        assert fresh_outer in assembly._CROSS        # a miss, stored
+        assert relative_error(R21, integrated) <= 1e-14
 
     def test_middle_projector_residual_decays(self):
         prev = None
@@ -571,10 +622,10 @@ class TestGradedOrders:
 
     @pytest.mark.parametrize("a", [1.0, 30.0])
     def test_cross_block_chunk_size_changes_nothing(self, a, monkeypatch):
-        inner, outer = make_three_domain(24, 32)
-        ref = cross_block(inner, outer, a, -1.0, 1.0)
+        ref = cross_block(*make_three_domain(24, 32), a, -1.0, 1.0)
         for chunk in (1, 7):
             monkeypatch.setattr(assembly, "_CHUNK", chunk)
+            inner, outer = make_three_domain(24, 32)    # a miss
             assert np.array_equal(cross_block(inner, outer, a, -1.0, 1.0),
                                   ref)
 

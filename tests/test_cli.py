@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multitrace import cli
+from multitrace import cli, spectra
 from multitrace.bem2d import assembly
 from helpers import match_multisets
 from multitrace.cli import (_MODES, _SWEEPS, ConfigError, main,
@@ -442,6 +442,22 @@ class Test2dRuns:
         assert report.results["n_grid"] == len(rows) == 3
         assert all(n_eigs == per_element * n for _, n_eigs in rows)
         assert 0.0 in [sigma for sigma, _ in rows]
+
+    def test_bem_sweep_summarizes_each_point_once(self, monkeypatch,
+                                                  tmp_path):
+        calls = []
+        original = spectra.cluster_report
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, "cluster_report", counted)
+        report = run(parse_config(["sweep", "--kind", "2d-3dom", "--n", "8",
+                                   "--steps", "5",
+                                   "--out", str(tmp_path / "o")]))
+        assert report.results["n_grid"] == 5
+        assert len(calls) == 5
 
 
 CONFIGS = sorted(CONFIGS_DIR.glob("fig*.json"))
