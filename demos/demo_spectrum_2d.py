@@ -15,6 +15,7 @@ from multitrace import spectra
 from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
                               assemble_operators, make_circle, make_square)
 from multitrace.bem2d.kernels import kernel_2d, kernel_gradient_dot
+from multitrace.linalg import solve_dense
 
 n = int(sys.argv[1]) if len(sys.argv) > 1 else 64
 a = 1.0
@@ -35,7 +36,7 @@ d = mesh.nodes - x0
 r = np.linalg.norm(d, axis=1)
 radial = mesh.nodes / np.linalg.norm(mesh.nodes, axis=1, keepdims=True)
 T = np.concatenate([kernel_2d(a, r), kernel_gradient_dot(a, d, r, radial)])
-Q = cal_in.operator()
+Q = solve_dense(cal_in.M_block, cal_in.P)
 print("  trace reproduction |QT - T|/|T|:",
       f"{np.max(np.abs(Q @ T - T)) / np.max(np.abs(T)):.2e}")
 print("  projector residual |PQ - P|_2:",

@@ -53,7 +53,6 @@ import numpy as np
 import scipy.linalg
 from scipy.special import i0, i1, k0, k1
 
-from ..linalg import solve_dense
 from .kernels import TWO_PI, _check_a
 from .quadrature import gauss01, log_gauss01
 
@@ -319,7 +318,7 @@ def _adjacent_pair_tables(d1, d2, L1, L2, n1, n2, a, order):
 
 # mesh -> {KernelParams: BemOperatorSet}; an entry goes with its mesh
 _SETS = weakref.WeakKeyDictionary()
-# obs mesh -> src mesh -> {(a, quad_order): unsigned cross_block blocks}
+# obs mesh -> src mesh -> {KernelParams: unsigned cross_block blocks}
 _CROSS = weakref.WeakKeyDictionary()
 
 
@@ -412,16 +411,8 @@ class DiscreteCalderon:
     params: KernelParams
 
     @property
-    def dim(self):
-        return self.P.shape[0]
-
-    @property
     def curves(self):
         return (self.mesh,)
-
-    def operator(self):
-        """Coefficient-space operator ``M_block^{-1} P``."""
-        return solve_dense(self.M_block, self.P)
 
 
 def assemble_calderon_2d(mesh, params, side="interior"):
@@ -443,8 +434,8 @@ def assemble_calderon_2d(mesh, params, side="interior"):
     return DiscreteCalderon(P, M_block, side, mesh, params)
 
 
-def cross_block(obs_mesh, src_mesh, a, obs_normal_sign=1.0,
-                src_normal_sign=1.0, quad_order=8):
+def cross_block(obs_mesh, src_mesh, params, obs_normal_sign=1.0,
+                src_normal_sign=1.0):
     """Trace-on-obs of the potential generated on a disjoint source curve.
 
     Returns the 2x2 block matrix pairing P1 tests on the observation
@@ -460,27 +451,26 @@ def cross_block(obs_mesh, src_mesh, a, obs_normal_sign=1.0,
     (vv), ``g`` (vq), ``no^T Hess(g) ns`` (qv) and ``no . grad g`` (qq),
     all from one K0 and one K1 per point.
 
-    A curve pair is integrated unsigned once per ``(a, quad_order)`` and
+    A curve pair is integrated unsigned once per ``KernelParams`` and
     kept until either curve is freed; a swapped call reads it as ``[[-qq^T,
     vq^T], [qv^T, -vv^T]]``, and each call signs it exactly.
     """
     if obs_mesh is src_mesh:
         raise ValueError("cross blocks require two distinct curves")
-    a = _check_a(a)
     for name, sign in (("obs", obs_normal_sign), ("src", src_normal_sign)):
         if sign not in (-1.0, 1.0):
             raise ValueError(f"{name}_normal_sign must be -1 or 1: {sign!r}")
-    key = (a, quad_order)
-    blocks = _CROSS.get(obs_mesh, {}).get(src_mesh, {}).get(key)
+    blocks = _CROSS.get(obs_mesh, {}).get(src_mesh, {}).get(params)
     if blocks is None:
-        swapped = _CROSS.get(src_mesh, {}).get(obs_mesh, {}).get(key)
+        swapped = _CROSS.get(src_mesh, {}).get(obs_mesh, {}).get(params)
         if swapped is not None:
             vv, vq, qv, qq = swapped
             blocks = (-qq.T, vq.T, qv.T, -vv.T)
         else:
-            blocks = _cross_blocks(obs_mesh, src_mesh, a, quad_order)
+            blocks = _cross_blocks(obs_mesh, src_mesh, params.a,
+                                   params.quad_order)
             _CROSS.setdefault(obs_mesh, weakref.WeakKeyDictionary()
-                              ).setdefault(src_mesh, {})[key] = blocks
+                              ).setdefault(src_mesh, {})[params] = blocks
     vv, vq, qv, qq = blocks
     so, ss = obs_normal_sign, src_normal_sign
     return np.block([[ss * vv, vq], [so * ss * qv, so * qq]])
@@ -557,10 +547,8 @@ def assemble_coupling(inner_mesh, outer_mesh, params):
     """
     pt1 = assemble_calderon_2d(inner_mesh, params, side="exterior")
     pt2 = assemble_calderon_2d(outer_mesh, params, side="interior")
-    R12 = cross_block(inner_mesh, outer_mesh, params.a,
-                      obs_normal_sign=-1.0, src_normal_sign=1.0,
-                      quad_order=params.quad_order)
-    R21 = cross_block(outer_mesh, inner_mesh, params.a,
-                      obs_normal_sign=1.0, src_normal_sign=-1.0,
-                      quad_order=params.quad_order)
+    R12 = cross_block(inner_mesh, outer_mesh, params,
+                      obs_normal_sign=-1.0, src_normal_sign=1.0)
+    R21 = cross_block(outer_mesh, inner_mesh, params,
+                      obs_normal_sign=1.0, src_normal_sign=-1.0)
     return CouplingSet(R12, R21, pt1, pt2)

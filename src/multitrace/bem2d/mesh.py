@@ -42,6 +42,8 @@ class BoundaryMesh:
             raise ValueError("nodes must have shape (n, 2)")
         if self.elements.ndim != 2 or self.elements.shape[1] != 2:
             raise ValueError("elements must have shape (m, 2)")
+        if len(self.elements) == 0:
+            raise ValueError("mesh has no elements")
         if len(self.curve_id) != len(self.elements):
             raise ValueError("curve_id must have one entry per element")
         n = len(self.nodes)
@@ -150,8 +152,7 @@ def make_square(n_per_side, side=1.0, center=(0.0, 0.0)):
     return BoundaryMesh(nodes, elements)
 
 
-def make_three_domain(n_inner=96, n_outer=None, r_inner=0.5, r_outer=1.0,
-                      center=(0.0, 0.0)):
+def make_three_domain(n_inner=96, n_outer=None, r_inner=0.5, r_outer=1.0):
     """Two disjoint concentric circles bounding an annular middle region.
 
     Returns ``(inner, outer)`` meshes: the bounded subdomain sits inside
@@ -162,9 +163,7 @@ def make_three_domain(n_inner=96, n_outer=None, r_inner=0.5, r_outer=1.0,
         n_outer = n_inner
     if not 0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
-    inner = make_circle(n_inner, radius=r_inner, center=center)
-    outer = make_circle(n_outer, radius=r_outer, center=center)
-    return inner, outer
+    return make_circle(n_inner, r_inner), make_circle(n_outer, r_outer)
 
 
 def save_mesh(mesh, path):

@@ -3,13 +3,14 @@
 Besides mapped Gauss-Legendre rules this provides a generalized Gauss
 rule for the weight ``-log(x)`` on [0, 1], built at runtime from the
 exact moments ``int_0^1 x^k (-log x) dx = 1/(k+1)^2`` with the Chebyshev
-moment algorithm in extended precision (the raw-moment map is too
-ill-conditioned for double precision beyond a handful of points).
+moment algorithm in exact rational arithmetic (the raw-moment map is too
+ill-conditioned for double precision beyond a handful of points), so
+each recurrence coefficient is rounded to float once.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -25,24 +26,23 @@ def gauss01(n):
 
 def _log_weight_recurrence(n):
     """Three-term recurrence coefficients for the -log weight on [0, 1],
-    at 60 digits or more: about 1.3 digits are lost per point."""
-    with mpmath.workdps(max(60, 2 * n + 20)):
-        moments = [mpmath.mpf(1) / (k + 1) ** 2 for k in range(2 * n)]
-        alpha = [moments[1] / moments[0]]
-        beta = [moments[0]]
-        sigma_prev = [mpmath.mpf(0)] * (2 * n)
-        sigma_cur = list(moments)
-        for k in range(1, n):
-            sigma_new = [mpmath.mpf(0)] * (2 * n)
-            for l in range(k, 2 * n - k):
-                sigma_new[l] = (sigma_cur[l + 1]
-                                - alpha[k - 1] * sigma_cur[l]
-                                - beta[k - 1] * sigma_prev[l])
-            alpha.append(sigma_new[k + 1] / sigma_new[k]
-                         - sigma_cur[k] / sigma_cur[k - 1])
-            beta.append(sigma_new[k] / sigma_cur[k - 1])
-            sigma_prev, sigma_cur = sigma_cur, sigma_new
-        return ([float(v) for v in alpha], [float(v) for v in beta])
+    exact as fractions, then rounded to float."""
+    moments = [Fraction(1, (k + 1) ** 2) for k in range(2 * n)]
+    alpha = [moments[1] / moments[0]]
+    beta = [moments[0]]
+    sigma_prev = [Fraction(0)] * (2 * n)
+    sigma_cur = moments
+    for k in range(1, n):
+        sigma_new = [Fraction(0)] * (2 * n)
+        for l in range(k, 2 * n - k):
+            sigma_new[l] = (sigma_cur[l + 1]
+                            - alpha[k - 1] * sigma_cur[l]
+                            - beta[k - 1] * sigma_prev[l])
+        alpha.append(sigma_new[k + 1] / sigma_new[k]
+                     - sigma_cur[k] / sigma_cur[k - 1])
+        beta.append(sigma_new[k] / sigma_cur[k - 1])
+        sigma_prev, sigma_cur = sigma_cur, sigma_new
+    return [float(v) for v in alpha], [float(v) for v in beta]
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
 from multitrace.bem2d import assembly
 from multitrace.bem2d.kernels import (kernel_2d, kernel_gradient_dot,
                                       kernel_radial_deriv)
+from multitrace.linalg import solve_dense
 from helpers import (cross_block_reference, smooth_pair_tables_reference,
                      trace_flip)
 
@@ -107,7 +108,7 @@ class TestCalderon:
             mesh = make_circle(n)
             cal = assemble_calderon_2d(mesh, KernelParams(a), "interior")
             T = circle_traces(mesh, a, x0=(2.5, 0.4))
-            Q = cal.operator()
+            Q = solve_dense(cal.M_block, cal.P)
             res = np.max(np.abs(Q @ T - T)) / np.max(np.abs(T))
             if prev is not None:
                 assert res < prev / 1.5
@@ -126,7 +127,7 @@ class TestCalderon:
         # outward normal of the exterior domain points inward
         T = np.concatenate([kernel_2d(a, r),
                             kernel_gradient_dot(a, d, r, -radial)])
-        Q = cal.operator()
+        Q = solve_dense(cal.M_block, cal.P)
         assert np.max(np.abs(Q @ T - T)) / np.max(np.abs(T)) < 2e-3
 
     def test_projector_residual_decays(self):
@@ -272,35 +273,50 @@ class TestCoupling:
     def test_curves_must_differ(self):
         mesh = make_circle(12)
         with pytest.raises(ValueError):
-            cross_block(mesh, mesh, 1.0)
+            cross_block(mesh, mesh, KernelParams(1.0))
 
     def test_touching_curves_rejected(self):
         with pytest.raises(ValueError, match="intersect or touch"):
-            cross_block(make_circle(12), make_circle(12), 1.0)
+            cross_block(make_circle(12), make_circle(12), KernelParams(1.0))
 
     @pytest.mark.parametrize("name", MEETING_CURVES)
     def test_meeting_curves_rejected(self, name):
         obs, src = MEETING_CURVES[name]()
         for pair in ((obs, src), (src, obs)):
             with pytest.raises(ValueError, match="intersect or touch"):
-                cross_block(*pair, 1.0)
+                cross_block(*pair, KernelParams(1.0))
 
     @pytest.mark.parametrize("name", DISJOINT_CURVES)
     def test_disjoint_curves_assemble(self, name):
         obs, src = DISJOINT_CURVES[name]()
         for pair in ((obs, src), (src, obs)):
-            assert np.all(np.isfinite(cross_block(*pair, 1.0)))
+            assert np.all(np.isfinite(cross_block(*pair,
+                                                  KernelParams(1.0))))
 
     def test_nonpositive_a_rejected(self):
         inner, outer = make_three_domain(8, 8)
         with pytest.raises(ValueError, match="positive"):
-            cross_block(inner, outer, 0.0)
+            cross_block(inner, outer, KernelParams(0.0))
+
+    @pytest.mark.parametrize("quad_order", [1, 0, -1])
+    def test_quad_order_below_two_rejected(self, quad_order):
+        inner, outer = make_three_domain(8, 8)
+        with pytest.raises(ValueError, match="quad_order must be at least 2"):
+            cross_block(inner, outer, KernelParams(1.0, quad_order))
+
+    def test_store_is_keyed_by_params(self):
+        inner, outer = make_three_domain(8, 8)
+        for par in (KernelParams(1.0), KernelParams(1.0, 6),
+                    KernelParams(1.0), KernelParams(2.0)):
+            cross_block(inner, outer, par)
+        assert list(assembly._CROSS[inner][outer]) == [
+            KernelParams(1.0), KernelParams(1.0, 6), KernelParams(2.0)]
 
     @pytest.mark.parametrize("a", [np.inf, -np.inf, np.nan])
     def test_non_finite_a_rejected(self, a):
         inner, outer = make_three_domain(8, 8)
         for build in (lambda: KernelParams(a),
-                      lambda: cross_block(inner, outer, a),
+                      lambda: cross_block(inner, outer, KernelParams(a)),
                       lambda: kernel_2d(a, 1.0),
                       lambda: kernel_radial_deriv(a, 1.0)):
             with pytest.raises(ValueError,
@@ -312,18 +328,19 @@ class TestCoupling:
                               (-1.0, -1.0)])
     def test_stored_blocks_match_fresh_integration(self, obs_sign,
                                                    src_sign):
-        curves = make_three_domain(24, 32)
-        cross_block(*curves, 2.0)
+        curves, par = make_three_domain(24, 32), KernelParams(2.0)
+        cross_block(*curves, par)
         for order in (1, -1):               # the stored order, then swapped
-            hit = cross_block(*curves[::order], 2.0, obs_sign, src_sign)
+            hit = cross_block(*curves[::order], par, obs_sign, src_sign)
             fresh = make_three_domain(24, 32)[::order]
-            miss = cross_block(*fresh, 2.0, obs_sign, src_sign)
+            miss = cross_block(*fresh, par, obs_sign, src_sign)
             assert relative_error(hit, miss) <= 1e-14
 
     def test_signs_are_applied_exactly(self):
         inner, outer = make_three_domain(24, 32)
-        R12 = assemble_coupling(inner, outer, KernelParams(1.0)).R12
-        unsigned = cross_block(*make_three_domain(24, 32), 1.0)
+        par = KernelParams(1.0)
+        R12 = assemble_coupling(inner, outer, par).R12
+        unsigned = cross_block(*make_three_domain(24, 32), par)
         signed = unsigned.copy()
         signed[inner.n_nodes:] *= -1.0      # obs_normal_sign = -1
         assert np.array_equal(R12, signed)
@@ -366,7 +383,7 @@ class TestCoupling:
     def test_bad_normal_signs_rejected(self, name, sign):
         inner, outer = make_three_domain(8, 8)
         with pytest.raises(ValueError, match=name):
-            cross_block(inner, outer, 1.0, **{name: sign})
+            cross_block(inner, outer, KernelParams(1.0), **{name: sign})
 
     @pytest.mark.parametrize("a", [1.0, 3.0])
     def test_cross_blocks_are_signed_block_transposes(self, a):
@@ -376,10 +393,11 @@ class TestCoupling:
         reads R12's stored blocks that way; R21 integrated on a fresh
         curve pair checks it."""
         inner, outer = make_three_domain(24, 32)
-        cross_block(inner, outer, a, -1.0, 1.0)
-        R21 = cross_block(outer, inner, a, 1.0, -1.0)
+        par = KernelParams(a)
+        cross_block(inner, outer, par, -1.0, 1.0)
+        R21 = cross_block(outer, inner, par, 1.0, -1.0)
         fresh_inner, fresh_outer = make_three_domain(24, 32)
-        integrated = cross_block(fresh_outer, fresh_inner, a, 1.0, -1.0)
+        integrated = cross_block(fresh_outer, fresh_inner, par, 1.0, -1.0)
         assert fresh_outer in assembly._CROSS        # a miss, stored
         assert relative_error(R21, integrated) <= 1e-14
 
@@ -418,12 +436,12 @@ class TestCoupling:
         # matching subdomain projector after the trace flip
         inner, outer, coup, P1, P2 = coupling_setup
         X1 = trace_flip(inner.n_nodes)
-        Q1 = P1.operator()
+        Q1 = solve_dense(P1.M_block, P1.P)
         Q12 = scipy.linalg.solve(coup.P1_tilde.M_block, coup.R12)
         lhs = Q1 @ X1 @ Q12 - X1 @ Q12
         assert np.linalg.norm(lhs, 2) < 2e-2 * np.linalg.norm(Q12, 2)
         X2 = trace_flip(outer.n_nodes)
-        Q2 = P2.operator()
+        Q2 = solve_dense(P2.M_block, P2.P)
         Q21 = scipy.linalg.solve(coup.P2_tilde.M_block, coup.R21)
         lhs2 = Q2 @ X2 @ Q21 - X2 @ Q21
         assert np.linalg.norm(lhs2, 2) < 2e-2 * np.linalg.norm(Q21, 2)
@@ -467,7 +485,8 @@ class TestFastPathOracle:
     def test_cross_blocks_match_einsum_reference(self, obs_sign, src_sign):
         inner, outer = make_three_domain(24, 32)
         for obs, src in ((inner, outer), (outer, inner)):
-            fast = cross_block(obs, src, 2.0, obs_sign, src_sign)
+            fast = cross_block(obs, src, KernelParams(2.0), obs_sign,
+                               src_sign)
             slow = cross_block_reference(obs, src, 2.0, obs_sign, src_sign)
             no, ns = obs.n_nodes, src.n_nodes
             for rows in (slice(0, no), slice(no, 2 * no)):
@@ -622,11 +641,12 @@ class TestGradedOrders:
 
     @pytest.mark.parametrize("a", [1.0, 30.0])
     def test_cross_block_chunk_size_changes_nothing(self, a, monkeypatch):
-        ref = cross_block(*make_three_domain(24, 32), a, -1.0, 1.0)
+        par = KernelParams(a)
+        ref = cross_block(*make_three_domain(24, 32), par, -1.0, 1.0)
         for chunk in (1, 7):
             monkeypatch.setattr(assembly, "_CHUNK", chunk)
             inner, outer = make_three_domain(24, 32)    # a miss
-            assert np.array_equal(cross_block(inner, outer, a, -1.0, 1.0),
+            assert np.array_equal(cross_block(inner, outer, par, -1.0, 1.0),
                                   ref)
 
     def test_one_assembly_builds_every_gauss_rule(self):

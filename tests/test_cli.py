@@ -349,6 +349,17 @@ class TestConfigFile:
 
 
 class TestHelp:
+    def test_runtime_imports_no_mpmath(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import sys, multitrace.cli, multitrace.bem2d; "
+                "print('mpmath' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_help_lists_every_flag_and_choice(self):
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))

@@ -67,6 +67,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="degenerate|length"):
             BoundaryMesh(nodes, elements)
 
+    def test_empty_mesh_rejected(self):
+        with pytest.raises(ValueError, match="no elements"):
+            BoundaryMesh(np.empty((0, 2)), np.empty((0, 2), dtype=int))
+
     def test_next_element_cyclic(self):
         mesh = make_circle(10)
         nxt = mesh.next_element()
@@ -83,6 +87,12 @@ class TestIo:
         assert np.array_equal(back.nodes, mesh.nodes)
         assert np.array_equal(back.elements, mesh.elements)
         assert np.array_equal(back.curve_id, mesh.curve_id)
+
+    def test_empty_mesh_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("nodes 0\nelements 0\n")
+        with pytest.raises(ValueError, match="no elements"):
+            load_mesh(path)
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

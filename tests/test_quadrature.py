@@ -2,7 +2,30 @@ import mpmath
 import numpy as np
 import pytest
 
+from multitrace.bem2d import quadrature
 from multitrace.bem2d.quadrature import gauss01, log_gauss01
+
+
+def mpmath_recurrence(n):
+    """The former extended-precision recurrence of the -log weight, kept
+    as the reference of the exact rational one."""
+    with mpmath.workdps(max(60, 2 * n + 20)):
+        moments = [mpmath.mpf(1) / (k + 1) ** 2 for k in range(2 * n)]
+        alpha = [moments[1] / moments[0]]
+        beta = [moments[0]]
+        sigma_prev = [mpmath.mpf(0)] * (2 * n)
+        sigma_cur = list(moments)
+        for k in range(1, n):
+            sigma_new = [mpmath.mpf(0)] * (2 * n)
+            for l in range(k, 2 * n - k):
+                sigma_new[l] = (sigma_cur[l + 1]
+                                - alpha[k - 1] * sigma_cur[l]
+                                - beta[k - 1] * sigma_prev[l])
+            alpha.append(sigma_new[k + 1] / sigma_new[k]
+                         - sigma_cur[k] / sigma_cur[k - 1])
+            beta.append(sigma_new[k] / sigma_cur[k - 1])
+            sigma_prev, sigma_cur = sigma_cur, sigma_new
+        return ([float(v) for v in alpha], [float(v) for v in beta])
 
 
 def test_gauss_polynomial_exactness():
@@ -24,6 +47,16 @@ def test_log_rule_moments_exact():
         assert np.all((x > 0) & (x < 1))
         for k in range(2 * n):
             assert abs(np.sum(w * x ** k) - 1.0 / (k + 1) ** 2) < 5e-15
+
+
+@pytest.mark.parametrize("n", [*range(1, 21), 46, 60])
+def test_log_rule_bitwise_equals_mpmath_rule(n, monkeypatch):
+    x, w = log_gauss01(n)
+    monkeypatch.setattr(quadrature, "_log_weight_recurrence",
+                        mpmath_recurrence)
+    x_ref, w_ref = log_gauss01.__wrapped__(n)       # bypass the cache
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(w, w_ref)
 
 
 def test_log_rule_two_point_values():

@@ -252,7 +252,7 @@ def dense_pencil(subdomains, sigmas, exchange):
 
 def full_pencil_2dom(P1, P2, sigmas):
     """Full pencil of the subdomains ``(P1, P2)`` sharing one curve."""
-    n2 = P1.dim
+    n2 = P1.P.shape[0]
     return dense_pencil((P1, P2), sigmas, np.r_[n2:2 * n2, 0:n2])
 
 
@@ -285,7 +285,7 @@ class TestJacobiPencil:
             assert A.dtype == B.dtype == complex
         # P1 is red: the red unknowns are U1
         assert_red_pencil(A, B, *full_pencil_2dom(P1, P2, sigmas),
-                          np.arange(P1.dim), sigmas)
+                          np.arange(P1.P.shape[0]), sigmas)
 
     @pytest.mark.parametrize("sigmas", SIGMA_TRIPLES)
     def test_annulus_matches_dense_form(self, annulus_subdomains, sigmas):
@@ -293,7 +293,7 @@ class TestJacobiPencil:
         s0, s1, s2 = sigmas
         A, B = jacobi_2d_3dom(P1, P2, coup, sigmas)
         assert A.dtype == (float if np.isrealobj(sigmas) else complex)
-        na, nb = P1.dim, P2.dim
+        na, nb = P1.P.shape[0], P2.P.shape[0]
         # unknowns (U1, U01, U02, U2); U1 <-> U01 and U02 <-> U2 exchange
         o01, o02, o2 = na, 2 * na, 2 * na + nb
         swap = np.r_[o01:o02, 0:o01, o2:o2 + nb, o02:o2]
