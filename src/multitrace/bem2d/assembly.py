@@ -62,6 +62,8 @@ _DSIGN = np.array([-1.0, 1.0])
 _EPS = np.finfo(float).eps
 # Element pairs per batch of _graded_pairs: bounds the point arrays.
 _CHUNK = 4096
+# Largest quad_order: singular rules of 60 points take 0.25 s to build.
+MAX_QUAD_ORDER = 56
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,8 @@ class KernelParams:
 
     def __post_init__(self):
         _check_a(self.a)
-        if self.quad_order < 2:
-            raise ValueError("quad_order must be at least 2")
+        if not 2 <= self.quad_order <= MAX_QUAD_ORDER:
+            raise ValueError(f"quad_order must lie in [2, {MAX_QUAD_ORDER}]")
 
     @property
     def singular_order(self):

@@ -47,7 +47,7 @@ class BoundaryMesh:
         if len(self.curve_id) != len(self.elements):
             raise ValueError("curve_id must have one entry per element")
         n = len(self.nodes)
-        if self.elements.min(initial=0) < 0 or self.elements.max(initial=-1) >= n:
+        if self.elements.min() < 0 or self.elements.max() >= n:
             raise ValueError("element indices out of range")
         if np.any(self.lengths <= 0):
             raise ValueError("degenerate element of zero length")

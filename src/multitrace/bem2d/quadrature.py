@@ -3,12 +3,12 @@
 Besides mapped Gauss-Legendre rules this provides a generalized Gauss
 rule for the weight ``-log(x)`` on [0, 1], built at runtime from the
 exact moments ``int_0^1 x^k (-log x) dx = 1/(k+1)^2`` with the Chebyshev
-moment algorithm in exact rational arithmetic (the raw-moment map is too
+moment algorithm in exact integer arithmetic (the raw-moment map is too
 ill-conditioned for double precision beyond a handful of points), so
 each recurrence coefficient is rounded to float once.
 """
 
-from fractions import Fraction
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -25,24 +25,31 @@ def gauss01(n):
 
 
 def _log_weight_recurrence(n):
-    """Three-term recurrence coefficients for the -log weight on [0, 1],
-    exact as fractions, then rounded to float."""
-    moments = [Fraction(1, (k + 1) ** 2) for k in range(2 * n)]
-    alpha = [moments[1] / moments[0]]
-    beta = [moments[0]]
-    sigma_prev = [Fraction(0)] * (2 * n)
-    sigma_cur = moments
+    """Three-term recurrence coefficients for the -log weight on [0, 1]:
+    the Chebyshev moment algorithm on integers.  Row ``k`` holds the
+    modified moments ``sigma[k, l]`` up to a factor of its own (the update
+    is homogeneous in each row), divided by the row's gcd.  Each
+    coefficient is an exact ratio of integers, rounded once by ``/``."""
+    size = 2 * n
+    scale = math.lcm(*range(1, size + 1)) ** 2
+    cur = [scale // (l + 1) ** 2 for l in range(size)]   # scaled moments
+    prev, s, t = [0] * size, 1, 0
+    alpha, beta = [cur[1] / cur[0]], [cur[0] / scale]
     for k in range(1, n):
-        sigma_new = [Fraction(0)] * (2 * n)
-        for l in range(k, 2 * n - k):
-            sigma_new[l] = (sigma_cur[l + 1]
-                            - alpha[k - 1] * sigma_cur[l]
-                            - beta[k - 1] * sigma_prev[l])
-        alpha.append(sigma_new[k + 1] / sigma_new[k]
-                     - sigma_cur[k] / sigma_cur[k - 1])
-        beta.append(sigma_new[k] / sigma_cur[k - 1])
-        sigma_prev, sigma_cur = sigma_cur, sigma_new
-    return [float(v) for v in alpha], [float(v) for v in beta]
+        p, r = cur[k - 1], cur[k]
+        if k > 1:
+            s, t = prev[k - 2], prev[k - 1]
+        # sigma[k] = shifted sigma[k-1] - alpha[k-1] sigma[k-1]
+        # - beta[k-1] sigma[k-2], times p * s and the factor of row k-1
+        c1, c2, c3 = p * s, r * s - t * p, p * p
+        new = [0] * size
+        for l in range(k, size - k):
+            new[l] = c1 * cur[l + 1] - c2 * cur[l] - c3 * prev[l]
+        alpha.append((new[k + 1] * p - r * new[k]) / (new[k] * p))
+        beta.append(new[k] / (c3 * s))
+        g = math.gcd(*new)
+        prev, cur = cur, [v // g for v in new]
+    return alpha, beta
 
 
 @lru_cache(maxsize=None)

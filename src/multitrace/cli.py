@@ -25,8 +25,9 @@ import numpy as np
 import scipy
 
 from . import interval1d, line1d, spectra
-from .bem2d import (KernelParams, assemble_calderon_2d, assemble_coupling,
-                    make_circle, make_square, make_three_domain)
+from .bem2d import (MAX_QUAD_ORDER, KernelParams, assemble_calderon_2d,
+                    assemble_coupling, make_circle, make_square,
+                    make_three_domain)
 from .linalg import DIMENSION_CAP, SingularMatrixError, eig_dense
 
 GEOMETRIES = ("circle", "square")
@@ -476,8 +477,8 @@ def _validate(cfg):
         raise ConfigError(f"eps must be nonnegative, got {cfg.eps}")
     if cfg.steps < 0:
         raise ConfigError(f"steps must be nonnegative, got {cfg.steps}")
-    if cfg.quad_order < 2:
-        raise ConfigError(f"quad_order must be at least 2, got {cfg.quad_order}")
+    if not 2 <= cfg.quad_order <= MAX_QUAD_ORDER:
+        raise ConfigError(f"quad_order must lie in [2, {MAX_QUAD_ORDER}]")
     if not 0 < cfg.gamma < 1:
         raise ConfigError("gamma must lie in (0, 1)")
     if cfg.mode == "sweep" and cfg.steps < 2:

@@ -276,6 +276,8 @@ class TestRejectedInput:
         (["sweep", "--sigma-min", "-1", "--sigma-max", "-1", "--steps", "2"],
          "sigma_min"),
         (["spectrum-2d-3dom", "--geometry", "annulus"], "geometry"),
+        (["spectrum-2d", "--geometry", "circle", "--quad-order", "57"],
+         "quad_order"),
     ])
     def test_exit_2_naming_the_field(self, argv, field, tmp_path, capsys):
         # rejected by parse_config, before any assembly starts

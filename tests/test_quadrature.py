@@ -8,7 +8,7 @@ from multitrace.bem2d.quadrature import gauss01, log_gauss01
 
 def mpmath_recurrence(n):
     """The former extended-precision recurrence of the -log weight, kept
-    as the reference of the exact rational one."""
+    as the reference of the exact integer one."""
     with mpmath.workdps(max(60, 2 * n + 20)):
         moments = [mpmath.mpf(1) / (k + 1) ** 2 for k in range(2 * n)]
         alpha = [moments[1] / moments[0]]
