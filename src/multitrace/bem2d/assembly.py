@@ -53,7 +53,8 @@ import numpy as np
 import scipy.linalg
 from scipy.special import i0, i1, k0, k1
 
-from .kernels import TWO_PI, _check_a
+from ..line1d import _check_a
+from .kernels import TWO_PI
 from .quadrature import gauss01, log_gauss01
 
 # Tangential derivative signs of the two nodal basis functions.
@@ -75,8 +76,10 @@ class KernelParams:
 
     def __post_init__(self):
         _check_a(self.a)
-        if not 2 <= self.quad_order <= MAX_QUAD_ORDER:
-            raise ValueError(f"quad_order must lie in [2, {MAX_QUAD_ORDER}]")
+        if not (isinstance(self.quad_order, (int, np.integer))
+                and 2 <= self.quad_order <= MAX_QUAD_ORDER):
+            raise ValueError(f"quad_order must lie in [2, {MAX_QUAD_ORDER}] "
+                             f"and be an integer, got {self.quad_order!r}")
 
     @property
     def singular_order(self):
@@ -98,7 +101,6 @@ class BemOperatorSet:
     adj_double_layer: np.ndarray
     hypersingular: np.ndarray
     mass: np.ndarray
-    params: KernelParams
 
 
 def mass_matrix(mesh):
@@ -111,11 +113,12 @@ def mass_matrix(mesh):
     return M
 
 
-def _scatter(target, rows, cols, loc):
-    """Add element blocks ``loc[..., e, f, k, l]`` at the nodes ``rows[e, k]``
-    and ``cols[f, l]``; a closed mesh's node columns are permutations."""
+def _scatter(target, loc):
+    """Add element blocks ``loc[..., e, f, k, l]`` at the nodes ``e + k``
+    and ``f + l``: element ``e`` of a mesh joins its nodes ``e`` and ``e +
+    1``, cyclically, so each basis-node block is a rolled element table."""
     for k, l in np.ndindex(2, 2):
-        target[..., rows[:, k, None], cols[None, :, l]] += loc[..., k, l]
+        target += np.roll(loc[..., k, l], (k, l), axis=(-2, -1))
 
 
 def _p1(x):
@@ -364,17 +367,16 @@ def _assemble_operators(mesh, params):
              + (a * a) * nn[:, :, None, None] * v_loc)
 
     n = mesh.n_nodes
-    els = mesh.elements
     V = np.zeros((n, n))
     K = np.zeros((n, n))
     W = np.zeros((n, n))
-    _scatter(V, els, els, v_loc)
-    _scatter(K, els, els, k_loc)
-    _scatter(W, els, els, w_loc)
+    _scatter(V, v_loc)
+    _scatter(K, k_loc)
+    _scatter(W, w_loc)
     mats = (V, K, K.T.copy(), W, mass_matrix(mesh))
     for x in mats:
         x.flags.writeable = False
-    return BemOperatorSet(*mats, params)
+    return BemOperatorSet(*mats)
 
 
 def _segments_meet(obs, src, tol):
@@ -501,7 +503,7 @@ def _cross_blocks(obs_mesh, src_mesh, a, quad_order):
                 gp * ro)):
             blocks[k, e, f] = ll * (wb.T @ ker @ wb)
     R = np.zeros((4, obs_mesh.n_nodes, src_mesh.n_nodes))
-    _scatter(R, obs_mesh.elements, src_mesh.elements, blocks)
+    _scatter(R, blocks)
     return tuple(R)
 
 

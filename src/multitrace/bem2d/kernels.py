@@ -17,14 +17,9 @@ import numpy as np
 # i0, i1 stay bound for the Bessel call count of benchmarks/layers.py
 from scipy.special import i0, i1, k0, k1  # noqa: F401
 
+from ..line1d import _check_a
+
 TWO_PI = 2.0 * np.pi
-
-
-def _check_a(a):
-    if not 0 < a < np.inf:
-        raise ValueError(f"kernel parameter a must be finite and positive, "
-                         f"got {a}")
-    return float(a)
 
 
 def kernel_2d(a, r):

@@ -91,8 +91,9 @@ class JacobiOperator1D:
 
 
 def _check_a(a):
-    if not (np.isreal(a) and 0 < a < np.inf):
-        raise ValueError(f"material constant a must be finite and > 0, got {a}")
+    if not (np.isrealobj(a) and 0 < a < np.inf):
+        raise ValueError(f"material constant a must be finite and positive, "
+                         f"got {a}")
     return float(a)
 
 

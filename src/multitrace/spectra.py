@@ -134,7 +134,7 @@ def jacobi_pencil(subdomains, sigmas):
         raise ValueError(f"{len(subdomains)} subdomains need as many "
                          f"relaxation parameters, got {len(sigmas)}")
     P = [sd.P for sd in subdomains]
-    sides = {}              # curve id -> [(subdomain, local column, nodes)]
+    sides = {}              # id(curve) -> [(subdomain, local column, nodes)]
     for j, sd in enumerate(subdomains):
         local = 0
         for curve in sd.curves:

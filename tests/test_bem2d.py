@@ -303,6 +303,15 @@ class TestCoupling:
         with pytest.raises(ValueError, match="quad_order must lie in"):
             KernelParams(1.0, quad_order)
 
+    @pytest.mark.parametrize("a, quad_order, match", [
+        (1.0, 8.0, "quad_order must lie in"),
+        (1.0, "8", "quad_order must lie in"),
+        (1 + 1j, 8, "a must be finite and positive"),
+        (1 + 0j, 8, "a must be finite and positive")])
+    def test_wrong_type_rejected(self, a, quad_order, match):
+        with pytest.raises(ValueError, match=match):
+            KernelParams(a, quad_order)
+
     def test_store_is_keyed_by_params(self):
         inner, outer = make_three_domain(8, 8)
         for par in (KernelParams(1.0), KernelParams(1.0, 6),
@@ -665,13 +674,28 @@ def element_tables(mesh, a, monkeypatch):
     tables = []
     scatter = assembly._scatter
 
-    def record(target, rows, cols, loc):
+    def record(target, loc):
         tables.append(loc)
-        scatter(target, rows, cols, loc)
+        scatter(target, loc)
 
     monkeypatch.setattr(assembly, "_scatter", record)
     assemble_operators(mesh, KernelParams(a))
     return tables[0], tables[1]
+
+
+def test_scatter_matches_element_loop():
+    """``_scatter`` adds ``loc[..., e, f, k, l]`` at the node pair
+    ``(elements[e, k], elements[f, l])`` of two meshes, bit for bit."""
+    obs, src = make_circle(5), make_square(2)
+    loc = np.random.default_rng(0).standard_normal((3, 5, 8, 2, 2))
+    ref = np.zeros((3, obs.n_nodes, src.n_nodes))
+    for k, l in np.ndindex(2, 2):
+        for e, f in np.ndindex(5, 8):
+            ref[:, obs.elements[e, k], src.elements[f, l]] += loc[:, e, f,
+                                                                  k, l]
+    out = np.zeros_like(ref)
+    assembly._scatter(out, loc)
+    assert np.array_equal(out, ref)
 
 
 def dblquad_blocks(mesh, a, e, f):
