@@ -5,15 +5,13 @@ from .assembly import (MAX_QUAD_ORDER, BemOperatorSet, CouplingSet,
                        assemble_coupling, assemble_operators, cross_block,
                        mass_matrix)
 from .kernels import kernel_2d, kernel_radial_deriv
-from .mesh import (BoundaryMesh, load_mesh, make_circle, make_square,
-                   make_three_domain, save_mesh)
+from .mesh import BoundaryMesh, make_circle, make_square, make_three_domain
 from .quadrature import gauss01, log_gauss01
 
 __all__ = [
     "BemOperatorSet", "BoundaryMesh", "CouplingSet", "DiscreteCalderon",
     "KernelParams", "MAX_QUAD_ORDER", "assemble_calderon_2d",
     "assemble_coupling", "assemble_operators", "cross_block", "gauss01",
-    "kernel_2d", "kernel_radial_deriv",
-    "load_mesh", "log_gauss01", "make_circle", "make_square",
-    "make_three_domain", "mass_matrix", "save_mesh",
+    "kernel_2d", "kernel_radial_deriv", "log_gauss01", "make_circle",
+    "make_square", "make_three_domain", "mass_matrix",
 ]

@@ -89,10 +89,16 @@ class BoundaryMesh:
         return np.roll(np.arange(self.n_elements), -1)
 
 
+def _check_count(count, least, what):
+    """An integer count, Python's or numpy's, of at least ``least``."""
+    if not (isinstance(count, (int, np.integer)) and count >= least):
+        raise ValueError(f"{what} must be an integer of at least {least}, "
+                         f"got {count!r}")
+
+
 def make_circle(n_elems, radius=1.0, center=(0.0, 0.0)):
     """Regular inscribed polygon approximating a circle, CCW."""
-    if n_elems < 3:
-        raise ValueError("need at least 3 elements")
+    _check_count(n_elems, 3, "n_elems")
     if not 0 < radius < np.inf:
         raise ValueError(f"radius must be finite and positive, got {radius}")
     theta = 2.0 * np.pi * np.arange(n_elems) / n_elems
@@ -105,8 +111,7 @@ def make_circle(n_elems, radius=1.0, center=(0.0, 0.0)):
 
 def make_square(n_per_side, side=1.0, center=(0.0, 0.0)):
     """Square boundary with nodes exactly at the corners, CCW."""
-    if n_per_side < 1:
-        raise ValueError("need at least 1 element per side")
+    _check_count(n_per_side, 1, "n_per_side")
     if not 0 < side < np.inf:
         raise ValueError(f"side must be finite and positive, got {side}")
     h = side / 2.0
@@ -131,34 +136,3 @@ def make_three_domain(n_inner=96, n_outer=None, r_inner=0.5, r_outer=1.0):
     if not 0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
     return make_circle(n_inner, r_inner), make_circle(n_outer, r_outer)
-
-
-def save_mesh(mesh, path):
-    """Write a mesh as plain text: a ``nodes <count>`` header, then one
-    ``x y`` line per node in counterclockwise order."""
-    with open(path, "w") as fh:
-        fh.write(f"nodes {mesh.n_nodes}\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-
-
-def load_mesh(path):
-    """Read a mesh written by :func:`save_mesh` (validates on load).
-
-    A wrong or missing header and a node section shorter or longer than
-    its count raise ``ValueError("malformed mesh file: ...")``.
-    """
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if tokens[:1] != ["nodes"]:
-        raise ValueError(f"malformed mesh file: expected the 'nodes <count>' "
-                         f"header, got {' '.join(tokens[:2])!r}")
-    if len(tokens) < 2 or not tokens[1].isdigit():
-        raise ValueError(f"malformed mesh file: nodes count must be a "
-                         f"nonnegative integer, got {tokens[1:2]}")
-    count, body = int(tokens[1]), tokens[2:]
-    if len(body) != 2 * count:
-        raise ValueError(f"malformed mesh file: nodes section expects "
-                         f"{count} rows of 2 values ({2 * count} tokens), "
-                         f"got {len(body)}")
-    return BoundaryMesh(np.array(body, dtype=float).reshape(count, 2))

@@ -4,6 +4,7 @@ One run per invocation: pick a mode, optionally load defaults from a
 JSON config file, override with flags, and write deterministic artifacts
 (eigenvalue dumps, sweep curves, convergence histories, a JSON run
 report echoing the configuration, and a gnuplot script for the data).
+This module writes every artifact; the numerics modules open no file.
 
 Config-file keys are the field names of ``_FIELDS``, the one table of
 flags, defaults, casts and help texts.
@@ -139,17 +140,19 @@ def _sigma_grid(cfg):
     return grid[np.abs(grid + 1.0) > 1e-9]     # -1 excluded by construction
 
 
-def _write_convergence(path, errors):
-    with open(path, "w") as fh:
-        fh.write("step,error\n")
-        for k, e in enumerate(errors):
-            fh.write(f"{k},{e:.16e}\n")
+def _write(report, path, header, lines):
+    """The one artifact writer: a header line, then one line per entry
+    of ``lines``; ``path`` is recorded in the report."""
+    with open(report.record(path), "w") as fh:
+        fh.writelines(f"{line}\n" for line in (header, *lines))
 
 
-def _gnuplot_script(path, lines):
-    with open(path, "w") as fh:
-        fh.write("# gnuplot script generated alongside the data files\n")
-        fh.write("\n".join(lines) + "\n")
+def _plot(report, data, settings, style):
+    """``plot.gp`` beside the CSV file ``data``: the ``settings`` lines,
+    then its first two columns below the header, drawn ``style``."""
+    _write(report, data.parent / "plot.gp",
+           "# gnuplot script generated alongside the data files",
+           [*settings, f'plot "{data}" every ::1 using 1:2 {style}'])
 
 
 def _line_operator(a, sigmas, jumps):
@@ -169,11 +172,11 @@ def _run_line(cfg, out, report):
     hist = line1d.block_jacobi_run(op, np.zeros(op.matrix.shape[0]),
                                    cfg.steps)
     eigs = eig_dense(op.matrix).eigenvalues
-    _write_convergence(report.record(out / "convergence.csv"), hist.errors)
-    _gnuplot_script(report.record(out / "plot.gp"), [
-        "set logscale y", 'set xlabel "iteration"', 'set ylabel "error"',
-        f'plot "{out / "convergence.csv"}" every ::1 using 1:2 '
-        'with linespoints title "block Jacobi error"'])
+    _write(report, out / "convergence.csv", "step,error",
+           (f"{k},{e:.16e}" for k, e in enumerate(hist.errors)))
+    _plot(report, out / "convergence.csv",
+          ["set logscale y", 'set xlabel "iteration"', 'set ylabel "error"'],
+          'with linespoints title "block Jacobi error"')
     return {
         "eigenvalues": _jsonable(eigs),
         "spectral_radius": float(np.max(np.abs(eigs))),
@@ -193,10 +196,8 @@ def _run_bounded(cfg, out, report):
     c1, c2, evaluate = interval1d.transmission_solve_bounded(
         geom, line1d.JumpData(cfg.alpha, cfg.beta))
     xs = np.linspace(0.0, 1.0, 401)
-    with open(report.record(out / "solution.csv"), "w") as fh:
-        fh.write("x,u\n")
-        for x, u in zip(xs, evaluate(xs)):
-            fh.write(f"{x:.6f},{u:.16e}\n")
+    _write(report, out / "solution.csv", "x,u",
+           (f"{x:.6f},{u:.16e}" for x, u in zip(xs, evaluate(xs))))
     return {
         "dtn": {"dtn1": pair.dtn1, "dtn2": pair.dtn2,
                 "ntd1": pair.ntd1, "ntd2": pair.ntd2},
@@ -214,7 +215,8 @@ def _run_schwarz(cfg, out, report):
     geom = interval1d.BoundedGeometry(cfg.gamma, a)
     rep = interval1d.equivalence_check(
         geom, interval1d.SchwarzState(*cfg.start), cfg.steps)
-    _write_convergence(report.record(out / "deviation.csv"), rep.deviations)
+    _write(report, out / "deviation.csv", "step,error",
+           (f"{k},{e:.16e}" for k, e in enumerate(rep.deviations)))
     return {
         "max_deviation": rep.max_deviation,
         "schwarz_norms": _jsonable(
@@ -266,13 +268,12 @@ def _run_spectrum(cfg, out, report):
     A, B = _timed(report, "pencil_s", pencil, sigmas)
     result = _timed(report, "eigensolve_s", spectra.pencil_spectrum,
                     A, B, sigmas, cfg.eps)
-    spectra.write_eigenvalues_csv(report.record(out / "eigenvalues.csv"),
-                                  result.eigenvalues)
+    _write(report, out / "eigenvalues.csv", "re,im",
+           (f"{z.real:.16e},{z.imag:.16e}" for z in result.eigenvalues))
     if count == 2:      # the annulus run writes no plot script
-        _gnuplot_script(report.record(out / "plot.gp"), [
-            "set size ratio -1", 'set xlabel "Re"', 'set ylabel "Im"',
-            f'plot "{out / "eigenvalues.csv"}" every ::1 using 1:2 '
-            'with points pt 7 ps 0.5 title "Jacobi spectrum"'])
+        _plot(report, out / "eigenvalues.csv",
+              ["set size ratio -1", 'set xlabel "Re"', 'set ylabel "Im"'],
+              'with points pt 7 ps 0.5 title "Jacobi spectrum"')
     return {
         "spectral_radius": result.spectral_radius,
         "theoretical_points": _jsonable(result.theoretical_points),
@@ -308,12 +309,19 @@ def _run_sweep(cfg, out, report):
     (a,) = cfg.a
     builder = _timed(report, "assembly_s", factory, cfg, a, count)
     rows = spectra.sigma_sweep(builder, grid, cfg.eps)
-    spectra.write_sweep_csv(report.record(out / "sweep.csv"), rows)
+    clusters = range(1, len(rows[0][1].cluster_fractions) + 1)
+    _write(report, out / "sweep.csv",
+           "sigma,rho,n_eigs,"
+           + "".join(f"frac_cluster_{i}," for i in clusters) + "frac_remainder",
+           (f"{s.real if s.imag == 0 else s},{res.spectral_radius:.16e},"
+            f"{len(res.eigenvalues)},"
+            + ",".join(f"{f:.6f}" for f in (*res.cluster_fractions,
+                                            res.remainder_fraction))
+            for s, res in rows))
+    _plot(report, out / "sweep.csv",
+          ['set xlabel "sigma"', 'set ylabel "spectral radius"'],
+          'with lines title "rho(J)", 1 with lines dt 2 title "1"')
     radii = [res.spectral_radius for _, res in rows]
-    _gnuplot_script(report.record(out / "plot.gp"), [
-        'set xlabel "sigma"', 'set ylabel "spectral radius"',
-        f'plot "{out / "sweep.csv"}" every ::1 using 1:2 '
-        'with lines title "rho(J)", 1 with lines dt 2 title "1"'])
     return {
         "kind": label,
         "n_grid": len(rows),
@@ -497,13 +505,15 @@ def _validate(cfg):
             "2d-3dom": 4}.get(run, 0)
     if rows == 2 and cfg.geometry is None:
         raise ConfigError(f"geometry must be given for {run!r}")
+    if rows != 2 and cfg.geometry is not None:
+        raise ConfigError(f"geometry is read only by 'spectrum-2d' and "
+                          f"sweep kind '2d', not by {run!r}")
     if rows == 2 and cfg.geometry == "square" and cfg.n_elements % 4:
         raise ConfigError("n_elements must be divisible by 4 for the square")
     dim = rows * cfg.n_elements
     if dim > DIMENSION_CAP:
         raise ConfigError(f"n_elements {cfg.n_elements} gives a pencil of "
                           f"dimension {dim} beyond the cap {DIMENSION_CAP}")
-
 
 
 def run(cfg):

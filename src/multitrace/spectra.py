@@ -220,29 +220,3 @@ def sigma_sweep(builder, sigma_grid, eps=0.05):
     line1d._check_sigmas(sigma_grid)
     return [(complex(s), summarize_spectrum(builder(s), [s], eps))
             for s in sigma_grid]
-
-
-def write_eigenvalues_csv(path, eigenvalues):
-    """Eigenvalue dump, one ``re, im`` pair per line."""
-    eigs = np.asarray(eigenvalues, dtype=complex)
-    with open(path, "w") as fh:
-        fh.write("re,im\n")
-        for lam in eigs:
-            fh.write(f"{lam.real:.16e},{lam.imag:.16e}\n")
-
-
-def write_sweep_csv(path, rows):
-    """Sweep dump of the :func:`sigma_sweep` pairs: ``sigma, rho, n_eigs,
-    frac_cluster_*, frac_remainder``."""
-    if not rows:
-        raise ValueError("empty sweep")
-    k = len(rows[0][1].cluster_fractions)
-    with open(path, "w") as fh:
-        frac_names = ",".join(f"frac_cluster_{i + 1}" for i in range(k))
-        fh.write(f"sigma,rho,n_eigs,{frac_names},frac_remainder\n")
-        for sigma, res in rows:
-            sig = sigma.real if sigma.imag == 0 else sigma
-            fracs = ",".join(f"{f:.6f}" for f in res.cluster_fractions)
-            fh.write(f"{sig},{res.spectral_radius:.16e},"
-                     f"{len(res.eigenvalues)},{fracs},"
-                     f"{res.remainder_fraction:.6f}\n")

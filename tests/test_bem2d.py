@@ -754,13 +754,3 @@ class TestSingularCorrectionOracle:
                 assert err <= 1e-12 * (np.linalg.norm(ref_k)
                                         or np.linalg.norm(ref_v)), (e, f)
 
-
-class TestMeshIoFormat:
-    def test_operator_from_reloaded_mesh(self, tmp_path):
-        from multitrace.bem2d.mesh import load_mesh, save_mesh
-        mesh = make_circle(12)
-        save_mesh(mesh, tmp_path / "c.txt")
-        back = load_mesh(tmp_path / "c.txt")
-        v1 = assemble_operators(mesh, KernelParams(1.0)).single_layer
-        v2 = assemble_operators(back, KernelParams(1.0)).single_layer
-        assert np.array_equal(v1, v2)

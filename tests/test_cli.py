@@ -213,6 +213,44 @@ class TestRunModes:
         assert env["numpy"] == np.__version__
 
 
+class TestArtifactFormats:
+    """Each CSV is a header line and one line per row; the runs on one
+    curve and on the line add a gnuplot script for it."""
+
+    @pytest.mark.parametrize("argv, name, header, rows, plot", [
+        (["1d-2dom", "--steps", "5"], "convergence.csv", "step,error", 6,
+         True),
+        (["schwarz-equiv", "--steps", "4"], "deviation.csv", "step,error", 5,
+         False),
+        (["1d-bounded"], "solution.csv", "x,u", 401, False),
+        (["spectrum-2d", "--geometry", "circle", "--n", "8"],
+         "eigenvalues.csv", "re,im", 32, True),
+        (["spectrum-2d-3dom", "--n", "4"], "eigenvalues.csv", "re,im", 32,
+         False),
+        (["sweep", "--kind", "1d", "--steps", "5"], "sweep.csv",
+         "sigma,rho,n_eigs,frac_cluster_1,frac_cluster_2,frac_remainder", 5,
+         True),
+    ], ids=["convergence", "deviation", "solution", "eigenvalues",
+            "eigenvalues-annulus", "sweep"])
+    def test_header_rows_and_plot(self, argv, name, header, rows, plot,
+                                  tmp_path):
+        out = tmp_path / "o"
+        report = run(parse_config(argv + ["--out", str(out)]))
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + rows
+        assert all(line.count(",") == header.count(",") for line in lines)
+        script = out / "plot.gp"
+        assert script.exists() == plot
+        assert report.files == [str(out / name)] + [str(script)] * plot + [
+            str(out / "run_report.json")]
+        if plot:
+            lines = script.read_text().splitlines()
+            assert lines[0] == ("# gnuplot script generated alongside the "
+                                "data files")
+            assert lines[-1].startswith(f'plot "{out / name}" every ::1 ')
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
         code = main(["1d-2dom", "--out", str(tmp_path / "o")])
@@ -278,6 +316,11 @@ class TestRejectedInput:
         (["spectrum-2d-3dom", "--geometry", "annulus"], "geometry"),
         (["spectrum-2d", "--geometry", "circle", "--quad-order", "57"],
          "quad_order"),
+        (["spectrum-2d-3dom", "--geometry", "square", "--n", "8"], "geometry"),
+        (["1d-2dom", "--geometry", "circle"], "geometry"),
+        (["sweep", "--kind", "1d", "--geometry", "circle"], "geometry"),
+        (["sweep", "--kind", "2d-3dom", "--geometry", "circle"], "geometry"),
+        (["schwarz-equiv", "--geometry", "square"], "geometry"),
     ])
     def test_exit_2_naming_the_field(self, argv, field, tmp_path, capsys):
         # rejected by parse_config, before any assembly starts

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multitrace.bem2d.mesh import (BoundaryMesh, load_mesh, make_circle,
-                                   make_square, make_three_domain, save_mesh)
+from multitrace.bem2d.mesh import (BoundaryMesh, make_circle, make_square,
+                                   make_three_domain)
 
 
 class TestCircle:
@@ -75,6 +75,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             build()
 
+    @pytest.mark.parametrize("build, count", [
+        (make_circle, 8.5), (make_square, 2.5), (make_three_domain, 8.5)],
+        ids=["circle", "square", "three-domain"])
+    def test_non_integer_count_rejected(self, build, count):
+        with pytest.raises(ValueError, match=f"integer .*, got {count}$"):
+            build(count)
+        build(np.int64(4))                  # numpy integers are counts too
+
     def test_next_element_cyclic(self):
         mesh = make_circle(10)
         nxt = mesh.next_element()
@@ -101,59 +109,10 @@ def star_nodes(u, r, center):
                                                       np.sin(theta)]))
 
 
-class TestIo:
-    def test_round_trip(self, tmp_path):
-        mesh = make_square(3)
-        path = tmp_path / "mesh.txt"
-        save_mesh(mesh, path)
-        back = load_mesh(path)
-        assert np.array_equal(back.nodes, mesh.nodes)
-        assert np.array_equal(back.elements, mesh.elements)
-
-    @settings(max_examples=60, deadline=None)
-    @given(star_polygons())
-    def test_round_trip_property(self, tmp_path_factory, polygon):
-        nodes = star_nodes(*polygon)
-        path = tmp_path_factory.mktemp("star") / "mesh.txt"
-        save_mesh(BoundaryMesh(nodes), path)
-        back = load_mesh(path)
-        assert back.nodes.tobytes() == nodes.tobytes()
-        with pytest.raises(ValueError, match="counterclockwise"):
-            BoundaryMesh(nodes[::-1])
-
-    def test_empty_mesh_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.txt"
-        path.write_text("nodes 0\n")
-        with pytest.raises(ValueError, match="at least 3 nodes, got 0"):
-            load_mesh(path)
-
-    def test_non_finite_file_rejected(self, tmp_path):
-        path = tmp_path / "nan.txt"
-        path.write_text("nodes 3\n0.0 0.0\n1.0 0.0\nnan 1.0\n")
-        with pytest.raises(ValueError, match="nodes must be finite"):
-            load_mesh(path)
-
-    def test_malformed_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("vertices 3\n0 0\n1 0\n0 1\n")
-        with pytest.raises(ValueError, match="expected"):
-            load_mesh(path)
-
-    @pytest.mark.parametrize("edit, match", [
-        (lambda lines: lines[:3], r"nodes section expects 6 rows of 2 values "
-                                  r"\(12 tokens\), got 4"),
-        (lambda lines: lines + ["0 1"], r"nodes section expects 6 rows of 2 "
-                                        r"values \(12 tokens\), got 14"),
-        (lambda lines: ["nodes six"] + lines[1:], r"nodes count must be a "
-                                                  r"nonnegative integer"),
-        (lambda lines: lines + ["elements 6"] + [f"{e} {(e + 1) % 6} 0"
-                                                 for e in range(6)],
-         r"nodes section expects 6 rows of 2 values \(12 tokens\), got 32"),
-    ], ids=["cut-in-nodes", "trailing-tokens", "bad-count", "elements-section"])
-    def test_truncated_or_padded_rejected(self, tmp_path, edit, match):
-        path = tmp_path / "mesh.txt"
-        save_mesh(make_circle(6), path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(edit(lines)) + "\n")
-        with pytest.raises(ValueError, match="malformed mesh file: " + match):
-            load_mesh(path)
+@settings(max_examples=60, deadline=None)
+@given(star_polygons())
+def test_star_polygon_keeps_its_nodes(polygon):
+    nodes = star_nodes(*polygon)
+    assert BoundaryMesh(nodes).nodes.tobytes() == nodes.tobytes()
+    with pytest.raises(ValueError, match="counterclockwise"):
+        BoundaryMesh(nodes[::-1])

@@ -14,8 +14,7 @@ from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
 from multitrace.spectra import (cluster_report, jacobi_2d_2dom,
                                 jacobi_2d_3dom, jacobi_pencil,
                                 pencil_spectrum, sigma_sweep,
-                                spectral_radius_formula, theoretical_points,
-                                write_eigenvalues_csv, write_sweep_csv)
+                                spectral_radius_formula, theoretical_points)
 from helpers import line_spectrum, match_multisets, trace_flip
 
 
@@ -386,20 +385,3 @@ class TestSweep:
             return np.array([0.0 + 0j])
         with pytest.raises(ValueError):
             sigma_sweep(builder, [-1.0])
-
-    def test_csv_writers(self, tmp_path):
-        res = line_spectrum(1.0, (0.3, 0.3))
-        eig_path = tmp_path / "eigs.csv"
-        write_eigenvalues_csv(eig_path, res.eigenvalues)
-        lines = eig_path.read_text().strip().splitlines()
-        assert lines[0] == "re,im"
-        assert len(lines) == 1 + len(res.eigenvalues)
-
-        def builder(s):
-            return line_spectrum(1.0, (s, s)).eigenvalues
-        rows = sigma_sweep(builder, [0.1, 0.5])
-        sweep_path = tmp_path / "sweep.csv"
-        write_sweep_csv(sweep_path, rows)
-        header = sweep_path.read_text().splitlines()[0]
-        assert header.startswith("sigma,rho,n_eigs,frac_cluster_1")
-        assert header.endswith("frac_remainder")
