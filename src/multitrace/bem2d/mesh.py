@@ -33,7 +33,14 @@ class BoundaryMesh:
                              f"got {len(nodes)}")
         if not np.all(np.isfinite(nodes)):
             raise ValueError("nodes must be finite")
-        if np.any(self.lengths <= 0):
+        with np.errstate(over="ignore"):
+            lengths = self.lengths
+        if not np.all(np.isfinite(lengths)):
+            raise ValueError("element lengths overflow to inf")
+        if np.any(lengths[np.any(self.directions != 0, axis=1)] == 0):
+            raise ValueError("element lengths underflow to zero between "
+                             "distinct nodes")
+        if np.any(lengths == 0):
             raise ValueError("degenerate element of zero length")
         a, b = self.first_nodes, self.second_nodes
         if np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]) <= 0:

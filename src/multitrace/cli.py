@@ -235,39 +235,50 @@ def _timed(report, key, fn, *args):
 
 
 def _setup_2d(cfg, a):
-    """Assemble the 2D subdomains for the material constants ``a``.
+    """Assemble the 2D subdomain records for the material constants ``a``.
 
-    Two constants give the two subdomains of the one curve of
-    ``cfg.geometry``, three give ``(middle, inner, outer)`` of the
-    annulus; sides of one curve with one constant share its operator
-    set.  Returns ``pencil(sigmas) -> (A, B)``, the half-size red pencil
-    of :func:`spectra.jacobi_pencil`, in the matching sigma order.
+    Two constants give the interior and exterior of the one curve of
+    ``cfg.geometry``; equal ones share its operator set, and then only
+    the interior is returned (:func:`spectra.calderon_map`).  Three give
+    ``(inner, outer, coupling)`` of the annulus, its middle sigma first.
     """
     par = [KernelParams(a_k, cfg.quad_order) for a_k in a]
     if len(a) == 2:
         mesh = (make_circle(cfg.n_elements) if cfg.geometry == "circle"
                 else make_square(cfg.n_elements // 4))
         P1 = assemble_calderon_2d(mesh, par[0], "interior")
-        P2 = assemble_calderon_2d(mesh, par[1], "exterior")
-        return lambda sigmas: spectra.jacobi_2d_2dom(P1, P2, sigmas)
+        if par[0] == par[1]:
+            return (P1,)
+        return P1, assemble_calderon_2d(mesh, par[1], "exterior")
     inner, outer = make_three_domain(cfg.n_elements, cfg.n_elements,
                                      cfg.radii[0], cfg.radii[1])
-    P1 = assemble_calderon_2d(inner, par[1], "interior")
-    P2 = assemble_calderon_2d(outer, par[2], "exterior")
-    coupling = assemble_coupling(inner, outer, par[0])
-    return lambda sigmas: spectra.jacobi_2d_3dom(P1, P2, coupling, sigmas)
+    return (assemble_calderon_2d(inner, par[1], "interior"),
+            assemble_calderon_2d(outer, par[2], "exterior"),
+            assemble_coupling(inner, outer, par[0]))
 
 
 def _run_spectrum(cfg, out, report):
-    """Spectrum of the 2D Jacobi pencil: two subdomains on one curve,
-    three on the annulus."""
+    """Spectrum of the 2D Jacobi operator: two subdomains on one curve,
+    three on the annulus.  On one operator set the eigensolve is of ``q``,
+    and the report adds its range and its distance from {0, 1}."""
     a = _per_subdomain(cfg, "a")
     sigmas = _per_subdomain(cfg, "sigma")
     count = len(sigmas)
-    pencil = _timed(report, "assembly_s", _setup_2d, cfg, a)
-    A, B = _timed(report, "pencil_s", pencil, sigmas)
-    result = _timed(report, "eigensolve_s", spectra.pencil_spectrum,
-                    A, B, sigmas, cfg.eps)
+    subdomains = _timed(report, "assembly_s", _setup_2d, cfg, a)
+    health = {}
+    if len(subdomains) == 1:
+        q = _timed(report, "eigensolve_s", spectra.calderon_eigenvalues,
+                   *subdomains)
+        result = spectra.pencil_spectrum(
+            *spectra.jacobi_2d_2dom(q, 1 - q, sigmas), sigmas, cfg.eps)
+        health = {"q_min": q.real.min(), "q_max": q.real.max(),
+                  "projector_defect": np.minimum(abs(q), abs(1 - q)).max()}
+    else:
+        build = (spectra.jacobi_2d_2dom if count == 2
+                 else spectra.jacobi_2d_3dom)
+        A, B = _timed(report, "pencil_s", build, *subdomains, sigmas)
+        result = _timed(report, "eigensolve_s", spectra.pencil_spectrum,
+                        A, B, sigmas, cfg.eps)
     _write(report, out / "eigenvalues.csv", "re,im",
            (f"{z.real:.16e},{z.imag:.16e}" for z in result.eigenvalues))
     if count == 2:      # the annulus run writes no plot script
@@ -280,6 +291,7 @@ def _run_spectrum(cfg, out, report):
         "cluster_fractions": _jsonable(result.cluster_fractions),
         "remainder_fraction": result.remainder_fraction,
         "n_eigenvalues": len(result.eigenvalues),
+        **health,
     }
 
 
@@ -290,8 +302,13 @@ def _line_sweep(cfg, a, count):
 
 
 def _bem_sweep(cfg, a, count):
-    pencil = _setup_2d(cfg, [a] * count)
-    return lambda s: spectra.pencil_eigenvalues(*pencil([s] * count))
+    subdomains = _setup_2d(cfg, [a] * count)
+    if len(subdomains) == 1:        # one eigensolve serves every sigma
+        q = spectra.calderon_eigenvalues(*subdomains)
+        subdomains = (q, 1 - q)
+    build = spectra.jacobi_2d_2dom if count == 2 else spectra.jacobi_2d_3dom
+    return lambda s: spectra.pencil_eigenvalues(*build(*subdomains,
+                                                       [s] * count))
 
 
 # sweep kind -> (report label, eigenvalue builder factory, subdomains)

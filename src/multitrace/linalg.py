@@ -68,19 +68,22 @@ def _lapack(name, arrays, *args, **kwargs):
     return out
 
 
-def _solve_checked(A, B, name):
-    """``A^-1 B`` by pivoted LU, rejected at a noise-level pivot of ``A``."""
-    # getrf's info > 0 is an exactly zero pivot: the test below rejects it
-    lu, piv, _ = get_lapack_funcs(("getrf",), (A,))[0](A)
-    diag = np.abs(np.diag(lu))
+def _check_pivots(diag, name):
+    """Reject ``name`` at a pivot magnitude ``<= dim x eps x`` the largest."""
     scale = diag.max()
-    tol = lu.shape[0] * np.finfo(float).eps * scale
-    if scale == 0.0 or diag.min() <= tol:
+    if scale == 0.0 or diag.min() <= len(diag) * np.finfo(float).eps * scale:
         raise SingularMatrixError(
             f"{name} is singular to working precision "
             f"(smallest pivot magnitude {diag.min():.3e})",
             pivot_magnitude=float(diag.min()),
         )
+
+
+def _solve_checked(A, B, name):
+    """``A^-1 B`` by pivoted LU, rejected at a noise-level pivot of ``A``."""
+    # getrf's info > 0 is an exactly zero pivot: the test below rejects it
+    lu, piv, _ = get_lapack_funcs(("getrf",), (A,))[0](A)
+    _check_pivots(np.abs(np.diag(lu)), name)
     X, = _lapack("getrs", (lu, B), lu, piv, B)
     return X
 

@@ -2,23 +2,24 @@
 
 The iteration operator for relaxation parameters ``sigma_j`` has the
 exact eigenvalues ``+-sqrt(sigma_j / (1 + sigma_j))`` in the analytic 1D
-setting; discretized 2D operators cluster around the same points.  This
-module computes those spectra and quantifies how much of a spectrum sits
-near the theoretical points in one summary, :func:`summarize_spectrum`,
-which every spectrum and every point of a relaxation sweep goes through.
+setting; discretized 2D operators cluster around the same points, and
+:func:`summarize_spectrum` measures how much of a spectrum sits near
+them, for every spectrum and every point of a relaxation sweep.
 
-The Jacobi operator is two-cyclic: its diagonal blocks belong to single
-subdomains and its coupling joins subdomains across a curve, and the
-subdomains of any configuration here (a tree) split into red and black
-with every curve between the two colours.  :func:`jacobi_pencil`
-therefore returns the half-size red pencil of the squared operator,
-from one factorization of the black diagonal blocks (mass matrices are
-never inverted), for any list of subdomain records (a
-``DiscreteCalderon`` on one curve, a ``CouplingSet`` on the annulus)
-and a tuple of relaxation parameters, one per record;
-:func:`pencil_eigenvalues` takes ``+-sqrt`` of its eigenvalues.
+The Jacobi operator is two-cyclic, so :func:`jacobi_pencil` returns the
+half-size red pencil of its square for any list of subdomain records,
+and :func:`pencil_eigenvalues` takes ``+-sqrt`` of its eigenvalues;
 ``jacobi_2d_2dom`` and ``jacobi_2d_3dom`` are its two- and
 three-subdomain forms.
+
+When both sides of one curve come from one operator set (one mesh, one
+``KernelParams``), ``P_int + X P_ext X = M_block`` holds exactly, X the
+Neumann flip.  Both Calderon matrices are then diagonal in the
+eigenbasis of ``(P_int, M_block)``, with eigenvalues ``q`` and ``1 - q``,
+and so is the red pencil: :func:`calderon_map` builds it from the ``q``
+that :func:`calderon_eigenvalues` solves once for every relaxation pair.
+Sides with different material constants, and the annulus, share no
+eigenbasis and keep the pencil.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from . import line1d
-from .linalg import eig_generalized, solve_dense
+from .linalg import _check_pivots, eig_generalized, solve_dense
 
 
 def theoretical_points(sigmas):
@@ -181,9 +182,33 @@ def jacobi_pencil(subdomains, sigmas):
     return A_RK @ A_KR, B_R
 
 
+def calderon_eigenvalues(interior):
+    """Eigenvalues ``q`` of ``(P_int, M_block)``, for :func:`calderon_map`."""
+    return eig_generalized(interior.P, interior.M_block).eigenvalues
+
+
+def calderon_map(q1, q2, sigmas):
+    """:func:`jacobi_pencil` of two subdomains whose Calderon matrices are
+    ``diag(q_j)`` against a unit mass: the diagonal pencil ``A = e_1 e_2 /
+    d_2``, ``B = d_1`` with ``d_j = 1 + s_j - q_j`` and ``e_j = s_j``, or
+    ``d_j = 1`` and ``e_j = q_j`` at ``s_j = 0``.  A ``d_j`` failing the
+    pivot rule of the pencil's LU raises ``SingularMatrixError``."""
+    blocks = []
+    for j, (q, s) in enumerate(zip((q1, q2), line1d._check_sigmas(sigmas),
+                                   strict=True)):
+        diagonal = np.ones_like(q) if s == 0 else 1 + s - q
+        _check_pivots(np.abs(diagonal), f"the diagonal block of subdomain {j}")
+        blocks.append((q if s == 0 else s, diagonal))
+    (e1, d1), (e2, d2) = blocks
+    return e1 * e2 / d2, d1
+
+
 def jacobi_2d_2dom(P1, P2, sigmas):
     """Two subdomains sharing one curve: :func:`jacobi_pencil` of
-    ``(P1, P2)`` with ``sigmas = (s1, s2)``."""
+    ``(P1, P2)`` with ``sigmas = (s1, s2)``, or :func:`calderon_map` when
+    ``P1`` and ``P2`` are eigenvalue arrays."""
+    if isinstance(P1, np.ndarray):
+        return calderon_map(P1, P2, sigmas)
     return jacobi_pencil((P1, P2), sigmas)
 
 
@@ -196,8 +221,10 @@ def jacobi_2d_3dom(P1, P2, coupling, sigmas):
 
 
 def pencil_eigenvalues(A, B):
-    """Jacobi spectrum ``+-sqrt(mu)``, ``mu`` the red pencil's eigenvalues."""
-    roots = np.sqrt(eig_generalized(A, B).eigenvalues.astype(complex))
+    """Jacobi spectrum ``+-sqrt(mu)``, ``mu`` the red pencil's eigenvalues;
+    a diagonal pencil (:func:`calderon_map`) needs no eigensolve."""
+    mu = A / B if np.ndim(A) == 1 else eig_generalized(A, B).eigenvalues
+    roots = np.sqrt(mu.astype(complex))
     return np.concatenate([roots, -roots])
 
 

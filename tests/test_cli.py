@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from multitrace import cli, spectra
-from multitrace.bem2d import assembly
+from multitrace.bem2d import (KernelParams, assemble_calderon_2d, assembly,
+                              make_circle)
+from multitrace.linalg import SingularMatrixError
 from helpers import match_multisets
 from multitrace.cli import (_MODES, _SWEEPS, ConfigError, main,
                             parse_config, run)
@@ -466,6 +468,85 @@ class TestOperatorSetReuse:
         monkeypatch.setattr(assembly, "_assemble_operators", counted)
         run(parse_config(argv + ["--n", "8", "--out", str(tmp_path / "o")]))
         assert len(seen) == calls
+
+
+def _counted(monkeypatch, module, name, calls):
+    """Record every call of ``module.name`` in ``calls[name]``."""
+    original = getattr(module, name)
+    calls[name] = 0
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestCalderonMapPath:
+    """One curve whose two sides share one operator set takes one real
+    eigensolve, of ``q``, for every sigma; other runs take the pencil."""
+
+    @pytest.mark.parametrize("argv, eigs, pencils", [
+        (["spectrum-2d", "--geometry", "circle"], 1, 0),
+        (["spectrum-2d", "--geometry", "square", "--sigma", "0.2+0.1j,0"],
+         1, 0),
+        (["spectrum-2d", "--geometry", "circle", "--a", "1,5"], 1, 1),
+        (["sweep", "--kind", "2d", "--geometry", "circle", "--steps", "5"],
+         1, 0),
+        (["sweep", "--kind", "2d-3dom", "--steps", "5"], 5, 5),
+    ])
+    def test_eigensolves_and_pencils(self, argv, eigs, pencils, tmp_path,
+                                     monkeypatch):
+        calls = {}
+        _counted(monkeypatch, spectra, "eig_generalized", calls)
+        _counted(monkeypatch, spectra, "jacobi_pencil", calls)
+        run(parse_config(argv + ["--n", "16", "--out", str(tmp_path / "o")]))
+        assert calls == {"eig_generalized": eigs, "jacobi_pencil": pencils}
+
+    def test_report_times_the_q_eigensolve(self, tmp_path):
+        report = run(parse_config(["spectrum-2d", "--geometry", "circle",
+                                   "--n", "16", "--out", str(tmp_path / "o")]))
+        assert set(report.timings) == {"assembly_s", "eigensolve_s",
+                                       "total_s"}
+        assert (report.timings["assembly_s"] + report.timings["eigensolve_s"]
+                <= report.timings["total_s"])
+
+    @pytest.mark.parametrize("geometry, n, q_min", [
+        ("circle", 64, -0.01203), ("circle", 128, -0.01213),
+        ("square", 128, -0.01201)])
+    def test_report_pins_q(self, geometry, n, q_min, tmp_path):
+        run(parse_config(["spectrum-2d", "--geometry", geometry, "--n",
+                          str(n), "--out", str(tmp_path / "o")]))
+        results = json.loads(
+            (tmp_path / "o" / "run_report.json").read_text())["results"]
+        assert round(results["q_min"], 5) == q_min
+        assert round(results["q_max"], 5) == round(1 - q_min, 5)
+        assert round(results["projector_defect"], 5) == -q_min
+
+    def test_pencil_report_has_no_q(self, tmp_path):
+        report = run(parse_config(["spectrum-2d", "--geometry", "circle",
+                                   "--a", "1,5", "--n", "16",
+                                   "--out", str(tmp_path / "o")]))
+        assert not {"q_min", "q_max", "projector_defect"} & set(
+            report.results)
+        assert "pencil_s" in report.timings
+
+    def test_singular_block_at_minus_q_min(self, tmp_path, capsys):
+        # sigma = -q_min zeroes sigma + q at q_min, and 1 + sigma - q at
+        # q_max = 1 - q_min: both paths fail loudly, and the run exits 3
+        mesh = make_circle(64)
+        P1, P2 = (assemble_calderon_2d(mesh, KernelParams(1.0), side)
+                  for side in ("interior", "exterior"))
+        q = spectra.calderon_eigenvalues(P1)
+        sigma = -float(q.real.min())
+        for records in ((q, 1 - q), (P1, P2)):
+            with pytest.raises(SingularMatrixError):
+                spectra.pencil_eigenvalues(
+                    *spectra.jacobi_2d_2dom(*records, (sigma, sigma)))
+        code = main(["spectrum-2d", "--geometry", "circle", "--n", "64",
+                     "--sigma", repr(sigma), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "SingularMatrixError" in capsys.readouterr().err
 
 
 def _sweep_rows(path):

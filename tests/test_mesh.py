@@ -62,6 +62,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="degenerate|length"):
             BoundaryMesh(nodes)
 
+    def test_overflowing_lengths_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            make_circle(5, radius=1e300)
+
+    def test_underflowing_lengths_named_as_underflow(self):
+        # the nodes are distinct; only their squared distances underflow
+        with pytest.raises(ValueError, match="underflow .* distinct nodes"):
+            make_circle(7, radius=1e-300)
+
     def test_empty_mesh_rejected(self):
         with pytest.raises(ValueError, match="at least 3 nodes, got 0"):
             BoundaryMesh(np.empty((0, 2)))

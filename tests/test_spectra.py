@@ -9,9 +9,11 @@ import scipy.optimize
 
 from multitrace import line1d, spectra
 from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
-                              assemble_coupling, make_circle,
+                              assemble_coupling, make_circle, make_square,
                               make_three_domain)
-from multitrace.spectra import (cluster_report, jacobi_2d_2dom,
+from multitrace.linalg import SingularMatrixError
+from multitrace.spectra import (calderon_eigenvalues, calderon_map,
+                                cluster_report, jacobi_2d_2dom,
                                 jacobi_2d_3dom, jacobi_pencil,
                                 pencil_spectrum, sigma_sweep,
                                 spectral_radius_formula, theoretical_points)
@@ -44,6 +46,8 @@ SIGMA_ENGINES = {
         *circle, (m, 0.1)),
     "jacobi_2d_3dom": lambda circle, annulus, m: jacobi_2d_3dom(
         annulus[0], annulus[2], annulus[1], (0.25, m, 0.25)),
+    "calderon_map": lambda circle, annulus, m: calderon_map(
+        np.zeros(4), np.ones(4), (0.1, m)),
     "sigma_sweep": lambda circle, annulus, m: sigma_sweep(
         _never_built, [0.5, m]),
     "line1d.jacobi_operator": lambda circle, annulus, m: (
@@ -356,6 +360,84 @@ class TestJacobiPencil:
     def test_sigma_count_must_match(self, circle_projectors):
         with pytest.raises(ValueError, match="2 subdomains"):
             jacobi_pencil(circle_projectors, (0.1,))
+
+
+@pytest.fixture(scope="module", params=["circle", "square"])
+def one_operator_set(request):
+    """Both sides of one curve from one operator set, and its ``q``."""
+    mesh = make_circle(32) if request.param == "circle" else make_square(8)
+    P1 = assemble_calderon_2d(mesh, KernelParams(1.0), "interior")
+    P2 = assemble_calderon_2d(mesh, KernelParams(1.0), "exterior")
+    return P1, P2, calderon_eigenvalues(P1)
+
+
+# zero, negative, complex, near -1, inside the band (0, -q_min] where
+# some sigma + q nearly vanishes (q_min = -0.0117 on the circle and
+# -0.0104 on the square at 32 elements), and large
+MAP_PAIRS = [(0.1, 0.1), (2.0, 3.0), (-0.3, -0.3), (-0.4, 1.0),
+             (-0.6, 0.25), (0.2 + 0.4j, -0.3), (0.5 - 0.5j, 0.3 + 0.2j),
+             (0.7j, 0.7j), (-0.9, -0.9), (-0.95, -0.95), (-0.99, 0.5),
+             (0.005, 0.005), (0.01, 0.002), (0.0037, 0.1),
+             (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, -0.5), (0.001, 0.0),
+             (0.0, 0.008)]
+
+
+def diagonal_spread(q, sigmas):
+    """Largest ratio of the largest to the smallest diagonal value
+    ``|1 + s_j - q_j|`` over the subdomains with ``s_j != 0``: the
+    conditioning of the pencil's diagonal blocks in the eigenbasis."""
+    spread = 1.0
+    for q_j, s in zip((q, 1 - q), sigmas):
+        if s != 0:
+            d = np.abs(1 + s - q_j)
+            spread = max(spread, d.max() / d.min())
+    return spread
+
+
+class TestCalderonMap:
+    def test_identity_holds_on_one_operator_set(self, one_operator_set):
+        P1, P2, _ = one_operator_set
+        n = P1.mesh.n_nodes
+        X = trace_flip(n)
+        assert np.max(np.abs(P1.P + X @ P2.P @ X - P1.M_block)) <= 1e-17
+
+    @pytest.mark.parametrize("sigmas", MAP_PAIRS, ids=str)
+    def test_matches_pencil_and_qz(self, one_operator_set, sigmas):
+        # the bound scales with the spread of the diagonal values, which
+        # near sigma = -1 and inside the band is the conditioning of the
+        # pencil's diagonal blocks; the square root amplifies the error
+        # of the small mu that a zero sigma gives
+        P1, P2, q = one_operator_set
+        eigs = pencil_spectrum(*calderon_map(q, 1 - q, sigmas),
+                               sigmas).eigenvalues
+        tol = (1e-13 if 0 not in sigmas else 5e-11) * diagonal_spread(
+            q, sigmas)
+        match_multisets(eigs, pencil_spectrum(
+            *jacobi_pencil((P1, P2), sigmas), sigmas).eigenvalues, tol)
+        match_multisets(eigs, scipy.linalg.eigvals(
+            *full_pencil_2dom(P1, P2, sigmas)), tol)
+
+    def test_two_dom_form_takes_the_map_for_arrays(self, one_operator_set):
+        _, _, q = one_operator_set
+        A, B = jacobi_2d_2dom(q, 1 - q, (0.1, -0.3))
+        expected = calderon_map(q, 1 - q, (0.1, -0.3))
+        assert np.array_equal(A, expected[0]) and np.array_equal(
+            B, expected[1])
+        assert A.shape == B.shape == q.shape
+
+    @pytest.mark.parametrize("sigmas, subdomain", [
+        ((0.5, -0.25), 1), ((-0.5, 0.0), 0), ((0.0, -0.75), 1)])
+    def test_vanishing_diagonal_raises_with_pivot(self, sigmas, subdomain):
+        # d_2 = s_2 + q vanishes at q = -s_2, d_1 = 1 + s_1 - q at 1 + s_1
+        q = np.array([0.25, 0.5, 0.75])
+        with pytest.raises(SingularMatrixError,
+                           match=f"subdomain {subdomain}") as err:
+            calderon_map(q, 1 - q, sigmas)
+        assert err.value.pivot_magnitude == 0.0
+
+    def test_sigma_count_must_match(self):
+        with pytest.raises(ValueError):
+            calderon_map(np.zeros(2), np.ones(2), (0.1, 0.1, 0.1))
 
 
 class TestSweep:
