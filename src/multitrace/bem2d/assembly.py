@@ -17,10 +17,11 @@ regularized form (weak kernel, tangential derivatives of the basis), and
 the adjoint double layer is the exact transpose of the double layer.
 
 ``assemble_operators`` is one pipeline: the smooth table covers every
-ordered element pair, and the singular corrections then overwrite the
-self and adjacent entries.  The smooth table and the adjacent Duffy
-tables integrate each unordered pair once: the (f, e) blocks are the
-transposed (e, f) ones, the double layer with the other element's normal.
+element pair that touches in no node, and the coincident and adjacent
+singular tables fill the self and adjacent entries.  The smooth table and
+the adjacent Duffy tables integrate each unordered pair once: the (f, e)
+blocks are the transposed (e, f) ones, the double layer with the other
+element's normal.
 
 ``quad_order`` is the tensor-Gauss order of near pairs.  The element
 pairs of one curve and the cross-curve pairs go through the same graded
@@ -34,8 +35,15 @@ the weighted basis ``wb = w[:, None] * basis`` as a batched ``wb.T @ ker
 @ wb``; a cross-curve point gives all four coupling kernels from one K0
 and one K1.
 
-Per-pair contributions are independent and reduced into matrices with no
-ordering dependence.
+Each ``_assemble_operators`` and ``_cross_blocks`` call runs its pair
+work on one thread pool, opened and joined by that call, so no thread
+outlives it.  The tasks are the ``_CHUNK`` batches of ``_graded_pairs``,
+the coincident table and the adjacent tables; each writes its own element
+blocks, and scipy's Bessel functions and numpy's array loops release the
+interpreter lock, so they run side by side.  A pair's blocks do not
+depend on its batch or its thread, and the matrices are bit for bit those
+of a serial run.  The pool has one thread per CPU this process may run
+on, so ``taskset`` restricts it.
 
 ``assemble_operators`` keeps one set per mesh object and ``KernelParams``,
 so every subdomain that meets a curve shares its V, K, K' and W.  Meshes
@@ -45,7 +53,9 @@ Two threads that miss at once each assemble an equal set, harmlessly.
 """
 
 import math
+import os
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,8 +71,12 @@ from .quadrature import gauss01, log_gauss01
 _DSIGN = np.array([-1.0, 1.0])
 # Error target of the per-pair Gauss orders.
 _EPS = np.finfo(float).eps
-# Element pairs per batch of _graded_pairs: bounds the point arrays.
-_CHUNK = 4096
+# Element pairs per task of _graded_pairs: bounds the point arrays of each
+# thread and balances the load.
+_CHUNK = 1024
+# Threads of an assembly call's pool: the CPUs this process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 # Largest quad_order: singular rules of 60 points take 0.25 s to build.
 MAX_QUAD_ORDER = 56
 
@@ -185,50 +199,72 @@ def _pair_orders(mid1, L1, mid2, L2, a, quad_order):
     return np.minimum(quad_order, np.maximum(q_sep, q_exp)).astype(int)
 
 
-def _graded_pairs(obs, src, rows, cols, a, order):
-    """Element pairs ``(rows[i], cols[i])`` of the curves ``obs`` and
-    ``src``, each with the tensor-Gauss order of ``_pair_orders``, order
-    by order and ``_CHUNK`` pairs at a time.
+def _gather(futures):
+    """The results of ``futures`` in order.  The first error cancels the
+    tasks that have not started and propagates."""
+    try:
+        return [f.result() for f in futures]
+    except BaseException:
+        for f in futures:
+            f.cancel()
+        raise
 
-    Yields ``e, f, dx, dy, r, ll, wb``: the element indices, the offsets
-    ``x - y`` of their Gauss points and the distances, ``(pair, k, l)``,
-    the length products ``(pair, 1, 1)`` and the weighted basis.
+
+def _graded_pairs(pool, obs, src, rows, cols, a, order, integrate):
+    """Run ``integrate`` on the element pairs ``(rows[i], cols[i])`` of the
+    curves ``obs`` and ``src``, each with the tensor-Gauss order of
+    ``_pair_orders``: one ``pool`` task per ``_CHUNK`` pairs of one order,
+    which forms its own point offsets.  Returns when every task has.
+
+    ``integrate(e, f, dx, dy, r, ll, wb)`` gets the element indices, the
+    offsets ``x - y`` of their Gauss points and the distances, ``(pair, k,
+    l)``, the length products ``(pair, 1, 1)`` and the weighted basis.
     """
     Lo, Ls = obs.lengths, src.lengths
     rules = _gauss_rules(order)
     pair_q = _pair_orders(_midpoints(obs)[rows], Lo[rows],
                           _midpoints(src)[cols], Ls[cols], a, order)
+
+    def task(e, f, xo, ys, wb):
+        dx = xo[e, :, None, 0] - ys[f, None, :, 0]
+        dy = xo[e, :, None, 1] - ys[f, None, :, 1]
+        r = np.sqrt(dx * dx + dy * dy)
+        integrate(e, f, dx, dy, r, (Lo[e] * Ls[f])[:, None, None], wb)
+
+    futures = []
     for q in np.unique(pair_q):
         s, w = rules[q]
         wb = w[:, None] * _p1(s)                             # (q, 2)
         xo, ys = _gauss_points(obs, s), _gauss_points(src, s)
         sel = np.flatnonzero(pair_q == q)
-        for p0 in range(0, len(sel), _CHUNK):
-            e, f = rows[sel[p0:p0 + _CHUNK]], cols[sel[p0:p0 + _CHUNK]]
-            dx = xo[e, :, None, 0] - ys[f, None, :, 0]
-            dy = xo[e, :, None, 1] - ys[f, None, :, 1]
-            r = np.sqrt(dx * dx + dy * dy)
-            yield e, f, dx, dy, r, (Lo[e] * Ls[f])[:, None, None], wb
+        futures += [pool.submit(task, rows[sel[p0:p0 + _CHUNK]],
+                                cols[sel[p0:p0 + _CHUNK]], xo, ys, wb)
+                    for p0 in range(0, len(sel), _CHUNK)]
+    _gather(futures)
 
 
-def _smooth_pair_tables(mesh, a, order):
-    """Tensor-Gauss V/K pair integrals for all ordered element pairs.
+def _smooth_pair_tables(mesh, a, order, pool=None):
+    """Tensor-Gauss V/K pair integrals for the element pairs that share no
+    node, on ``pool`` or on a pool of its own.
 
     Returns ``(v_loc, k_loc)`` where ``v_loc[e, f]`` is the 2x2
     single-layer block of the ordered pair and ``k_loc`` the double-layer
     block (kernel ``d/dn(y) G``).  K0 and K1 are evaluated once per
-    unordered pair ``e <= f`` of ``_graded_pairs``.  The (f, e) blocks
-    are the transposed (e, f) ones, the double layer with ``-n_e`` in
-    place of ``n_f``.  Self-pair blocks (distance placeholder 1) are for
-    the singular corrections to overwrite.
+    unordered pair ``e < f`` of ``_graded_pairs``.  The (f, e) blocks are
+    the transposed (e, f) ones, the double layer with ``-n_e`` in place of
+    ``n_f``.  The self and adjacent blocks are zero, left to the singular
+    tables.
     """
+    if pool is None:
+        with ThreadPoolExecutor(_WORKERS) as pool:
+            return _smooth_pair_tables(mesh, a, order, pool)
     m = mesh.n_elements
     nx, ny = mesh.normals[:, 0, None, None], mesh.normals[:, 1, None, None]
-    rows, cols = np.triu_indices(m)
-    v_loc, k_loc = np.empty((2, m, m, 2, 2))
-    for e, f, dx, dy, r, ll, wb in _graded_pairs(mesh, mesh, rows, cols, a,
-                                                 order):
-        r[e == f] = 1.0                                      # self pairs
+    rows, cols = np.triu_indices(m, 2)
+    apart = (rows > 0) | (cols < m - 1)           # (0, m - 1) is adjacent
+    v_loc, k_loc = np.zeros((2, m, m, 2, 2))
+
+    def integrate(e, f, dx, dy, r, ll, wb):
         v = ll * (wb.T @ (k0(a * r) / TWO_PI) @ wb)
         v_loc[e, f] = v
         v_loc[f, e] = v.transpose(0, 2, 1)
@@ -236,6 +272,9 @@ def _smooth_pair_tables(mesh, a, order):
         k_loc[e, f] = ll * (wb.T @ (g1 * (dx * nx[f] + dy * ny[f])) @ wb)
         k_loc[f, e] = (ll * (wb.T @ (g1 * -(dx * nx[e] + dy * ny[e]))
                              @ wb)).transpose(0, 2, 1)
+
+    _graded_pairs(pool, mesh, mesh, rows[apart], cols[apart], a, order,
+                  integrate)
     return v_loc, k_loc
 
 
@@ -339,21 +378,25 @@ def assemble_operators(mesh, params):
 
 def _assemble_operators(mesh, params):
     a = params.a
-    v_loc, k_loc = _smooth_pair_tables(mesh, a, params.quad_order)
-
-    # singular pairs overwrite their smooth entries; the double layer
-    # vanishes on a straight element
-    ar = np.arange(mesh.n_elements)
-    v_loc[ar, ar] = _coincident_tables(mesh, a, params.singular_order)
-    k_loc[ar, ar] = 0.0
-
-    # adjacent pairs (e, next(e)), tabulated from the shared node, the
-    # end node of e (its basis axis reversed); (next(e), e) is the transpose
+    # adjacent pairs (e, next(e)), tabulated from the shared node, the end
+    # node of e (its basis axis reversed); (next(e), e) is the transpose
     nxt = mesh.next_element()
     L = mesh.lengths
-    v_adj, k_adj = _adjacent_pair_tables(
-        -mesh.directions, mesh.directions[nxt], L, L[nxt], mesh.normals,
-        mesh.normals[nxt], a, params.singular_order)
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        # the singular tables go first: the adjacent one is the longest task
+        singular = [
+            pool.submit(_adjacent_pair_tables, -mesh.directions,
+                        mesh.directions[nxt], L, L[nxt], mesh.normals,
+                        mesh.normals[nxt], a, params.singular_order),
+            pool.submit(_coincident_tables, mesh, a, params.singular_order)]
+        v_loc, k_loc = _smooth_pair_tables(mesh, a, params.quad_order, pool)
+        (v_adj, k_adj), v_self = _gather(singular)
+
+    # the singular tables overwrite whatever the smooth table holds there;
+    # the double layer vanishes on a straight element
+    ar = np.arange(mesh.n_elements)
+    v_loc[ar, ar] = v_self
+    k_loc[ar, ar] = 0.0
     v_loc[ar, nxt] = v_adj[:, ::-1]
     v_loc[nxt, ar] = v_adj[:, ::-1].transpose(0, 2, 1)
     k_loc[ar, nxt] = k_adj[0, :, ::-1]
@@ -488,8 +531,8 @@ def _cross_blocks(obs_mesh, src_mesh, a, quad_order):
     mo, ms = obs_mesh.n_elements, src_mesh.n_elements
     rows, cols = np.divmod(np.arange(mo * ms), ms)
     blocks = np.empty((4, mo, ms, 2, 2))
-    for e, f, dx, dy, r, ll, wb in _graded_pairs(obs_mesh, src_mesh, rows,
-                                                 cols, a, quad_order):
+
+    def integrate(e, f, dx, dy, r, ll, wb):
         nox, noy = obs_mesh.normals[e].T[:, :, None, None]
         nsx, nsy = src_mesh.normals[f].T[:, :, None, None]
         ro = (nox * dx + noy * dy) / r                       # no . rhat
@@ -502,6 +545,10 @@ def _cross_blocks(obs_mesh, src_mesh, a, quad_order):
                 gpp * ro * rs + gp * (nox * nsx + noy * nsy - ro * rs) / r,
                 gp * ro)):
             blocks[k, e, f] = ll * (wb.T @ ker @ wb)
+
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        _graded_pairs(pool, obs_mesh, src_mesh, rows, cols, a, quad_order,
+                      integrate)
     R = np.zeros((4, obs_mesh.n_nodes, src_mesh.n_nodes))
     _scatter(R, blocks)
     return tuple(R)

@@ -27,7 +27,7 @@ import scipy
 
 from . import interval1d, line1d, spectra
 from .bem2d import (MAX_QUAD_ORDER, KernelParams, assemble_calderon_2d,
-                    assemble_coupling, make_circle, make_square,
+                    assemble_coupling, assembly, make_circle, make_square,
                     make_three_domain)
 from .linalg import DIMENSION_CAP, SingularMatrixError, eig_dense
 
@@ -96,6 +96,7 @@ def _environment():
         "threads": {k: os.environ.get(k) for k in
                     ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")},
         "cpu_count": os.cpu_count(),
+        "assembly_threads": assembly._WORKERS,
     }
 
 
@@ -295,23 +296,25 @@ def _run_spectrum(cfg, out, report):
     }
 
 
-def _line_sweep(cfg, a, count):
+def _line_sweep(cfg, a, count, report):
     zero = (line1d.JumpData(0.0, 0.0),) * 2
     return lambda s: eig_dense(
         _line_operator(a, [s] * count, zero).matrix).eigenvalues
 
 
-def _bem_sweep(cfg, a, count):
-    subdomains = _setup_2d(cfg, [a] * count)
+def _bem_sweep(cfg, a, count, report):
+    subdomains = _timed(report, "assembly_s", _setup_2d, cfg, [a] * count)
     if len(subdomains) == 1:        # one eigensolve serves every sigma
-        q = spectra.calderon_eigenvalues(*subdomains)
+        q = _timed(report, "eigensolve_s", spectra.calderon_eigenvalues,
+                   *subdomains)
         subdomains = (q, 1 - q)
     build = spectra.jacobi_2d_2dom if count == 2 else spectra.jacobi_2d_3dom
     return lambda s: spectra.pencil_eigenvalues(*build(*subdomains,
                                                        [s] * count))
 
 
-# sweep kind -> (report label, eigenvalue builder factory, subdomains)
+# sweep kind -> (report label, eigenvalue builder factory(cfg, a, count,
+# report), subdomains); a 2D factory times its assembly and q eigensolve
 _SWEEPS = {
     "1d": ("analytic line, 2 subdomains", _line_sweep, 2),
     "1d-3dom": ("analytic line, 3 subdomains", _line_sweep, 3),
@@ -324,7 +327,7 @@ def _run_sweep(cfg, out, report):
     grid = _sigma_grid(cfg)
     label, factory, count = _SWEEPS[cfg.kind]
     (a,) = cfg.a
-    builder = _timed(report, "assembly_s", factory, cfg, a, count)
+    builder = factory(cfg, a, count, report)
     rows = spectra.sigma_sweep(builder, grid, cfg.eps)
     clusters = range(1, len(rows[0][1].cluster_fractions) + 1)
     _write(report, out / "sweep.csv",

@@ -100,14 +100,14 @@ def _eig(C, compute_vectors, A, B=None):
     return EigenResult(w[0] if len(w) == 1 else w[0] + 1j * w[1], None, 0.0)
 
 
-def solve_dense(A, B):
+def solve_dense(A, B, name="A"):
     """Solve ``A X = B`` by pivoted LU factorization.
 
     ``B`` may be a vector or a matrix of right-hand sides.  Raises
     :class:`SingularMatrixError` with the offending pivot magnitude when
-    ``A`` is singular to working precision.
+    ``A`` is singular to working precision; errors call ``A`` by ``name``.
     """
-    A = _as_square(A)
+    A = _as_square(A, name)
     B = np.asarray(B)
     vector_rhs = B.ndim == 1
     if vector_rhs:
@@ -116,7 +116,7 @@ def solve_dense(A, B):
         raise ValueError(f"rhs rows {B.shape[0]} != matrix dimension {A.shape[0]}")
     if not np.all(np.isfinite(B)):
         raise ValueError("B contains non-finite entries")
-    X = _solve_checked(A, B, "A")
+    X = _solve_checked(A, B, name)
     return X[:, 0] if vector_rhs else X
 
 

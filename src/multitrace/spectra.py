@@ -107,6 +107,16 @@ def _two_colouring(n_subdomains, sides):
     return colour
 
 
+def _relaxations(count, sigmas):
+    """``line1d._check_sigmas`` of one relaxation parameter per subdomain
+    of ``count``."""
+    sigmas = line1d._check_sigmas(sigmas)
+    if len(sigmas) != count:
+        raise ValueError(f"{count} subdomains need as many relaxation "
+                         f"parameters, got {len(sigmas)}")
+    return sigmas
+
+
 def jacobi_pencil(subdomains, sigmas):
     """Half-size pencil ``(A, B)`` whose eigenvalues are the squares of
     the block Jacobi spectrum.
@@ -130,10 +140,7 @@ def jacobi_pencil(subdomains, sigmas):
     matrices are real when every relaxation parameter is.
     """
     sigmas = [s.real if s.imag == 0 else s
-              for s in line1d._check_sigmas(sigmas)]
-    if len(sigmas) != len(subdomains):
-        raise ValueError(f"{len(subdomains)} subdomains need as many "
-                         f"relaxation parameters, got {len(sigmas)}")
+              for s in _relaxations(len(subdomains), sigmas)]
     P = [sd.P for sd in subdomains]
     sides = {}              # id(curve) -> [(subdomain, local column, nodes)]
     for j, sd in enumerate(subdomains):
@@ -176,7 +183,9 @@ def jacobi_pencil(subdomains, sigmas):
     A_RK, A_KR = coupling
     for j, c in enumerate(colour):          # A_KR <- B_K^{-1} A_KR
         if c == 1:
-            A_KR[rows[j]] = solve_dense(diagonal[j], A_KR[rows[j]])
+            A_KR[rows[j]] = solve_dense(
+                diagonal[j], A_KR[rows[j]],
+                f"the diagonal block of subdomain {j}")
     B_R = scipy.linalg.block_diag(*(d for d, c in zip(diagonal, colour)
                                     if c == 0))
     return A_RK @ A_KR, B_R
@@ -194,8 +203,7 @@ def calderon_map(q1, q2, sigmas):
     ``d_j = 1`` and ``e_j = q_j`` at ``s_j = 0``.  A ``d_j`` failing the
     pivot rule of the pencil's LU raises ``SingularMatrixError``."""
     blocks = []
-    for j, (q, s) in enumerate(zip((q1, q2), line1d._check_sigmas(sigmas),
-                                   strict=True)):
+    for j, (q, s) in enumerate(zip((q1, q2), _relaxations(2, sigmas))):
         diagonal = np.ones_like(q) if s == 0 else 1 + s - q
         _check_pivots(np.abs(diagonal), f"the diagonal block of subdomain {j}")
         blocks.append((q if s == 0 else s, diagonal))

@@ -64,10 +64,12 @@ def _pair_integrals(ker, w, bas, L_rows, L_cols):
     return (L_rows[:, None] * L_cols[None, :])[:, :, None, None] * loc
 
 
-def smooth_pair_tables_reference(mesh, a, order):
+def smooth_pair_tables_reference(mesh, a, order, pool=None):
     """Slow reference of ``assembly._smooth_pair_tables``: the pointwise
     kernels of ``kernels`` evaluated on all point pairs at once (zero at
-    coincident points, which only self pairs have)."""
+    coincident points, which only self pairs have), in the calling thread
+    (``pool`` is ignored).  Self and adjacent blocks hold their smooth
+    integrals, which the singular tables overwrite."""
     s, w = gauss01(order)
     bas = np.column_stack([1.0 - s, s])
     pts = _gauss_points(mesh, s)

@@ -1,5 +1,7 @@
 import gc
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -250,6 +252,76 @@ class TestOperatorSetCache:
             assert len(assembly._SETS) == 0
         finally:
             gc.enable()
+
+
+def operator_arrays(build_circle, build_square, build_annulus):
+    """The matrices of one operator set on a circle and on a square, and
+    the cross blocks of an annulus both ways, each assembled on fresh
+    curves, so that no stored set or block is read."""
+    out = []
+    for mesh, par in ((build_circle(), KernelParams(1.0, 8)),
+                      (build_square(), KernelParams(5.0, 12))):
+        ops = assemble_operators(mesh, par)
+        out += [ops.single_layer, ops.double_layer, ops.adj_double_layer,
+                ops.hypersingular, ops.mass]
+    inner, outer = build_annulus()
+    out += [cross_block(inner, outer, KernelParams(2.0), -1.0, 1.0),
+            cross_block(outer, inner, KernelParams(2.0), 1.0, -1.0)]
+    return out
+
+
+THREAD_MESHES = (lambda: make_circle(40), lambda: make_square(8),
+                 lambda: make_three_domain(12, 16))
+
+
+class _Boom(Exception):
+    """Raised by a monkeypatched Bessel function."""
+
+
+class TestAssemblyThreads:
+    """Each assembly call runs its pair tasks on a pool of ``_WORKERS``
+    threads that it opens and joins; the matrices do not depend on how
+    many threads there are or how the tasks interleave."""
+
+    def test_one_worker_changes_nothing(self, monkeypatch):
+        default = operator_arrays(*THREAD_MESHES)
+        monkeypatch.setattr(assembly, "_WORKERS", 1)
+        for x, y in zip(operator_arrays(*THREAD_MESHES), default,
+                        strict=True):
+            assert np.array_equal(x, y)
+
+    def test_more_workers_than_cores_change_nothing(self, monkeypatch):
+        # many small tasks on 8 threads that switch every microsecond: a
+        # lost or misplaced element block would show in the matrices
+        default = operator_arrays(*THREAD_MESHES)
+        monkeypatch.setattr(assembly, "_WORKERS", 8)
+        monkeypatch.setattr(assembly, "_CHUNK", 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stressed = operator_arrays(*THREAD_MESHES)
+        finally:
+            sys.setswitchinterval(interval)
+        for x, y in zip(stressed, default, strict=True):
+            assert np.array_equal(x, y)
+
+    def test_no_thread_outlives_an_assembly(self, monkeypatch):
+        before = threading.active_count()
+        operator_arrays(*THREAD_MESHES)
+        assert threading.active_count() == before
+
+        def k1_raising(z):
+            raise _Boom("k1")
+
+        monkeypatch.setattr(assembly, "k1", k1_raising)
+        inner, outer = make_three_domain(12, 16)
+        for call in (lambda: assemble_operators(inner, KernelParams(1.0)),
+                     lambda: cross_block(inner, outer, KernelParams(1.0))):
+            with pytest.raises(_Boom):
+                call()
+            assert threading.active_count() == before
+        monkeypatch.undo()
+        assert assemble_operators(inner, KernelParams(1.0)).mass.size
 
 
 # curve pairs that cross or touch somewhere other than at Gauss points,
@@ -544,7 +616,9 @@ class TestPairTableSymmetry:
     def test_bessel_points_of_one_assembly(self, monkeypatch):
         """Points passed to the K0, K1, I0 and I1 that ``assembly`` looks
         up, in total and outside the smooth table (the coincident and
-        adjacent singular corrections), on the 16-element circle."""
+        adjacent singular corrections), on the 16-element circle.  The
+        smooth table integrates no self or adjacent pair, and it runs
+        beside the singular tables, so its points are counted alone."""
         points = []
 
         def counting(bessel):
@@ -555,18 +629,26 @@ class TestPairTableSymmetry:
 
         for name in ("k0", "k1", "i0", "i1"):
             monkeypatch.setattr(assembly, name, counting(getattr(assembly, name)))
-        smooth, in_smooth = assembly._smooth_pair_tables, []
-
-        def smooth_counted(*args, **kwargs):
-            before = sum(points)
-            tables = smooth(*args, **kwargs)
-            in_smooth.append(sum(points) - before)
-            return tables
-
-        monkeypatch.setattr(assembly, "_smooth_pair_tables", smooth_counted)
         assemble_operators(make_circle(16), KernelParams(1.0))
-        assert sum(points) == 48_560
-        assert sum(points) - sum(in_smooth) == 32_832
+        total = sum(points)
+        points.clear()
+        assembly._smooth_pair_tables(make_circle(16), 1.0, 8)
+        assert total == 44_464
+        assert total - sum(points) == 32_832
+
+    @pytest.mark.parametrize("geometry", ["circle", "square"])
+    def test_smooth_table_leaves_touching_pairs_zero(self, geometry):
+        mesh = make_circle(33) if geometry == "circle" else make_square(8)
+        v, k = assembly._smooth_pair_tables(mesh, 1.0, 8)
+        ar, nxt = np.arange(mesh.n_elements), mesh.next_element()
+        for table in (v, k):
+            for e, f in ((ar, ar), (ar, nxt), (nxt, ar)):
+                assert not table[e, f].any()
+        # every other pair has its single layer (the double layer of
+        # two elements on one side of the square is zero)
+        apart = np.ones(v.shape[:2], dtype=bool)
+        apart[ar, ar] = apart[ar, nxt] = apart[nxt, ar] = False
+        assert np.all(v[apart].any(axis=(1, 2)))
 
 
 # curves of the graded-order oracle; the outer annulus curve is the

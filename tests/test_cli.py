@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from multitrace import cli, spectra
-from multitrace.bem2d import (KernelParams, assemble_calderon_2d, assembly,
-                              make_circle)
+from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
+                              assemble_operators, assembly, cross_block,
+                              make_circle, make_three_domain)
 from multitrace.linalg import SingularMatrixError
 from helpers import match_multisets
 from multitrace.cli import (_MODES, _SWEEPS, ConfigError, main,
@@ -209,7 +210,8 @@ class TestRunModes:
         data = json.loads((tmp_path / "o" / "run_report.json").read_text())
         env = data["environment"]
         assert {"python", "numpy", "scipy", "blas", "threads",
-                "cpu_count"} <= set(env)
+                "cpu_count", "assembly_threads"} <= set(env)
+        assert env["assembly_threads"] == assembly._WORKERS >= 1
         assert set(env["threads"]) == {"OMP_NUM_THREADS",
                                        "OPENBLAS_NUM_THREADS"}
         assert env["numpy"] == np.__version__
@@ -395,6 +397,42 @@ class TestConfigFile:
         assert cfg.run_id() == "c7fd22d1a0aa"
 
 
+# assembles on one CPU of its own affinity and saves what it assembled
+ONE_CPU_ASSEMBLY = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from multitrace import cli
+from multitrace.bem2d import (KernelParams, assemble_operators, cross_block,
+                              make_circle, make_three_domain)
+ops = assemble_operators(make_circle(40), KernelParams(1.0))
+inner, outer = make_three_domain(12, 16)
+np.savez(sys.argv[1], V=ops.single_layer, K=ops.double_layer,
+         W=ops.hypersingular, R=cross_block(inner, outer, KernelParams(1.0)))
+print(cli._environment()["assembly_threads"])
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_assembly_threads_follow_the_cpu_affinity(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU_ASSEMBLY,
+                           str(tmp_path / "one.npz")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+    ops = assemble_operators(make_circle(40), KernelParams(1.0))
+    inner, outer = make_three_domain(12, 16)
+    expected = {"V": ops.single_layer, "K": ops.double_layer,
+                "W": ops.hypersingular,
+                "R": cross_block(inner, outer, KernelParams(1.0))}
+    with np.load(tmp_path / "one.npz") as one:
+        for name, matrix in expected.items():
+            assert np.array_equal(one[name], matrix), name
+
+
 class TestHelp:
     def test_runtime_imports_no_mpmath(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -511,6 +549,20 @@ class TestCalderonMapPath:
         assert (report.timings["assembly_s"] + report.timings["eigensolve_s"]
                 <= report.timings["total_s"])
 
+    def test_sweep_report_times_the_q_eigensolve(self, tmp_path):
+        report = run(parse_config(["sweep", "--kind", "2d", "--geometry",
+                                   "circle", "--n", "16", "--steps", "3",
+                                   "--out", str(tmp_path / "o")]))
+        timings = report.timings
+        assert set(timings) == {"assembly_s", "eigensolve_s", "total_s"}
+        assert 0.0 < timings["assembly_s"] and 0.0 < timings["eigensolve_s"]
+        assert (timings["assembly_s"] + timings["eigensolve_s"]
+                <= timings["total_s"])
+        pencil = run(parse_config(["sweep", "--kind", "2d-3dom", "--n", "8",
+                                   "--steps", "3",
+                                   "--out", str(tmp_path / "p")]))
+        assert set(pencil.timings) == {"assembly_s", "total_s"}
+
     @pytest.mark.parametrize("geometry, n, q_min", [
         ("circle", 64, -0.01203), ("circle", 128, -0.01213),
         ("square", 128, -0.01201)])
@@ -540,9 +592,10 @@ class TestCalderonMapPath:
         q = spectra.calderon_eigenvalues(P1)
         sigma = -float(q.real.min())
         for records in ((q, 1 - q), (P1, P2)):
-            with pytest.raises(SingularMatrixError):
+            with pytest.raises(SingularMatrixError, match="subdomain") as err:
                 spectra.pencil_eigenvalues(
                     *spectra.jacobi_2d_2dom(*records, (sigma, sigma)))
+            assert 0.0 <= err.value.pivot_magnitude < 1e-13
         code = main(["spectrum-2d", "--geometry", "circle", "--n", "64",
                      "--sigma", repr(sigma), "--out", str(tmp_path / "o")])
         assert code == 3

@@ -439,6 +439,13 @@ class TestCalderonMap:
         with pytest.raises(ValueError):
             calderon_map(np.zeros(2), np.ones(2), (0.1, 0.1, 0.1))
 
+    @pytest.mark.parametrize("sigmas", [(0.1,), (0.1, 0.1, 0.1)])
+    def test_sigma_count_names_the_subdomains(self, sigmas):
+        # the message of jacobi_pencil
+        with pytest.raises(ValueError, match="2 subdomains need as many "
+                           f"relaxation parameters, got {len(sigmas)}"):
+            calderon_map(np.zeros(2), np.ones(2), sigmas)
+
 
 class TestSweep:
     def test_analytic_matches_formula(self):
