@@ -539,7 +539,11 @@ def _validate(cfg):
 def run(cfg):
     """Execute one configured run, writing artifacts into ``cfg.out``."""
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out {cfg.out!r} cannot be made a directory: "
+                          f"{exc}") from exc
     report = RunReport(run_id=cfg.run_id(), config=_jsonable(asdict(cfg)))
     report.results = _timed(report, "total_s", _MODES[cfg.mode][0],
                             cfg, out, report)

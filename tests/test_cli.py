@@ -178,7 +178,7 @@ class TestRunModes:
         assert report.results["analytic_radius_max_error"] < 1e-7
         rows = _sweep_rows(tmp_path / "o" / "sweep.csv")
         assert len(rows) == report.results["n_grid"] == 40
-        assert all(n_eigs == 8 for _, n_eigs in rows)
+        assert all(n_eigs == 8 for *_, n_eigs in rows)
 
     def test_sweep_report_times_the_assembly(self, tmp_path):
         run(parse_config(["sweep", "--kind", "2d", "--geometry", "circle",
@@ -274,6 +274,14 @@ class TestMainExitCodes:
         code = main(["spectrum-2d", "--geometry", "square", "--n", "13",
                      "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("out", ["file", "file/x"])
+    def test_out_that_cannot_be_a_directory(self, out, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["1d-2dom", "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: out "), err
+        assert (tmp_path / "file").read_text() == ""
 
 
 class TestRejectedInput:
@@ -603,9 +611,10 @@ class TestCalderonMapPath:
 
 
 def _sweep_rows(path):
+    """``(sigma, rho, n_eigs)`` of each row of a real-sigma sweep.csv."""
     lines = path.read_text().splitlines()[1:]
-    return [(float(line.split(",")[0]), int(line.split(",")[2]))
-            for line in lines]
+    return [(float(sigma), float(rho), int(n_eigs))
+            for sigma, rho, n_eigs, *_ in (line.split(",") for line in lines)]
 
 
 class Test2dRuns:
@@ -630,8 +639,15 @@ class Test2dRuns:
         report = run(parse_config(argv))
         rows = _sweep_rows(tmp_path / "o" / "sweep.csv")
         assert report.results["n_grid"] == len(rows) == 3
-        assert all(n_eigs == per_element * n for _, n_eigs in rows)
-        assert 0.0 in [sigma for sigma, _ in rows]
+        assert all(n_eigs == per_element * n for *_, n_eigs in rows)
+        assert [sigma for sigma, *_ in rows] == [-0.5, 0.0, 0.5]
+        # the discrete radius follows sqrt|s/(1+s)| away from s = 0 (1 at
+        # s = -1/2) and overshoots the vanishing exact radius at s = 0
+        for sigma, rho, _ in rows:
+            if sigma:
+                assert abs(rho - spectra.spectral_radius_formula(sigma)) < 0.01
+            else:
+                assert 0.05 < rho < 0.2
 
     def test_bem_sweep_summarizes_each_point_once(self, monkeypatch,
                                                   tmp_path):
@@ -657,9 +673,41 @@ def test_reference_configs_present():
     assert len(CONFIGS) == 8
 
 
+# the claim of each config's README row, as run_report results; fig8 is
+# parsed only: its 41 annulus pencils take seconds, and Test2dRuns runs
+# its sweep kind at n = 8
+REFERENCE_CLAIMS = {
+    "fig1_line_sweep": {"n_grid": 200},
+    "fig2_circle": {"cluster_fractions": [0.5] * 4, "remainder_fraction": 0.0,
+                    "n_eigenvalues": 512},
+    "fig2_square": {"cluster_fractions": [0.5] * 4, "remainder_fraction": 0.0,
+                    "n_eigenvalues": 512},
+    "fig3_square_two_sigmas": {"cluster_fractions": [0.25] * 4,
+                               "remainder_fraction": 0.0},
+    "fig4_square_heterogeneous": {"remainder_fraction": 4 / 512,
+                                  "n_eigenvalues": 512},
+    "fig6_annulus_equal_sigma": {"cluster_fractions": [0.5] * 6,
+                                 "remainder_fraction": 0.0},
+    "fig7_annulus_distinct_sigma": {
+        "cluster_fractions": [0.25, 0.25] + [0.125] * 4,
+        "remainder_fraction": 0.0},
+}
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
-def test_reference_config_maps_to_mode_table(path):
+def test_reference_config_maps_to_mode_table(path, tmp_path):
     cfg = parse_config(["--config", str(path)])
     assert cfg.mode in _MODES
     if cfg.mode == "sweep":
         assert cfg.kind in _SWEEPS
+    if path.stem not in REFERENCE_CLAIMS:
+        return
+    # a config's own out lies in the repository
+    results = run(parse_config(["--config", str(path),
+                                "--out", str(tmp_path / "o")])).results
+    for key, value in REFERENCE_CLAIMS[path.stem].items():
+        assert results[key] == value, key
+    if path.stem == "fig1_line_sweep":
+        assert results["analytic_radius_max_error"] < 1e-14
+    if path.stem == "fig4_square_heterogeneous":
+        assert min(results["cluster_fractions"]) >= 0.24

@@ -66,6 +66,9 @@ class TestRepresentation:
     def test_pure_neumann_jump(self):
         u = represent_1d(1.0, JumpData(0.0, 1.0))
         assert abs(u(1.0) - 0.18393972058572117) < 1e-16
+        # decays like exp(-a|x|) on both sides
+        assert abs(u(8.0) - 0.5 * np.exp(-8.0)) < 1e-19
+        assert abs(u(-8.0) - 0.5 * np.exp(-8.0)) < 1e-19
 
     def test_pure_dirichlet_jump(self):
         u = represent_1d(1.0, JumpData(1.0, 0.0))
