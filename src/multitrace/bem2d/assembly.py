@@ -21,7 +21,9 @@ element pair that touches in no node, and the coincident and adjacent
 singular tables fill the self and adjacent entries.  The smooth table and
 the adjacent Duffy tables integrate each unordered pair once: the (f, e)
 blocks are the transposed (e, f) ones, the double layer with the other
-element's normal.
+element's normal.  On a mesh that declares a rotation group of order m,
+all three tables, and the cross blocks of concentric curves, integrate
+one block row of n / m elements and repeat it block-circulantly.
 
 ``quad_order`` is the tensor-Gauss order of near pairs.  The element
 pairs of one curve and the cross-curve pairs go through the same graded
@@ -243,49 +245,74 @@ def _graded_pairs(pool, obs, src, rows, cols, a, order, integrate):
     _gather(futures)
 
 
+def _circulant(row, m):
+    """The element table ``(..., m * so, ns, 2, 2)`` of its block row
+    ``row[..., e, f]``, ``e < so``: the turn of order ``m`` moves ``e`` to
+    ``e + so`` and ``f`` to ``f + ns / m`` and keeps every pair integral."""
+    if m == 1:
+        return row
+    ns = row.shape[-3]
+    cols = (np.arange(ns) - ns // m * np.arange(m)[:, None]) % ns
+    full = np.swapaxes(row[..., cols, :, :], -5, -4)
+    return full.reshape(*row.shape[:-4], -1, *row.shape[-3:])
+
+
 def _smooth_pair_tables(mesh, a, order, pool=None):
     """Tensor-Gauss V/K pair integrals for the element pairs that share no
     node, on ``pool`` or on a pool of its own.
 
     Returns ``(v_loc, k_loc)`` where ``v_loc[e, f]`` is the 2x2
     single-layer block of the ordered pair and ``k_loc`` the double-layer
-    block (kernel ``d/dn(y) G``).  K0 and K1 are evaluated once per
-    unordered pair ``e < f`` of ``_graded_pairs``.  The (f, e) blocks are
-    the transposed (e, f) ones, the double layer with ``-n_e`` in place of
-    ``n_f``.  The self and adjacent blocks are zero, left to the singular
-    tables.
+    block (kernel ``d/dn(y) G``).  The self and adjacent blocks are zero,
+    left to the singular tables.
+
+    On a mesh of rotation order m only the block row ``e < n / m`` is
+    integrated, and ``_circulant`` fills the rest.  Its partner, the (f, e)
+    block turned into that row, is the transposed (e, f) one, the double
+    layer with ``-n_e`` in place of ``n_f``: K0 and K1 are evaluated once
+    per pair and partner (for m = 1, once per ``e < f``).  A pair that is
+    its own partner (opposite elements, m even) gets a symmetrized V.
     """
     if pool is None:
         with ThreadPoolExecutor(_WORKERS) as pool:
             return _smooth_pair_tables(mesh, a, order, pool)
-    m = mesh.n_elements
+    n, m = mesh.n_elements, mesh.rotation_order
+    s = n // m
     nx, ny = mesh.normals[:, 0, None, None], mesh.normals[:, 1, None, None]
-    rows, cols = np.triu_indices(m, 2)
-    apart = (rows > 0) | (cols < m - 1)           # (0, m - 1) is adjacent
-    v_loc, k_loc = np.zeros((2, m, m, 2, 2))
+
+    def partner(e, f):                      # (f, e) rotated into the row
+        return f % s, (e - f // s * s) % n
+
+    rows, cols = np.divmod(np.arange(s * n), n)
+    pe, pf = partner(rows, cols)
+    keep = (rows * n + cols <= pe * n + pf) & ((cols - rows + 1) % n > 2)
+    v_loc, k_loc = np.zeros((2, s, n, 2, 2))
 
     def integrate(e, f, dx, dy, r, ll, wb):
+        pe, pf = partner(e, f)
         v = ll * (wb.T @ (k0(a * r) / TWO_PI) @ wb)
+        own = (pe == e) & (pf == f)
+        v[own] = 0.5 * (v[own] + v[own].transpose(0, 2, 1))
         v_loc[e, f] = v
-        v_loc[f, e] = v.transpose(0, 2, 1)
+        v_loc[pe, pf] = v.transpose(0, 2, 1)
         g1 = (a / TWO_PI) * k1(a * r) / r
         k_loc[e, f] = ll * (wb.T @ (g1 * (dx * nx[f] + dy * ny[f])) @ wb)
-        k_loc[f, e] = (ll * (wb.T @ (g1 * -(dx * nx[e] + dy * ny[e]))
-                             @ wb)).transpose(0, 2, 1)
+        k_loc[pe, pf] = (ll * (wb.T @ (g1 * -(dx * nx[e] + dy * ny[e]))
+                               @ wb)).transpose(0, 2, 1)
 
-    _graded_pairs(pool, mesh, mesh, rows[apart], cols[apart], a, order,
+    _graded_pairs(pool, mesh, mesh, rows[keep], cols[keep], a, order,
                   integrate)
-    return v_loc, k_loc
+    return _circulant(v_loc, m), _circulant(k_loc, m)
 
 
-def _coincident_tables(mesh, a, order):
-    """Singular self-pair single-layer blocks, vectorized over elements.
+def _coincident_tables(L, a, order):
+    """Singular self-pair single-layer blocks of elements of lengths
+    ``L``, vectorized over elements.
 
     Splits ``G(r) = smooth(r) - I0(ar) log|s - t| / (2 pi)`` on the
     reference square with ``r = L |s - t|``; the log part reduces to an
     integral over ``u = |s - t|`` against the log-weighted rule.
     """
-    L = mesh.lengths
     su, wu = gauss01(order)
     sv, wv = gauss01(order + 1)    # distinct orders: nodes never coincide
     u = np.abs(su[:, None] - sv[None, :])                    # z / (a L)
@@ -379,22 +406,24 @@ def assemble_operators(mesh, params):
 def _assemble_operators(mesh, params):
     a = params.a
     # adjacent pairs (e, next(e)), tabulated from the shared node, the end
-    # node of e (its basis axis reversed); (next(e), e) is the transpose
-    nxt = mesh.next_element()
-    L = mesh.lengths
+    # node of e (its basis axis reversed); (next(e), e) is the transpose.
+    # With rotation order m, the tables of elements e < n / m repeat.
+    s, nxt = mesh.n_elements // mesh.rotation_order, mesh.next_element()
+    e, f = np.arange(s), nxt[:s]
+    d, L, nrm = mesh.directions, mesh.lengths, mesh.normals
     with ThreadPoolExecutor(_WORKERS) as pool:
         # the singular tables go first: the adjacent one is the longest task
         singular = [
-            pool.submit(_adjacent_pair_tables, -mesh.directions,
-                        mesh.directions[nxt], L, L[nxt], mesh.normals,
-                        mesh.normals[nxt], a, params.singular_order),
-            pool.submit(_coincident_tables, mesh, a, params.singular_order)]
+            pool.submit(_adjacent_pair_tables, -d[e], d[f], L[e], L[f],
+                        nrm[e], nrm[f], a, params.singular_order),
+            pool.submit(_coincident_tables, L[e], a, params.singular_order)]
         v_loc, k_loc = _smooth_pair_tables(mesh, a, params.quad_order, pool)
         (v_adj, k_adj), v_self = _gather(singular)
+    ar = np.arange(mesh.n_elements)
+    v_adj, k_adj, v_self = v_adj[ar % s], k_adj[:, ar % s], v_self[ar % s]
 
     # the singular tables overwrite whatever the smooth table holds there;
     # the double layer vanishes on a straight element
-    ar = np.arange(mesh.n_elements)
     v_loc[ar, ar] = v_self
     k_loc[ar, ar] = 0.0
     v_loc[ar, nxt] = v_adj[:, ::-1]
@@ -528,7 +557,10 @@ def _cross_blocks(obs_mesh, src_mesh, a, quad_order):
     tol = 1e-12 * max(obs_mesh.lengths.max(), src_mesh.lengths.max())
     if _segments_meet(obs_mesh, src_mesh, tol):
         raise ValueError("curves intersect or touch")
-    mo, ms = obs_mesh.n_elements, src_mesh.n_elements
+    # concentric curves share a group of order g: integrate one block row
+    g = (math.gcd(obs_mesh.rotation_order, src_mesh.rotation_order)
+         if np.array_equal(obs_mesh.center, src_mesh.center) else 1)
+    mo, ms = obs_mesh.n_elements // g, src_mesh.n_elements
     rows, cols = np.divmod(np.arange(mo * ms), ms)
     blocks = np.empty((4, mo, ms, 2, 2))
 
@@ -550,7 +582,7 @@ def _cross_blocks(obs_mesh, src_mesh, a, quad_order):
         _graded_pairs(pool, obs_mesh, src_mesh, rows, cols, a, quad_order,
                       integrate)
     R = np.zeros((4, obs_mesh.n_nodes, src_mesh.n_nodes))
-    _scatter(R, blocks)
+    _scatter(R, _circulant(blocks, g))
     return tuple(R)
 
 

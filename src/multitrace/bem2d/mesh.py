@@ -4,11 +4,21 @@ A mesh is one closed curve: its nodes in counterclockwise order, element
 ``e`` joining node ``e`` to node ``e + 1`` and the last node joining back
 to node 0, so the per-element normals point out of the region the curve
 encloses.  Orientation is validated via the signed area.
+
+A builder that knows a rotation symmetry declares it: ``rotation_order``
+m about ``center`` says that the turn by ``2 pi / m`` maps node ``i`` onto
+node ``i + n / m``.  Assembly then integrates one block row of element
+pairs, and ``spectra`` solves ``q`` per Fourier mode.  A mesh built by
+hand declares none (order 1).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+# Largest gap between a turned node and its image, per unit of the
+# largest node coordinate.
+ROTATION_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,6 +32,8 @@ class BoundaryMesh:
     """
 
     nodes: np.ndarray
+    rotation_order: int = 1
+    center: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
@@ -46,6 +58,16 @@ class BoundaryMesh:
         if np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]) <= 0:
             raise ValueError("curve is not counterclockwise; outward normals "
                              "would point into the enclosed region")
+        m, n = self.rotation_order, len(nodes)
+        if not (isinstance(m, (int, np.integer)) and m >= 1 and n % m == 0):
+            raise ValueError(f"rotation_order {m!r} does not divide the "
+                             f"{n} nodes")
+        z = (nodes - self.center) @ [1, 1j]
+        gap = np.abs(z * np.exp(2j * np.pi / m) - np.roll(z, -(n // m))).max()
+        if not gap <= ROTATION_TOL * np.abs(nodes).max():
+            raise ValueError(f"rotation_order {m} about center {self.center} "
+                             f"does not map node i onto node i + {n // m}: "
+                             f"they lie {gap:.3e} apart")
 
     @property
     def n_nodes(self):
@@ -113,7 +135,7 @@ def make_circle(n_elems, radius=1.0, center=(0.0, 0.0)):
         center[0] + radius * np.cos(theta),
         center[1] + radius * np.sin(theta),
     ])
-    return BoundaryMesh(nodes)
+    return BoundaryMesh(nodes, n_elems, center)
 
 
 def make_square(n_per_side, side=1.0, center=(0.0, 0.0)):
@@ -128,7 +150,7 @@ def make_square(n_per_side, side=1.0, center=(0.0, 0.0)):
         a, b = corners[k], corners[(k + 1) % 4]
         frac = np.arange(n_per_side)[:, None] / n_per_side
         nodes.append(a[None, :] * (1 - frac) + b[None, :] * frac)
-    return BoundaryMesh(np.vstack(nodes))
+    return BoundaryMesh(np.vstack(nodes), 4, center)
 
 
 def make_three_domain(n_inner=96, n_outer=None, r_inner=0.5, r_outer=1.0):

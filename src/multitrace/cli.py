@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -235,24 +236,28 @@ def _timed(report, key, fn, *args):
     return out
 
 
-def _setup_2d(cfg, a):
+def _setup_2d(cfg, a, report):
     """Assemble the 2D subdomain records for the material constants ``a``.
 
     Two constants give the interior and exterior of the one curve of
     ``cfg.geometry``; equal ones share its operator set, and then only
     the interior is returned (:func:`spectra.calderon_map`).  Three give
     ``(inner, outer, coupling)`` of the annulus, its middle sigma first.
+    The report records the rotation order the assembly uses.
     """
     par = [KernelParams(a_k, cfg.quad_order) for a_k in a]
     if len(a) == 2:
         mesh = (make_circle(cfg.n_elements) if cfg.geometry == "circle"
                 else make_square(cfg.n_elements // 4))
+        report.results["rotation_order"] = mesh.rotation_order
         P1 = assemble_calderon_2d(mesh, par[0], "interior")
         if par[0] == par[1]:
             return (P1,)
         return P1, assemble_calderon_2d(mesh, par[1], "exterior")
     inner, outer = make_three_domain(cfg.n_elements, cfg.n_elements,
                                      cfg.radii[0], cfg.radii[1])
+    report.results["rotation_order"] = math.gcd(inner.rotation_order,
+                                                outer.rotation_order)
     return (assemble_calderon_2d(inner, par[1], "interior"),
             assemble_calderon_2d(outer, par[2], "exterior"),
             assemble_coupling(inner, outer, par[0]))
@@ -265,7 +270,7 @@ def _run_spectrum(cfg, out, report):
     a = _per_subdomain(cfg, "a")
     sigmas = _per_subdomain(cfg, "sigma")
     count = len(sigmas)
-    subdomains = _timed(report, "assembly_s", _setup_2d, cfg, a)
+    subdomains = _timed(report, "assembly_s", _setup_2d, cfg, a, report)
     health = {}
     if len(subdomains) == 1:
         q = _timed(report, "eigensolve_s", spectra.calderon_eigenvalues,
@@ -286,13 +291,17 @@ def _run_spectrum(cfg, out, report):
         _plot(report, out / "eigenvalues.csv",
               ["set size ratio -1", 'set xlabel "Re"', 'set ylabel "Im"'],
               'with points pt 7 ps 0.5 title "Jacobi spectrum"')
+    rho = result.spectral_radius
     return {
-        "spectral_radius": result.spectral_radius,
+        "spectral_radius": rho,
         "theoretical_points": _jsonable(result.theoretical_points),
         "cluster_fractions": _jsonable(result.cluster_fractions),
         "remainder_fraction": result.remainder_fraction,
         "n_eigenvalues": len(result.eigenvalues),
         **health,
+        "warnings": [f"spectral radius {rho:.6g} >= 1 although every Re "
+                     "sigma > -1/2: the paper predicts convergence"]
+        if rho >= 1 and all(complex(s).real > -0.5 for s in sigmas) else [],
     }
 
 
@@ -303,7 +312,8 @@ def _line_sweep(cfg, a, count, report):
 
 
 def _bem_sweep(cfg, a, count, report):
-    subdomains = _timed(report, "assembly_s", _setup_2d, cfg, [a] * count)
+    subdomains = _timed(report, "assembly_s", _setup_2d, cfg, [a] * count,
+                        report)
     if len(subdomains) == 1:        # one eigensolve serves every sigma
         q = _timed(report, "eigensolve_s", spectra.calderon_eigenvalues,
                    *subdomains)
@@ -545,8 +555,8 @@ def run(cfg):
         raise ConfigError(f"out {cfg.out!r} cannot be made a directory: "
                           f"{exc}") from exc
     report = RunReport(run_id=cfg.run_id(), config=_jsonable(asdict(cfg)))
-    report.results = _timed(report, "total_s", _MODES[cfg.mode][0],
-                            cfg, out, report)
+    report.results.update(_timed(report, "total_s", _MODES[cfg.mode][0],
+                                 cfg, out, report))
     with open(out / "run_report.json", "w") as fh:
         json.dump(_jsonable(asdict(report)), fh, indent=2)
     report.files.append(str(out / "run_report.json"))

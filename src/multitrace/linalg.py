@@ -148,6 +148,15 @@ def eig_generalized(A, B, compute_vectors=False):
     return _eig(C, compute_vectors, A, B)
 
 
+def eig_modes(A, B):
+    """Eigenvalues of the pencils ``(A[k], B[k])`` of two equal stacks, one
+    row per Fourier mode ``k``: the checks of :func:`eig_generalized` on
+    each, a singular ``B[k]`` named by its mode, then one batched solve."""
+    return np.linalg.eigvals(np.stack([
+        _solve_checked(_as_square(b, "B"), _as_square(a, "A"),
+                       f"B of mode {k}") for k, (a, b) in enumerate(zip(A, B))]))
+
+
 def _residual(A, w, v, B=None):
     """Largest relative residual of ``A v = w B v`` over the columns of
     ``v``; ``B`` defaults to the identity."""

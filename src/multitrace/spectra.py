@@ -17,7 +17,8 @@ When both sides of one curve come from one operator set (one mesh, one
 Neumann flip.  Both Calderon matrices are then diagonal in the
 eigenbasis of ``(P_int, M_block)``, with eigenvalues ``q`` and ``1 - q``,
 and so is the red pencil: :func:`calderon_map` builds it from the ``q``
-that :func:`calderon_eigenvalues` solves once for every relaxation pair.
+that :func:`calderon_eigenvalues` solves once for every relaxation pair,
+per Fourier mode when the mesh declares a rotation group.
 Sides with different material constants, and the annulus, share no
 eigenbasis and keep the pencil.
 """
@@ -28,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from . import line1d
-from .linalg import _check_pivots, eig_generalized, solve_dense
+from .linalg import _check_pivots, eig_generalized, eig_modes, solve_dense
 
 
 def theoretical_points(sigmas):
@@ -191,9 +192,33 @@ def jacobi_pencil(subdomains, sigmas):
     return A_RK @ A_KR, B_R
 
 
+def _calderon_modes(interior):
+    """Eigenvalues ``q`` of ``(P_int, M_block)`` on a mesh of rotation
+    order m, one row per Fourier mode ``k = 0 .. m // 2``: each n x n block
+    is block circulant in m blocks of ``s = n / m`` nodes, so the pencil
+    splits into the 2s x 2s ones of ``C_k = sum_d C_d exp(-2 pi i d k /
+    m)``, the FFT of the first block rows.  Mode ``m - k`` is the
+    conjugate of mode k."""
+    m, n = interior.mesh.rotation_order, len(interior.P) // 2
+    s = n // m
+
+    def symbols(X):
+        rows = X[np.r_[:s, n:n + s]].reshape(2 * s, 2, m, s)
+        return np.fft.rfft(rows, axis=2).transpose(2, 0, 1, 3).reshape(
+            -1, 2 * s, 2 * s)
+
+    return eig_modes(symbols(interior.P), symbols(interior.M_block))
+
+
 def calderon_eigenvalues(interior):
-    """Eigenvalues ``q`` of ``(P_int, M_block)``, for :func:`calderon_map`."""
-    return eig_generalized(interior.P, interior.M_block).eigenvalues
+    """Eigenvalues ``q`` of ``(P_int, M_block)``, for :func:`calderon_map`:
+    per Fourier mode (:func:`_calderon_modes`) on a mesh that declares a
+    rotation group, else from one dense eigensolve."""
+    m = interior.mesh.rotation_order
+    if m == 1:
+        return eig_generalized(interior.P, interior.M_block).eigenvalues
+    q = _calderon_modes(interior)
+    return np.concatenate([q, q[1:(m + 1) // 2].conj()]).ravel()
 
 
 def calderon_map(q1, q2, sigmas):

@@ -4,6 +4,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import i0, i1, k0, k1
 
+from multitrace.bem2d import BoundaryMesh
 from multitrace.bem2d.kernels import (kernel_2d, kernel_gradient_dot,
                                       kernel_hessian_bilinear)
 from multitrace.bem2d.quadrature import gauss01
@@ -49,6 +50,12 @@ def line_spectrum(a, sigmas, eps=0.05):
 def trace_flip(n):
     """Dense matrix of the trace flip (v, q) -> (v, -q) on n nodes."""
     return np.diag(np.r_[np.ones(n), -np.ones(n)])
+
+
+def without_group(mesh):
+    """The nodes of ``mesh`` as a new mesh that declares no rotation group,
+    so assembly integrates every element pair: the per-pair path."""
+    return BoundaryMesh(mesh.nodes)
 
 
 def _gauss_points(mesh, s):

@@ -17,9 +17,10 @@ from multitrace.bem2d import (MAX_QUAD_ORDER, KernelParams,
 from multitrace.bem2d import assembly
 from multitrace.bem2d.kernels import (kernel_2d, kernel_gradient_dot,
                                       kernel_radial_deriv)
-from multitrace.linalg import solve_dense
-from helpers import (cross_block_reference, smooth_pair_tables_reference,
-                     trace_flip)
+from multitrace import spectra
+from multitrace.linalg import eig_generalized, solve_dense
+from helpers import (cross_block_reference, match_multisets,
+                     smooth_pair_tables_reference, trace_flip, without_group)
 
 
 def circle_traces(mesh, a, x0):
@@ -540,12 +541,14 @@ def relative_error(x, ref):
 
 class TestFastPathOracle:
     """The BLAS contractions with one K0 and one K1 per point reproduce
-    the pointwise kernels paired by the five-operand einsum."""
+    the pointwise kernels paired by the five-operand einsum, on meshes
+    without a rotation group (``TestRotationGroup`` compares the two)."""
 
     @pytest.mark.parametrize("geometry, a", [("circle", 1.0), ("square", 5.0)])
     def test_operators_match_einsum_reference(self, geometry, a, monkeypatch):
         def build():        # a fresh mesh per call: the reference misses
-            return make_circle(32) if geometry == "circle" else make_square(8)
+            return without_group(make_circle(32) if geometry == "circle"
+                                 else make_square(8))
 
         par = KernelParams(a)
         fast = assemble_operators(build(), par)
@@ -561,7 +564,7 @@ class TestFastPathOracle:
                              [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0),
                               (-1.0, -1.0)])
     def test_cross_blocks_match_einsum_reference(self, obs_sign, src_sign):
-        inner, outer = make_three_domain(24, 32)
+        inner, outer = map(without_group, make_three_domain(24, 32))
         for obs, src in ((inner, outer), (outer, inner)):
             fast = cross_block(obs, src, KernelParams(2.0), obs_sign,
                                src_sign)
@@ -572,8 +575,9 @@ class TestFastPathOracle:
                     assert relative_error(fast[rows, cols],
                                           slow[rows, cols]) <= 1e-14
 
-    def test_coupling_blocks_match_einsum_reference(self, coupling_setup):
-        inner, outer, coup, _, _ = coupling_setup
+    def test_coupling_blocks_match_einsum_reference(self):
+        inner, outer = map(without_group, make_three_domain(24, 32))
+        coup = assemble_coupling(inner, outer, KernelParams(1.0))
         assert relative_error(
             coup.R12, cross_block_reference(inner, outer, 1.0, -1.0, 1.0)
         ) <= 1e-14
@@ -616,8 +620,8 @@ class TestPairTableSymmetry:
     def test_bessel_points_of_one_assembly(self, monkeypatch):
         """Points passed to the K0, K1, I0 and I1 that ``assembly`` looks
         up, in total and outside the smooth table (the coincident and
-        adjacent singular corrections), on the 16-element circle.  The
-        smooth table integrates no self or adjacent pair, and it runs
+        adjacent singular corrections), on the 16-element circle without
+        its rotation group.  The smooth table integrates no self or adjacent pair, and it runs
         beside the singular tables, so its points are counted alone."""
         points = []
 
@@ -629,10 +633,10 @@ class TestPairTableSymmetry:
 
         for name in ("k0", "k1", "i0", "i1"):
             monkeypatch.setattr(assembly, name, counting(getattr(assembly, name)))
-        assemble_operators(make_circle(16), KernelParams(1.0))
+        assemble_operators(without_group(make_circle(16)), KernelParams(1.0))
         total = sum(points)
         points.clear()
-        assembly._smooth_pair_tables(make_circle(16), 1.0, 8)
+        assembly._smooth_pair_tables(without_group(make_circle(16)), 1.0, 8)
         assert total == 44_464
         assert total - sum(points) == 32_832
 
@@ -651,14 +655,15 @@ class TestPairTableSymmetry:
         assert np.all(v[apart].any(axis=(1, 2)))
 
 
-# curves of the graded-order oracle; the outer annulus curve is the
-# n = 128 circle, so the annulus adds its inner curve and cross blocks
+# curves of the graded-order oracle, without their rotation groups; the
+# outer annulus curve is the n = 128 circle, so the annulus adds its inner
+# curve and cross blocks
 GRADED_MESHES = {
-    "circle-128": lambda: make_circle(128),
-    "circle-256": lambda: make_circle(256),
-    "square-128": lambda: make_square(32),
-    "square-256": lambda: make_square(64),
-    "annulus-inner-128": lambda: make_three_domain(128, 128)[0],
+    "circle-128": lambda: without_group(make_circle(128)),
+    "circle-256": lambda: without_group(make_circle(256)),
+    "square-128": lambda: without_group(make_square(32)),
+    "square-256": lambda: without_group(make_square(64)),
+    "annulus-inner-128": lambda: without_group(make_three_domain(128, 128)[0]),
 }
 GRADED_A = [0.05, 1.0, 5.0, 10.0, 30.0]
 
@@ -685,7 +690,7 @@ class TestGradedOrders:
 
     @pytest.mark.parametrize("a", GRADED_A)
     def test_annulus_cross_blocks_match_full_order_reference(self, a):
-        inner, outer = make_three_domain(128, 128)
+        inner, outer = map(without_group, make_three_domain(128, 128))
         coup = assemble_coupling(inner, outer, KernelParams(a))
         assert relative_error(
             coup.R12, cross_block_reference(inner, outer, a, -1.0, 1.0)
@@ -748,6 +753,82 @@ class TestGradedOrders:
         assemble_coupling(inner, outer, KernelParams(1.0))
         assemble_operators(make_square(16), KernelParams(1.0))
         assert assembly.gauss01.cache_info().misses == built
+
+
+# Largest relative Frobenius gap between the group path and the per-pair
+# path, about 3x the largest measured on these meshes for a in {0.05, 1,
+# 5, 30}: V 4.2e-15, K and K' 3.0e-14, W 1.0e-13 (W at a = 0.05, where
+# its two terms cancel most), cross blocks 1.4e-15, q 2.9e-14.
+GROUP_GAP = {"single_layer": 2e-14, "double_layer": 1e-13,
+             "adj_double_layer": 1e-13, "hypersingular": 3e-13}
+GROUP_CROSS_GAP = 5e-15
+GROUP_Q_GAP = 1e-13
+GROUP_MESHES = {"circle-128": lambda: make_circle(128),
+                "square-8": lambda: make_square(8)}
+
+
+class TestRotationGroup:
+    """A mesh that declares a rotation group is assembled from one block
+    row of element pairs and its ``q`` solved per Fourier mode; both
+    match the per-pair path and the dense eigensolve of the same nodes to
+    the rounding of congruent pairs (the circulant defect)."""
+
+    @pytest.mark.parametrize("a", [0.05, 1.0, 5.0])
+    @pytest.mark.parametrize("name", GROUP_MESHES)
+    def test_operators_match_per_pair_path(self, name, a):
+        mesh = GROUP_MESHES[name]()
+        assert mesh.rotation_order == (128 if name == "circle-128" else 4)
+        group = assemble_operators(mesh, KernelParams(a))
+        dense = assemble_operators(without_group(mesh), KernelParams(a))
+        for op, bound in GROUP_GAP.items():
+            assert relative_error(getattr(group, op),
+                                  getattr(dense, op)) <= bound, op
+        assert np.array_equal(group.mass, dense.mass)
+
+    @pytest.mark.parametrize("a", [1.0, 30.0])
+    @pytest.mark.parametrize("n_inner, n_outer", [(24, 24), (24, 32)])
+    def test_cross_blocks_match_per_pair_path(self, n_inner, n_outer, a):
+        curves = make_three_domain(n_inner, n_outer)
+        dense = [without_group(c) for c in curves]
+        for order in (1, -1):
+            group = cross_block(*curves[::order], KernelParams(a), -1.0, 1.0)
+            ref = cross_block(*dense[::order], KernelParams(a), -1.0, 1.0)
+            assert relative_error(group, ref) <= GROUP_CROSS_GAP
+
+    def test_curves_about_other_centres_take_the_per_pair_path(self):
+        near, far = make_circle(12), make_circle(12, center=(3.0, 0.0))
+        assert relative_error(
+            cross_block(near, far, KernelParams(1.0)),
+            cross_block_reference(near, far, 1.0, 1.0, 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("name", GROUP_MESHES)
+    def test_q_matches_dense_eigensolve(self, name):
+        P = assemble_calderon_2d(GROUP_MESHES[name](), KernelParams(1.0))
+        q = spectra.calderon_eigenvalues(P)
+        match_multisets(q, eig_generalized(P.P, P.M_block).eigenvalues,
+                        GROUP_Q_GAP)
+
+    def test_bessel_points_of_one_grouped_assembly(self, monkeypatch):
+        """As ``TestPairTableSymmetry``'s count: the 16-element circle
+        integrates one element row, 776 smooth points where the per-pair
+        path takes 11,632, and one coincident and two adjacent singular
+        pairs, 2052 points where it takes 32,832."""
+        points = []
+
+        def counting(bessel):
+            def counted(z):
+                points.append(np.size(z))
+                return bessel(z)
+            return counted
+
+        for name in ("k0", "k1", "i0", "i1"):
+            monkeypatch.setattr(assembly, name, counting(getattr(assembly, name)))
+        assemble_operators(make_circle(16), KernelParams(1.0))
+        total = sum(points)
+        points.clear()
+        assembly._smooth_pair_tables(make_circle(16), 1.0, 8)
+        assert total == 2828
+        assert total - sum(points) == 2052
 
 
 def element_tables(mesh, a, monkeypatch):

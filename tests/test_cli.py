@@ -12,7 +12,7 @@ from multitrace import cli, spectra
 from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
                               assemble_operators, assembly, cross_block,
                               make_circle, make_three_domain)
-from multitrace.linalg import SingularMatrixError
+from multitrace.linalg import SingularMatrixError, eig_generalized
 from helpers import match_multisets
 from multitrace.cli import (_MODES, _SWEEPS, ConfigError, main,
                             parse_config, run)
@@ -529,8 +529,11 @@ def _counted(monkeypatch, module, name, calls):
 
 
 class TestCalderonMapPath:
-    """One curve whose two sides share one operator set takes one real
-    eigensolve, of ``q``, for every sigma; other runs take the pencil."""
+    """One curve whose two sides share one operator set takes one
+    eigensolve, of ``q``, for every sigma; other runs take the pencil.
+    Every curve the CLI builds declares its rotation group, so ``q`` comes
+    from one batch of per-mode pencils (``eig_modes``), not from a dense
+    ``eig_generalized``; the pencil runs keep ``eig_generalized``."""
 
     @pytest.mark.parametrize("argv, eigs, pencils", [
         (["spectrum-2d", "--geometry", "circle"], 1, 0),
@@ -544,10 +547,15 @@ class TestCalderonMapPath:
     def test_eigensolves_and_pencils(self, argv, eigs, pencils, tmp_path,
                                      monkeypatch):
         calls = {}
-        _counted(monkeypatch, spectra, "eig_generalized", calls)
-        _counted(monkeypatch, spectra, "jacobi_pencil", calls)
+        for name in ("eig_generalized", "eig_modes", "jacobi_pencil"):
+            _counted(monkeypatch, spectra, name, calls)
         run(parse_config(argv + ["--n", "16", "--out", str(tmp_path / "o")]))
-        assert calls == {"eig_generalized": eigs, "jacobi_pencil": pencils}
+        # the one eigensolve of a map run is of q per Fourier mode (every
+        # CLI curve declares its rotation group); each pencil keeps a
+        # dense eig_generalized
+        modes = 0 if pencils else eigs
+        assert calls == {"eig_generalized": eigs - modes, "eig_modes": modes,
+                         "jacobi_pencil": pencils}
 
     def test_report_times_the_q_eigensolve(self, tmp_path):
         report = run(parse_config(["spectrum-2d", "--geometry", "circle",
@@ -593,19 +601,24 @@ class TestCalderonMapPath:
 
     def test_singular_block_at_minus_q_min(self, tmp_path, capsys):
         # sigma = -q_min zeroes sigma + q at q_min, and 1 + sigma - q at
-        # q_max = 1 - q_min: both paths fail loudly, and the run exits 3
+        # q_max = 1 - q_min: both paths fail loudly, and the run exits 3.
+        # The per-mode q (the map path) and the dense q (the eigenvalues
+        # of the pencil's own blocks) differ by ~1e-14, which decides a
+        # pivot this close to zero, so each path takes sigma from its q.
         mesh = make_circle(64)
         P1, P2 = (assemble_calderon_2d(mesh, KernelParams(1.0), side)
                   for side in ("interior", "exterior"))
         q = spectra.calderon_eigenvalues(P1)
-        sigma = -float(q.real.min())
-        for records in ((q, 1 - q), (P1, P2)):
+        q_dense = eig_generalized(P1.P, P1.M_block).eigenvalues
+        for records, q_path in (((q, 1 - q), q), ((P1, P2), q_dense)):
+            sigma = -float(q_path.real.min())
             with pytest.raises(SingularMatrixError, match="subdomain") as err:
                 spectra.pencil_eigenvalues(
                     *spectra.jacobi_2d_2dom(*records, (sigma, sigma)))
             assert 0.0 <= err.value.pivot_magnitude < 1e-13
         code = main(["spectrum-2d", "--geometry", "circle", "--n", "64",
-                     "--sigma", repr(sigma), "--out", str(tmp_path / "o")])
+                     "--sigma", repr(-float(q.real.min())),
+                     "--out", str(tmp_path / "o")])
         assert code == 3
         assert "SingularMatrixError" in capsys.readouterr().err
 
@@ -615,6 +628,48 @@ def _sweep_rows(path):
     lines = path.read_text().splitlines()[1:]
     return [(float(sigma), float(rho), int(n_eigs))
             for sigma, rho, n_eigs, *_ in (line.split(",") for line in lines)]
+
+
+class TestRunReport2d:
+    """What a 2D report says about how it was computed and whether the
+    paper's convergence claim held."""
+
+    @pytest.mark.parametrize("argv, order", [
+        (["spectrum-2d", "--geometry", "circle", "--n", "16"], 16),
+        (["spectrum-2d", "--geometry", "square", "--n", "16"], 4),
+        (["spectrum-2d-3dom", "--n", "12"], 12),
+        (["sweep", "--kind", "2d-3dom", "--n", "8", "--steps", "2"], 8)],
+        ids=["circle", "square", "annulus", "annulus-sweep"])
+    def test_report_records_the_rotation_order(self, argv, order, tmp_path):
+        run(parse_config(argv + ["--out", str(tmp_path / "o")]))
+        results = json.loads(
+            (tmp_path / "o" / "run_report.json").read_text())["results"]
+        assert results["rotation_order"] == order
+
+    def _warnings(self, argv, tmp_path):
+        report = run(parse_config(argv + ["--out", str(tmp_path / "o")]))
+        return report.results["spectral_radius"], report.results["warnings"]
+
+    def test_fig4_warns_of_divergence(self, tmp_path):
+        rho, warnings = self._warnings(
+            ["--config", str(CONFIGS_DIR / "fig4_square_heterogeneous.json")],
+            tmp_path)
+        assert round(rho, 4) == 1.0673
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"spectral radius {rho:.6g} >= 1")
+
+    def test_divergence_band_warns(self, tmp_path):
+        rho, warnings = self._warnings(
+            ["spectrum-2d", "--geometry", "circle", "--n", "64", "--sigma",
+             "0.00373"], tmp_path)
+        assert round(rho, 2) == 3.93
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"spectral radius {rho:.6g} >= 1")
+
+    def test_fig2_has_no_warning(self, tmp_path):
+        rho, warnings = self._warnings(
+            ["--config", str(CONFIGS_DIR / "fig2_circle.json")], tmp_path)
+        assert rho < 1 and warnings == []
 
 
 class Test2dRuns:

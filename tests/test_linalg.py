@@ -6,7 +6,7 @@ import scipy.linalg
 
 from multitrace import linalg
 from multitrace.linalg import (DIMENSION_CAP, SingularMatrixError, eig_dense,
-                               eig_generalized, solve_dense)
+                               eig_generalized, eig_modes, solve_dense)
 from helpers import match_multisets
 
 
@@ -216,3 +216,28 @@ def test_nonfinite_rejected():
         solve_dense(A, np.ones(2))
     with pytest.raises(ValueError, match="B contains non-finite"):
         solve_dense(np.eye(2), np.array([1.0, np.inf]))
+
+
+def test_eig_modes_match_each_pencil():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    B = np.eye(4) + 0.1 * rng.standard_normal((3, 4, 4))
+    w = eig_modes(A, B)
+    assert w.shape == (3, 4)
+    for k in range(3):
+        match_multisets(w[k], scipy.linalg.eigvals(A[k], B[k]), 1e-12)
+
+
+def test_eig_modes_name_the_singular_mode():
+    B = np.stack([np.eye(3), np.eye(3), np.diag([1.0, 1.0, 1e-17])])
+    with pytest.raises(SingularMatrixError, match="B of mode 2") as err:
+        eig_modes(np.ones((3, 3, 3)), B)
+    assert err.value.pivot_magnitude == 1e-17
+
+
+@pytest.mark.parametrize("name", ["A", "B"])
+def test_eig_modes_reject_non_finite_input(name):
+    stacks = {"A": np.ones((2, 3, 3)), "B": np.stack([np.eye(3)] * 2)}
+    stacks[name][1, 0, 2] = np.nan
+    with pytest.raises(ValueError, match=f"{name} contains non-finite"):
+        eig_modes(stacks["A"], stacks["B"])

@@ -101,6 +101,38 @@ class TestValidation:
         assert np.array_equal(mesh.second_nodes, mesh.nodes[nxt])
 
 
+class TestRotationGroup:
+    def test_builders_declare_their_groups(self):
+        assert make_circle(12).rotation_order == 12
+        assert make_circle(12, center=(2.0, -1.0)).center == (2.0, -1.0)
+        assert make_square(3).rotation_order == 4
+        inner, outer = make_three_domain(12, 16)
+        assert (inner.rotation_order, outer.rotation_order) == (12, 16)
+        assert BoundaryMesh(make_circle(12).nodes).rotation_order == 1
+
+    @pytest.mark.parametrize("order", [5, 0, -3, 2.0, 24])
+    def test_order_must_divide_the_node_count(self, order):
+        with pytest.raises(ValueError, match="rotation_order .* does not "
+                                             "divide the 12 nodes"):
+            BoundaryMesh(make_circle(12).nodes, order)
+
+    @pytest.mark.parametrize("nodes, order, center", [
+        (make_circle(12).nodes, 12, (0.1, 0.0)),
+        (make_circle(12).nodes + ([[1e-9, 0.0]] + [[0.0, 0.0]] * 11), 6,
+         (0.0, 0.0)),
+        (make_square(2).nodes, 8, (0.0, 0.0))],
+        ids=["another-centre", "nodes-off-by-1e-9", "square-turned-by-45"])
+    def test_rotation_must_map_nodes_onto_nodes(self, nodes, order, center):
+        with pytest.raises(ValueError, match="rotation_order .* does not "
+                                             "map node i onto node i \\+"):
+            BoundaryMesh(nodes, order, center)
+
+    def test_rounding_of_the_nodes_is_tolerated(self):
+        nodes = make_circle(12).nodes.copy()
+        nodes[5, 0] += 1e-14            # within ROTATION_TOL = 1e-12
+        assert BoundaryMesh(nodes, 12).rotation_order == 12
+
+
 def star_polygons():
     """Counterclockwise polygons star-shaped about their center: node k
     at angle 2 pi (k + u_k) / n with u_k in [0, 0.4], so every turn

@@ -447,6 +447,33 @@ class TestCalderonMap:
             calderon_map(np.zeros(2), np.ones(2), sigmas)
 
 
+def mode_defects(n):
+    """``max dist(q, {0, 1})`` per Fourier mode of the n-element circle."""
+    P = assemble_calderon_2d(make_circle(n), KernelParams(1.0))
+    q = spectra._calderon_modes(P)
+    assert q.shape == (n // 2 + 1, 2)
+    return np.minimum(abs(q), abs(1 - q)).max(axis=1)
+
+
+class TestCalderonModes:
+    """``q`` per Fourier mode of the circle: the defect of a fixed mode
+    falls as h^3, while the most negative ``q`` tends to a floor that
+    refinement does not remove (ROADMAP: the divergence band)."""
+
+    def test_fixed_mode_defect_falls_with_h(self):
+        # measured ratios per halving of h: 8.09/8.05 (k = 1), 7.39/7.69
+        # (k = 2), 7.54/7.75 (k = 4), for n = 64 -> 128 -> 256
+        defects = np.array([mode_defects(n)[[1, 2, 4]]
+                            for n in (64, 128, 256)])
+        assert np.all(defects[:-1] / defects[1:] >= 7.0)
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_q_min_floor(self, n):
+        # q_min reads -0.012157 at n = 512 and -0.012158 at n = 1024
+        P = assemble_calderon_2d(make_circle(n), KernelParams(1.0))
+        assert round(float(calderon_eigenvalues(P).real.min()), 5) == -0.01216
+
+
 class TestSweep:
     def test_analytic_matches_formula(self):
         from multitrace import line1d
