@@ -148,16 +148,6 @@ def _gauss_rules(order):
     return {q: gauss01(q) for q in range(1, order + 1)}
 
 
-def _midpoints(mesh):
-    return mesh.first_nodes + 0.5 * mesh.directions
-
-
-def _gauss_points(mesh, s):
-    """Points at parameters ``s`` of every element, ``(m, q, 2)``."""
-    return (mesh.first_nodes[:, None, :]
-            + s[None, :, None] * mesh.directions[:, None, :])
-
-
 # log of 2^(2q+1) (q!)^4 / ((2q+1) ((2q)!)^3), the constant of the q-point
 # Gauss error on [-1, 1] times the 2q-th derivative of the integrand
 def _log_gauss_error_constant(q):
@@ -221,15 +211,19 @@ def _graded_pairs(pool, obs, src, rows, cols, a, order, integrate):
     ``integrate(e, f, dx, dy, r, ll, wb)`` gets the element indices, the
     offsets ``x - y`` of their Gauss points and the distances, ``(pair, k,
     l)``, the length products ``(pair, 1, 1)`` and the weighted basis.
+    Gauss points go only to ``obs`` elements up to the last row used.
     """
-    Lo, Ls = obs.lengths, src.lengths
+    k = rows.max(initial=-1) + 1
+    (xo, do), (xs, ds) = ((m.first_nodes[:n], m.directions[:n])
+                          for m, n in ((obs, k), (src, None)))
+    Lo, Ls = np.linalg.norm(do, axis=1), np.linalg.norm(ds, axis=1)
     rules = _gauss_rules(order)
-    pair_q = _pair_orders(_midpoints(obs)[rows], Lo[rows],
-                          _midpoints(src)[cols], Ls[cols], a, order)
+    pair_q = _pair_orders(xo[rows] + 0.5 * do[rows], Lo[rows],
+                          xs[cols] + 0.5 * ds[cols], Ls[cols], a, order)
 
-    def task(e, f, xo, ys, wb):
-        dx = xo[e, :, None, 0] - ys[f, None, :, 0]
-        dy = xo[e, :, None, 1] - ys[f, None, :, 1]
+    def task(e, f, po, ps, wb):
+        dx = po[e, :, None, 0] - ps[f, None, :, 0]
+        dy = po[e, :, None, 1] - ps[f, None, :, 1]
         r = np.sqrt(dx * dx + dy * dy)
         integrate(e, f, dx, dy, r, (Lo[e] * Ls[f])[:, None, None], wb)
 
@@ -237,10 +231,11 @@ def _graded_pairs(pool, obs, src, rows, cols, a, order, integrate):
     for q in np.unique(pair_q):
         s, w = rules[q]
         wb = w[:, None] * _p1(s)                             # (q, 2)
-        xo, ys = _gauss_points(obs, s), _gauss_points(src, s)
+        po, ps = (x[:, None, :] + s[None, :, None] * d[:, None, :]
+                  for x, d in ((xo, do), (xs, ds)))
         sel = np.flatnonzero(pair_q == q)
         futures += [pool.submit(task, rows[sel[p0:p0 + _CHUNK]],
-                                cols[sel[p0:p0 + _CHUNK]], xo, ys, wb)
+                                cols[sel[p0:p0 + _CHUNK]], po, ps, wb)
                     for p0 in range(0, len(sel), _CHUNK)]
     _gather(futures)
 

@@ -243,7 +243,7 @@ def _setup_2d(cfg, a, report):
     ``cfg.geometry``; equal ones share its operator set, and then only
     the interior is returned (:func:`spectra.calderon_map`).  Three give
     ``(inner, outer, coupling)`` of the annulus, its middle sigma first.
-    The report records the rotation order the assembly uses.
+    The report records the rotation order and the mode pencil count.
     """
     par = [KernelParams(a_k, cfg.quad_order) for a_k in a]
     if len(a) == 2:
@@ -251,16 +251,18 @@ def _setup_2d(cfg, a, report):
                 else make_square(cfg.n_elements // 4))
         report.results["rotation_order"] = mesh.rotation_order
         P1 = assemble_calderon_2d(mesh, par[0], "interior")
-        if par[0] == par[1]:
-            return (P1,)
-        return P1, assemble_calderon_2d(mesh, par[1], "exterior")
-    inner, outer = make_three_domain(cfg.n_elements, cfg.n_elements,
-                                     cfg.radii[0], cfg.radii[1])
-    report.results["rotation_order"] = math.gcd(inner.rotation_order,
-                                                outer.rotation_order)
-    return (assemble_calderon_2d(inner, par[1], "interior"),
-            assemble_calderon_2d(outer, par[2], "exterior"),
-            assemble_coupling(inner, outer, par[0]))
+        records = ((P1,) if par[0] == par[1] else
+                   (P1, assemble_calderon_2d(mesh, par[1], "exterior")))
+    else:
+        inner, outer = make_three_domain(cfg.n_elements, cfg.n_elements,
+                                         cfg.radii[0], cfg.radii[1])
+        report.results["rotation_order"] = math.gcd(inner.rotation_order,
+                                                    outer.rotation_order)
+        records = (assemble_calderon_2d(inner, par[1], "interior"),
+                   assemble_calderon_2d(outer, par[2], "exterior"),
+                   assemble_coupling(inner, outer, par[0]))
+    report.results["pencil_modes"] = spectra._group_order(records)
+    return records
 
 
 def _run_spectrum(cfg, out, report):
@@ -286,7 +288,8 @@ def _run_spectrum(cfg, out, report):
         result = _timed(report, "eigensolve_s", spectra.pencil_spectrum,
                         A, B, sigmas, cfg.eps)
     _write(report, out / "eigenvalues.csv", "re,im",
-           (f"{z.real:.16e},{z.imag:.16e}" for z in result.eigenvalues))
+           ["\n".join(["%.16e,%.16e"] * len(result.eigenvalues))
+            % tuple(result.eigenvalues.view(float).tolist())])
     if count == 2:      # the annulus run writes no plot script
         _plot(report, out / "eigenvalues.csv",
               ["set size ratio -1", 'set xlabel "Re"', 'set ylabel "Im"'],

@@ -47,13 +47,14 @@ class EigenResult:
             raise ValueError("non-finite eigenvalues in result")
 
 
-def _as_square(A, name="A"):
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+def _as_square(A, name="A", stacked=False):
+    A = np.asarray(A)           # a stack (K, r, r) of modes if stacked
+    if (A.ndim not in (2, 2 + stacked) or A.shape[-2] != A.shape[-1]
+            or A.size == 0):
         raise ValueError(f"{name} must be square and non-empty, got {A.shape}")
-    if A.shape[0] > DIMENSION_CAP:
+    if A.shape[-1] > DIMENSION_CAP:
         raise ValueError(
-            f"{name} has dimension {A.shape[0]} beyond the cap {DIMENSION_CAP}"
+            f"{name} has dimension {A.shape[-1]} beyond the cap {DIMENSION_CAP}"
         )
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
@@ -79,8 +80,22 @@ def _check_pivots(diag, name):
         )
 
 
+def _check_modes(A, name):
+    """:func:`_check_pivots` of the LU of each mode of a stack ``A``, from
+    one driver lookup, a failing ``A[k]`` rejected as ``name in mode k``."""
+    getrf, = get_lapack_funcs(("getrf",), (A,))
+    diag = np.abs([getrf(a)[0].diagonal() for a in A])
+    tol = A.shape[-1] * np.finfo(float).eps * diag.max(axis=1)
+    for k in np.flatnonzero(diag.min(axis=1) <= tol):
+        _check_pivots(diag[k], f"{name} in mode {k}")
+
+
 def _solve_checked(A, B, name):
-    """``A^-1 B`` by pivoted LU, rejected at a noise-level pivot of ``A``."""
+    """``A^-1 B`` by pivoted LU, rejected at a noise-level pivot of ``A``;
+    a stack is checked per mode, then solved in one batch."""
+    if A.ndim == 3:
+        _check_modes(A, name)
+        return np.linalg.solve(A, B)
     # getrf's info > 0 is an exactly zero pivot: the test below rejects it
     lu, piv, _ = get_lapack_funcs(("getrf",), (A,))[0](A)
     _check_pivots(np.abs(np.diag(lu)), name)
@@ -103,21 +118,22 @@ def _eig(C, compute_vectors, A, B=None):
 def solve_dense(A, B, name="A"):
     """Solve ``A X = B`` by pivoted LU factorization.
 
-    ``B`` may be a vector or a matrix of right-hand sides.  Raises
-    :class:`SingularMatrixError` with the offending pivot magnitude when
-    ``A`` is singular to working precision; errors call ``A`` by ``name``.
+    ``B`` may be a vector or a matrix of right-hand sides, per mode for a
+    stack ``A``.  Raises :class:`SingularMatrixError` with the offending
+    pivot magnitude when ``A`` is singular to working precision; errors
+    call ``A`` by ``name`` (``A[k]`` by ``name in mode k``).
     """
-    A = _as_square(A, name)
+    A = _as_square(A, name, stacked=True)
     B = np.asarray(B)
-    vector_rhs = B.ndim == 1
+    vector_rhs = B.ndim == A.ndim - 1
     if vector_rhs:
-        B = B[:, None]
-    if B.shape[0] != A.shape[0]:
-        raise ValueError(f"rhs rows {B.shape[0]} != matrix dimension {A.shape[0]}")
+        B = B[..., None]
+    if B.shape[:-1] != A.shape[:-1]:
+        raise ValueError(f"rhs rows {B.shape[-2]} != matrix dimension {A.shape[-1]}")
     if not np.all(np.isfinite(B)):
         raise ValueError("B contains non-finite entries")
     X = _solve_checked(A, B, name)
-    return X[:, 0] if vector_rhs else X
+    return X[..., 0] if vector_rhs else X
 
 
 def eig_dense(A, compute_vectors=False):
@@ -139,22 +155,27 @@ def eig_generalized(A, B, compute_vectors=False):
     QZ algorithm (``scipy.linalg.eigvals(A, B)``), which the tests keep
     as the independent oracle.  Raises :class:`SingularMatrixError` when
     ``B`` is singular to working precision.
+
+    Stacks ``(K, r, r)`` of Fourier-mode pencils give eigenvalues ``(K,
+    r)``, a singular ``B[k]`` named ``B in mode k``; modes ``K - k`` that
+    conjugate modes k, as for real matrices, take conjugate eigenvalues.
     """
-    A = _as_square(A, "A")
-    B = _as_square(B, "B")
+    A = _as_square(A, "A", stacked=True)
+    B = _as_square(B, "B", stacked=True)
     if A.shape != B.shape:
         raise ValueError(f"pencil shapes differ: {A.shape} vs {B.shape}")
-    C = _as_square(_solve_checked(B, A, "B"), "B^-1 A")
-    return _eig(C, compute_vectors, A, B)
-
-
-def eig_modes(A, B):
-    """Eigenvalues of the pencils ``(A[k], B[k])`` of two equal stacks, one
-    row per Fourier mode ``k``: the checks of :func:`eig_generalized` on
-    each, a singular ``B[k]`` named by its mode, then one batched solve."""
-    return np.linalg.eigvals(np.stack([
-        _solve_checked(_as_square(b, "B"), _as_square(a, "A"),
-                       f"B of mode {k}") for k, (a, b) in enumerate(zip(A, B))]))
+    if A.ndim == 2:
+        C = _as_square(_solve_checked(B, A, "B"), "B^-1 A")
+        return _eig(C, compute_vectors, A, B)
+    if compute_vectors:
+        raise ValueError("a stack of pencils returns no eigenvectors")
+    K = len(A)
+    half = (K // 2 + 1 if all(np.array_equal(X[1:], X[:0:-1].conj())
+                              for X in (A, B)) else K)
+    w = np.linalg.eigvals(_as_square(_solve_checked(B[:half], A[:half], "B"),
+                                     "B^-1 A", stacked=True))
+    return EigenResult(np.concatenate([w, w[1:K - half + 1][::-1].conj()]),
+                       None, 0.0)
 
 
 def _residual(A, w, v, B=None):

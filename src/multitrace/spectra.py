@@ -17,19 +17,20 @@ When both sides of one curve come from one operator set (one mesh, one
 Neumann flip.  Both Calderon matrices are then diagonal in the
 eigenbasis of ``(P_int, M_block)``, with eigenvalues ``q`` and ``1 - q``,
 and so is the red pencil: :func:`calderon_map` builds it from the ``q``
-that :func:`calderon_eigenvalues` solves once for every relaxation pair,
-per Fourier mode when the mesh declares a rotation group.
+that :func:`calderon_eigenvalues` solves once for every relaxation pair.
 Sides with different material constants, and the annulus, share no
-eigenbasis and keep the pencil.
+eigenbasis and keep the pencil.  On curves that turn about one centre,
+``q`` and the pencil split into Fourier modes (:func:`_symbols`).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from . import line1d
-from .linalg import _check_pivots, eig_generalized, eig_modes, solve_dense
+from .linalg import _check_modes, _check_pivots, eig_generalized, solve_dense
 
 
 def theoretical_points(sigmas):
@@ -118,6 +119,25 @@ def _relaxations(count, sigmas):
     return sigmas
 
 
+def _symbols(X, curves, g, fft):
+    """Symbols ``(modes, r, r)`` of ``X`` over the trace blocks of
+    ``curves``, block circulant as the turn of order ``g`` moves each
+    block by ``n / g`` nodes: mode k is ``sum_d X_0d exp(-2 pi i d k /
+    g)`` over the first sector's blocks, by ``fft`` (``np.fft.rfft``
+    gives modes 0 .. g // 2, mode ``g - k`` being their conjugate)."""
+    per = np.repeat([c.n_nodes // g for c in curves], 2)  # of each block
+    first = np.flatnonzero(np.concatenate([np.arange(g * p) < p for p in per]))
+    cols = first + np.repeat(per, per) * np.arange(g)[:, None]     # (g, r)
+    return fft(X[first][:, cols], axis=1).transpose(1, 0, 2)
+
+
+def _group_order(subdomains):
+    """Gcd of the curves' rotation orders if all share a centre, else 1."""
+    curves = [c for sd in subdomains for c in sd.curves]
+    same = all(np.array_equal(c.center, curves[0].center) for c in curves)
+    return math.gcd(*(c.rotation_order for c in curves)) if same else 1
+
+
 def jacobi_pencil(subdomains, sigmas):
     """Half-size pencil ``(A, B)`` whose eigenvalues are the squares of
     the block Jacobi spectrum.
@@ -139,18 +159,23 @@ def jacobi_pencil(subdomains, sigmas):
     as black ones, so both halves have the same size.  Red unknowns
     follow the list order of the red subdomains, then their curves.  The
     matrices are real when every relaxation parameter is.
+
+    Curves turning about one centre with a common rotation order ``g >
+    1`` (:func:`_group_order`) give ``(g, r, r)`` stacks, the same layout
+    on the Fourier modes of :func:`_symbols`: modes 0 .. g // 2 and their
+    conjugates for real relaxation parameters, else all g.  A singular
+    diagonal block raises ``SingularMatrixError`` naming it and its mode.
     """
     sigmas = [s.real if s.imag == 0 else s
               for s in _relaxations(len(subdomains), sigmas)]
-    P = [sd.P for sd in subdomains]
     sides = {}              # id(curve) -> [(subdomain, local column, nodes)]
     for j, sd in enumerate(subdomains):
         local = 0
         for curve in sd.curves:
             sides.setdefault(id(curve), []).append((j, local, curve.n_nodes))
             local += 2 * curve.n_nodes
-        if local != P[j].shape[0]:
-            raise ValueError(f"subdomain {j}: P has {P[j].shape[0]} rows "
+        if local != sd.P.shape[0]:
+            raise ValueError(f"subdomain {j}: P has {sd.P.shape[0]} rows "
                              f"but its curves carry {local} traces")
     for curve_sides in sides.values():
         if len(curve_sides) != 2:
@@ -158,66 +183,61 @@ def jacobi_pencil(subdomains, sigmas):
                              "subdomain(s); an interface needs exactly two")
     colour = _two_colouring(len(subdomains), sides)
 
+    g = _group_order(subdomains)
+    real = all(np.isrealobj(s) for s in sigmas)
+    fft = np.fft.rfft if real else np.fft.fft
+    P, M = ([getattr(sd, name) if g == 1 else
+             _symbols(getattr(sd, name), sd.curves, g, fft)
+             for sd in subdomains] for name in ("P", "M_block"))
     rows, ends = [], [0, 0]         # unknowns of each subdomain in its half
     for P_j, c in zip(P, colour):
-        rows.append(slice(ends[c], ends[c] + P_j.shape[0]))
-        ends[c] += P_j.shape[0]
+        rows.append(slice(ends[c], ends[c] + P_j.shape[-1]))
+        ends[c] += P_j.shape[-1]
     diagonal, exchange = [], []
-    for sd, P_j, s in zip(subdomains, P, sigmas):
-        M = sd.M_block
+    for M_j, P_j, s in zip(M, P, sigmas):
         if s == 0:
             exchange.append(P_j)
-            diagonal.append(M)
+            diagonal.append(M_j)
         else:
-            exchange.append(s * M)
-            diagonal.append((1 + s) * M - P_j)
+            exchange.append(s * M_j)
+            diagonal.append((1 + s) * M_j - P_j)
     # coupling[c]: rows of colour c, columns of the other colour
-    coupling = [np.zeros((ends[c], ends[1 - c]), np.result_type(*exchange))
-                for c in (0, 1)]
+    coupling = [np.zeros((*P[0].shape[:-2], ends[c], ends[1 - c]),
+                         np.result_type(*exchange)) for c in (0, 1)]
     for curve_sides in sides.values():
         for (j, lj, n), (k, lk, _) in (curve_sides, curve_sides[::-1]):
-            own = exchange[j][:, lj:lj + 2 * n]
+            lj, lk, n = lj // g, lk // g, n // g        # per sector
+            own = exchange[j][..., lj:lj + 2 * n]
             ck = rows[k].start + lk
-            block = coupling[colour[j]][rows[j]]
-            block[:, ck:ck + n] = own[:, :n]
-            block[:, ck + n:ck + 2 * n] = -own[:, n:]
+            block = coupling[colour[j]][..., rows[j], :]
+            block[..., ck:ck + n] = own[..., :n]
+            block[..., ck + n:ck + 2 * n] = -own[..., n:]
     A_RK, A_KR = coupling
     for j, c in enumerate(colour):          # A_KR <- B_K^{-1} A_KR
+        name = f"the diagonal block of subdomain {j}"
         if c == 1:
-            A_KR[rows[j]] = solve_dense(
-                diagonal[j], A_KR[rows[j]],
-                f"the diagonal block of subdomain {j}")
+            A_KR[..., rows[j], :] = solve_dense(
+                diagonal[j], A_KR[..., rows[j], :], name)
+        elif g > 1:
+            _check_modes(diagonal[j], name)
+    A = A_RK @ A_KR
     B_R = scipy.linalg.block_diag(*(d for d, c in zip(diagonal, colour)
                                     if c == 0))
-    return A_RK @ A_KR, B_R
-
-
-def _calderon_modes(interior):
-    """Eigenvalues ``q`` of ``(P_int, M_block)`` on a mesh of rotation
-    order m, one row per Fourier mode ``k = 0 .. m // 2``: each n x n block
-    is block circulant in m blocks of ``s = n / m`` nodes, so the pencil
-    splits into the 2s x 2s ones of ``C_k = sum_d C_d exp(-2 pi i d k /
-    m)``, the FFT of the first block rows.  Mode ``m - k`` is the
-    conjugate of mode k."""
-    m, n = interior.mesh.rotation_order, len(interior.P) // 2
-    s = n // m
-
-    def symbols(X):
-        rows = X[np.r_[:s, n:n + s]].reshape(2 * s, 2, m, s)
-        return np.fft.rfft(rows, axis=2).transpose(2, 0, 1, 3).reshape(
-            -1, 2 * s, 2 * s)
-
-    return eig_modes(symbols(interior.P), symbols(interior.M_block))
+    if g > 1 and real:
+        A, B_R = (np.concatenate([X, X[1:(g + 1) // 2][::-1].conj()])
+                  for X in (A, B_R))
+    return A, B_R
 
 
 def calderon_eigenvalues(interior):
     """Eigenvalues ``q`` of ``(P_int, M_block)``, for :func:`calderon_map`:
-    per Fourier mode (:func:`_calderon_modes`) on a mesh that declares a
-    rotation group, else from one dense eigensolve."""
+    of the modes 0 .. m // 2 of :func:`_symbols`, then the conjugates of
+    the others, on a mesh of rotation order m > 1; else of one pencil."""
     m = interior.mesh.rotation_order
     if m == 1:
         return eig_generalized(interior.P, interior.M_block).eigenvalues
-    q = _calderon_modes(interior)
+    q = eig_generalized(*(_symbols(X, interior.curves, m, np.fft.rfft)
+                          for X in (interior.P, interior.M_block))).eigenvalues
     return np.concatenate([q, q[1:(m + 1) // 2].conj()]).ravel()
 
 
@@ -254,10 +274,11 @@ def jacobi_2d_3dom(P1, P2, coupling, sigmas):
 
 
 def pencil_eigenvalues(A, B):
-    """Jacobi spectrum ``+-sqrt(mu)``, ``mu`` the red pencil's eigenvalues;
-    a diagonal pencil (:func:`calderon_map`) needs no eigensolve."""
+    """Jacobi spectrum ``+-sqrt(mu)``, ``mu`` the red pencil's eigenvalues
+    (of every mode of a stack); a diagonal pencil (:func:`calderon_map`)
+    needs no eigensolve."""
     mu = A / B if np.ndim(A) == 1 else eig_generalized(A, B).eigenvalues
-    roots = np.sqrt(mu.astype(complex))
+    roots = np.sqrt(mu.astype(complex).ravel())
     return np.concatenate([roots, -roots])
 
 

@@ -12,7 +12,7 @@ from multitrace import cli, spectra
 from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
                               assemble_operators, assembly, cross_block,
                               make_circle, make_three_domain)
-from multitrace.linalg import SingularMatrixError, eig_generalized
+from multitrace.linalg import SingularMatrixError
 from helpers import match_multisets
 from multitrace.cli import (_MODES, _SWEEPS, ConfigError, main,
                             parse_config, run)
@@ -531,9 +531,8 @@ def _counted(monkeypatch, module, name, calls):
 class TestCalderonMapPath:
     """One curve whose two sides share one operator set takes one
     eigensolve, of ``q``, for every sigma; other runs take the pencil.
-    Every curve the CLI builds declares its rotation group, so ``q`` comes
-    from one batch of per-mode pencils (``eig_modes``), not from a dense
-    ``eig_generalized``; the pencil runs keep ``eig_generalized``."""
+    Every curve the CLI builds declares its rotation group, so both come
+    from one ``eig_generalized`` of a stack of per-mode pencils."""
 
     @pytest.mark.parametrize("argv, eigs, pencils", [
         (["spectrum-2d", "--geometry", "circle"], 1, 0),
@@ -547,15 +546,10 @@ class TestCalderonMapPath:
     def test_eigensolves_and_pencils(self, argv, eigs, pencils, tmp_path,
                                      monkeypatch):
         calls = {}
-        for name in ("eig_generalized", "eig_modes", "jacobi_pencil"):
+        for name in ("eig_generalized", "jacobi_pencil"):
             _counted(monkeypatch, spectra, name, calls)
         run(parse_config(argv + ["--n", "16", "--out", str(tmp_path / "o")]))
-        # the one eigensolve of a map run is of q per Fourier mode (every
-        # CLI curve declares its rotation group); each pencil keeps a
-        # dense eig_generalized
-        modes = 0 if pencils else eigs
-        assert calls == {"eig_generalized": eigs - modes, "eig_modes": modes,
-                         "jacobi_pencil": pencils}
+        assert calls == {"eig_generalized": eigs, "jacobi_pencil": pencils}
 
     def test_report_times_the_q_eigensolve(self, tmp_path):
         report = run(parse_config(["spectrum-2d", "--geometry", "circle",
@@ -602,22 +596,20 @@ class TestCalderonMapPath:
     def test_singular_block_at_minus_q_min(self, tmp_path, capsys):
         # sigma = -q_min zeroes sigma + q at q_min, and 1 + sigma - q at
         # q_max = 1 - q_min: both paths fail loudly, and the run exits 3.
-        # The per-mode q (the map path) and the dense q (the eigenvalues
-        # of the pencil's own blocks) differ by ~1e-14, which decides a
-        # pivot this close to zero, so each path takes sigma from its q.
+        # The curve declares its rotation group, so the records path
+        # factors the per-mode symbols the q of the map path comes from.
         mesh = make_circle(64)
         P1, P2 = (assemble_calderon_2d(mesh, KernelParams(1.0), side)
                   for side in ("interior", "exterior"))
         q = spectra.calderon_eigenvalues(P1)
-        q_dense = eig_generalized(P1.P, P1.M_block).eigenvalues
-        for records, q_path in (((q, 1 - q), q), ((P1, P2), q_dense)):
-            sigma = -float(q_path.real.min())
+        sigma = -float(q.real.min())
+        for records in ((q, 1 - q), (P1, P2)):
             with pytest.raises(SingularMatrixError, match="subdomain") as err:
                 spectra.pencil_eigenvalues(
                     *spectra.jacobi_2d_2dom(*records, (sigma, sigma)))
             assert 0.0 <= err.value.pivot_magnitude < 1e-13
         code = main(["spectrum-2d", "--geometry", "circle", "--n", "64",
-                     "--sigma", repr(-float(q.real.min())),
+                     "--sigma", repr(sigma),
                      "--out", str(tmp_path / "o")])
         assert code == 3
         assert "SingularMatrixError" in capsys.readouterr().err
@@ -728,9 +720,8 @@ def test_reference_configs_present():
     assert len(CONFIGS) == 8
 
 
-# the claim of each config's README row, as run_report results; fig8 is
-# parsed only: its 41 annulus pencils take seconds, and Test2dRuns runs
-# its sweep kind at n = 8
+# the claim of each config's README row, as run_report results; fig8's
+# 41 annulus pencils split into 48 Fourier modes each
 REFERENCE_CLAIMS = {
     "fig1_line_sweep": {"n_grid": 200},
     "fig2_circle": {"cluster_fractions": [0.5] * 4, "remainder_fraction": 0.0,
@@ -746,6 +737,7 @@ REFERENCE_CLAIMS = {
     "fig7_annulus_distinct_sigma": {
         "cluster_fractions": [0.25, 0.25] + [0.125] * 4,
         "remainder_fraction": 0.0},
+    "fig8_annulus_sweep": {"n_grid": 41, "pencil_modes": 48},
 }
 
 

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from multitrace import linalg
 from multitrace.linalg import (DIMENSION_CAP, SingularMatrixError, eig_dense,
-                               eig_generalized, eig_modes, solve_dense)
+                               eig_generalized, solve_dense)
 from helpers import match_multisets
 
 
@@ -218,26 +218,69 @@ def test_nonfinite_rejected():
         solve_dense(np.eye(2), np.array([1.0, np.inf]))
 
 
-def test_eig_modes_match_each_pencil():
+def test_eig_generalized_stack_matches_each_pencil():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
     B = np.eye(4) + 0.1 * rng.standard_normal((3, 4, 4))
-    w = eig_modes(A, B)
+    w = eig_generalized(A, B).eigenvalues
     assert w.shape == (3, 4)
     for k in range(3):
         match_multisets(w[k], scipy.linalg.eigvals(A[k], B[k]), 1e-12)
 
 
-def test_eig_modes_name_the_singular_mode():
+@pytest.mark.parametrize("K", [1, 2, 5, 6])
+def test_eig_generalized_stack_of_conjugate_modes(K, monkeypatch):
+    # mode K - k the conjugate of mode k: modes 0 .. K // 2 are solved,
+    # and the others take the conjugate eigenvalues
+    rng = np.random.default_rng(K)
+    half = K // 2 + 1
+    A, B = (rng.standard_normal((half, 4, 4))
+            + 1j * rng.standard_normal((half, 4, 4)) for _ in range(2))
+    B += 4 * np.eye(4)
+    if K % 2 == 0:                  # the middle mode is its own conjugate
+        A[-1], B[-1] = A[-1].real, B[-1].real
+    A, B = (np.concatenate([X, X[1:(K + 1) // 2][::-1].conj()])
+            for X in (A, B))
+    solved = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda C: solved.append(len(C)) or eigvals(C))
+    w = eig_generalized(A, B).eigenvalues
+    assert solved == [half] and w.shape == (K, 4)
+    for k in range(K):
+        match_multisets(w[k], scipy.linalg.eigvals(A[k], B[k]), 1e-12)
+
+
+def test_eig_generalized_stack_name_the_singular_mode():
     B = np.stack([np.eye(3), np.eye(3), np.diag([1.0, 1.0, 1e-17])])
-    with pytest.raises(SingularMatrixError, match="B of mode 2") as err:
-        eig_modes(np.ones((3, 3, 3)), B)
+    with pytest.raises(SingularMatrixError, match="B in mode 2") as err:
+        eig_generalized(np.ones((3, 3, 3)), B)
     assert err.value.pivot_magnitude == 1e-17
 
 
 @pytest.mark.parametrize("name", ["A", "B"])
-def test_eig_modes_reject_non_finite_input(name):
+def test_eig_generalized_stack_reject_non_finite_input(name):
     stacks = {"A": np.ones((2, 3, 3)), "B": np.stack([np.eye(3)] * 2)}
     stacks[name][1, 0, 2] = np.nan
     with pytest.raises(ValueError, match=f"{name} contains non-finite"):
-        eig_modes(stacks["A"], stacks["B"])
+        eig_generalized(stacks["A"], stacks["B"])
+
+
+def test_eig_generalized_stack_returns_no_vectors():
+    with pytest.raises(ValueError, match="no eigenvectors"):
+        eig_generalized(np.ones((2, 3, 3)), np.stack([np.eye(3)] * 2),
+                        compute_vectors=True)
+
+
+def test_solve_dense_stack_names_the_singular_mode():
+    rng = np.random.default_rng(2)
+    A = np.eye(3) + 0.1 * rng.standard_normal((4, 3, 3))
+    B = rng.standard_normal((4, 3, 2))
+    X = solve_dense(A, B, "block")
+    for k in range(4):
+        np.testing.assert_allclose(A[k] @ X[k], B[k], atol=1e-13)
+    np.testing.assert_allclose(solve_dense(A, B[..., 0]), X[..., 0],
+                               atol=1e-15)
+    A[1, 2] = A[1, 0]
+    with pytest.raises(SingularMatrixError, match="^block in mode 1 is"):
+        solve_dense(A, B, "block")

@@ -7,17 +7,17 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from multitrace import line1d, spectra
+from multitrace import line1d
 from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
                               assemble_coupling, make_circle, make_square,
                               make_three_domain)
-from multitrace.linalg import SingularMatrixError
+from multitrace.linalg import SingularMatrixError, eig_generalized
 from multitrace.spectra import (calderon_eigenvalues, calderon_map,
                                 cluster_report, jacobi_2d_2dom,
                                 jacobi_2d_3dom, jacobi_pencil,
                                 pencil_spectrum, sigma_sweep,
                                 spectral_radius_formula, theoretical_points)
-from helpers import line_spectrum, match_multisets, trace_flip
+from helpers import line_spectrum, match_multisets, trace_flip, without_group
 
 
 def minus_symmetric(eigs, tol):
@@ -25,13 +25,28 @@ def minus_symmetric(eigs, tol):
     match_multisets(eigs, -np.asarray(eigs), tol)
 
 
+def two_sides(mesh, a=(1.0, 1.0)):
+    """Interior and exterior projectors of one curve, material ``a``."""
+    return tuple(assemble_calderon_2d(mesh, KernelParams(a_j), side)
+                 for a_j, side in zip(a, ("interior", "exterior")))
+
+
+def annulus(inner, outer, a=(2.0, 1.0, 1.0)):
+    """``(inner disk, middle, outer)`` records, ``a`` middle first."""
+    return (assemble_calderon_2d(inner, KernelParams(a[1]), "interior"),
+            assemble_coupling(inner, outer, KernelParams(a[0])),
+            assemble_calderon_2d(outer, KernelParams(a[2]), "exterior"))
+
+
 @pytest.fixture(scope="module")
 def circle_projectors():
-    mesh = make_circle(48)
-    par = KernelParams(1.0)
-    P1 = assemble_calderon_2d(mesh, par, "interior")
-    P2 = assemble_calderon_2d(mesh, par, "exterior")
-    return P1, P2
+    return two_sides(make_circle(48))
+
+
+@pytest.fixture(scope="module")
+def dense_circle_projectors():
+    """The 48-element circle with no rotation group: the dense pencil."""
+    return two_sides(without_group(make_circle(48)))
 
 
 def _never_built(s):
@@ -228,11 +243,12 @@ class TestDiscretePencils:
 
 @pytest.fixture(scope="module")
 def annulus_subdomains():
-    inner, outer = make_three_domain(8, 12)
-    P1 = assemble_calderon_2d(inner, KernelParams(1.0), "interior")
-    P2 = assemble_calderon_2d(outer, KernelParams(1.0), "exterior")
-    coup = assemble_coupling(inner, outer, KernelParams(2.0))
-    return P1, coup, P2
+    return annulus(*make_three_domain(8, 12))
+
+
+@pytest.fixture(scope="module")
+def dense_annulus_subdomains():
+    return annulus(*map(without_group, make_three_domain(8, 12)))
 
 
 def dense_pencil(subdomains, sigmas, exchange):
@@ -277,10 +293,13 @@ SIGMA_TRIPLES = [(0.25, 0.25, 0.25), (0.0, 0.0, 0.0), (0.0, 0.5, 0.5),
 
 
 class TestJacobiPencil:
+    """The layout of the dense pencil, on curves that declare no rotation
+    group; :class:`TestModePencils` checks the same layout per mode."""
+
     @pytest.mark.parametrize("sigmas", SIGMA_PAIRS)
-    def test_two_subdomains_match_dense_form(self, circle_projectors,
+    def test_two_subdomains_match_dense_form(self, dense_circle_projectors,
                                              sigmas):
-        P1, P2 = circle_projectors
+        P1, P2 = dense_circle_projectors
         A, B = jacobi_2d_2dom(P1, P2, sigmas)
         if np.isrealobj(sigmas):
             assert A.dtype == B.dtype == float
@@ -291,8 +310,9 @@ class TestJacobiPencil:
                           np.arange(P1.P.shape[0]), sigmas)
 
     @pytest.mark.parametrize("sigmas", SIGMA_TRIPLES)
-    def test_annulus_matches_dense_form(self, annulus_subdomains, sigmas):
-        P1, coup, P2 = annulus_subdomains
+    def test_annulus_matches_dense_form(self, dense_annulus_subdomains,
+                                        sigmas):
+        P1, coup, P2 = dense_annulus_subdomains
         s0, s1, s2 = sigmas
         A, B = jacobi_2d_3dom(P1, P2, coup, sigmas)
         assert A.dtype == (float if np.isrealobj(sigmas) else complex)
@@ -305,10 +325,11 @@ class TestJacobiPencil:
         assert_red_pencil(A, B, A_full, B_full, np.r_[0:na, o2:o2 + nb],
                           sigmas)
 
-    def test_subdomain_order_permutes_unknowns(self, circle_projectors):
+    def test_subdomain_order_permutes_unknowns(self,
+                                               dense_circle_projectors):
         # listing P2 first makes it red: the other half-size product,
         # with the same spectrum
-        P1, P2 = circle_projectors
+        P1, P2 = dense_circle_projectors
         A, B = jacobi_pencil((P1, P2), (0.3, -0.2))
         A2, B2 = jacobi_pencil((P2, P1), (-0.2, 0.3))
         np.testing.assert_array_equal(B, 1.3 * P1.M_block - P1.P)
@@ -360,6 +381,62 @@ class TestJacobiPencil:
     def test_sigma_count_must_match(self, circle_projectors):
         with pytest.raises(ValueError, match="2 subdomains"):
             jacobi_pencil(circle_projectors, (0.1,))
+
+
+# grouped records from a mesh map (identity or ``without_group``), their
+# relaxation parameters in record order, and their rotation order
+MODE_CASES = {
+    "circle-real": (lambda w: two_sides(w(make_circle(32)), (1.0, 5.0)),
+                    (-0.4, 1.0), 32),
+    "circle-complex": (lambda w: two_sides(w(make_circle(32)), (1.0, 5.0)),
+                       (0.2 + 0.4j, -0.3), 32),
+    "square": (lambda w: two_sides(w(make_square(8)), (1.0, 5.0)),
+               (0.3, 0.8), 4),
+    # g = 4 gives the curves 3 and 4 nodes per sector
+    "annulus-12-16": (lambda w: annulus(*map(w, make_three_domain(12, 16)),
+                                        (2.0, 1.0, 5.0)),
+                      (-0.4, 0.25, 1.0), 4),
+}
+
+
+class TestModePencils:
+    """Curves that turn about one centre with a common rotation order g
+    split the pencil into g Fourier modes; QZ of the dense pencil on the
+    same nodes without a group is the oracle."""
+
+    @pytest.mark.parametrize("case", MODE_CASES)
+    def test_modes_match_qz_of_the_dense_pencil(self, case):
+        build, sigmas, g = MODE_CASES[case]
+        A, B = jacobi_pencil(build(lambda mesh: mesh), sigmas)
+        A_dense, B_dense = jacobi_pencil(build(without_group), sigmas)
+        assert A_dense.ndim == B_dense.ndim == 2
+        r = len(A_dense) // g
+        assert A.shape == B.shape == (g, r, r)
+        match_multisets(eig_generalized(A, B).eigenvalues.ravel(),
+                        scipy.linalg.eigvals(A_dense, B_dense), 1e-10)
+
+    def test_curves_about_two_centres_keep_the_dense_pencil(self):
+        inner = make_circle(12, 0.3, (0.1, 0.0))
+        records = annulus(inner, make_circle(16))
+        A, B = jacobi_pencil(records, (0.25, 0.3, 0.25))
+        assert A.shape == B.shape == (2 * 28, 2 * 28)
+
+    @pytest.mark.parametrize("subdomain", [0, 1])
+    def test_singular_block_names_subdomain_and_mode(self, subdomain):
+        # s = q_max - 1 zeroes 1 + s - q of the interior (red) block at
+        # q_max, s = -q_min zeroes s + q of the exterior (black) block at
+        # q_min.  q comes from the symbols the pencil factors, two per
+        # mode: modes 0 .. 32, then the conjugates of modes 1 .. 31.
+        P1, P2 = two_sides(make_circle(64))
+        q = calderon_eigenvalues(P1).real.reshape(64, 2)
+        at = q.argmax() if subdomain == 0 else q.argmin()
+        sigmas = ((q.flat[at] - 1, 0.1) if subdomain == 0
+                  else (0.1, -q.flat[at]))
+        with pytest.raises(SingularMatrixError, match=(
+                f"^the diagonal block of subdomain {subdomain} in mode "
+                f"{at // q.shape[1]} is singular")) as err:
+            jacobi_2d_2dom(P1, P2, sigmas)
+        assert 0.0 <= err.value.pivot_magnitude < 1e-13
 
 
 @pytest.fixture(scope="module", params=["circle", "square"])
@@ -448,10 +525,10 @@ class TestCalderonMap:
 
 
 def mode_defects(n):
-    """``max dist(q, {0, 1})`` per Fourier mode of the n-element circle."""
+    """``max dist(q, {0, 1})`` per Fourier mode of the n-element circle:
+    ``calderon_eigenvalues`` lists modes 0 .. n // 2 first, two each."""
     P = assemble_calderon_2d(make_circle(n), KernelParams(1.0))
-    q = spectra._calderon_modes(P)
-    assert q.shape == (n // 2 + 1, 2)
+    q = calderon_eigenvalues(P).reshape(n, 2)
     return np.minimum(abs(q), abs(1 - q)).max(axis=1)
 
 
