@@ -23,7 +23,8 @@ the adjacent Duffy tables integrate each unordered pair once: the (f, e)
 blocks are the transposed (e, f) ones, the double layer with the other
 element's normal.  On a mesh that declares a rotation group of order m,
 all three tables, and the cross blocks of concentric curves, integrate
-one block row of n / m elements and repeat it block-circulantly.
+one block row of n / m elements, and ``_scatter`` turns that row into
+node matrices whose further rows are its exact turns.
 
 ``quad_order`` is the tensor-Gauss order of near pairs.  The element
 pairs of one curve and the cross-curve pairs go through the same graded
@@ -67,6 +68,7 @@ from scipy.special import i0, i1, k0, k1
 
 from ..line1d import _check_a
 from .kernels import TWO_PI
+from .mesh import common_rotation_order
 from .quadrature import gauss01, log_gauss01
 
 # Tangential derivative signs of the two nodal basis functions.
@@ -129,12 +131,25 @@ def mass_matrix(mesh):
     return M
 
 
-def _scatter(target, loc):
-    """Add element blocks ``loc[..., e, f, k, l]`` at the nodes ``e + k``
-    and ``f + l``: element ``e`` of a mesh joins its nodes ``e`` and ``e +
-    1``, cyclically, so each basis-node block is a rolled element table."""
+def _with_previous(rows, shift):
+    """Element rows -1 .. s - 1 of the block row ``rows[..., e, f, k, l]``:
+    row -1 is row s - 1 turned back one sector of ``shift`` columns."""
+    return np.concatenate([np.roll(rows.take([-1], axis=-4), -shift, axis=-3),
+                           rows], axis=-4)
+
+
+def _scatter(rows, m, shift):
+    """Node matrices of the element rows ``rows[..., 1 + e, f, k, l]``, ``e
+    = -1 .. s - 1``: element ``e`` joins its nodes ``e`` and ``e + 1``,
+    cyclically, so node row ``i < s`` sums elements ``i`` and ``i - 1``.
+    The turn of order ``m`` moves rows by ``s`` and columns by ``shift``,
+    and gives the node rows beyond the first ``s``."""
+    s, nc = rows.shape[-4] - 1, rows.shape[-3]
+    head = np.zeros((*rows.shape[:-4], s, nc))
     for k, l in np.ndindex(2, 2):
-        target += np.roll(loc[..., k, l], (k, l), axis=(-2, -1))
+        head += np.roll(rows[..., 1 - k:s + 1 - k, :, k, l], l, axis=-1)
+    turned = head[..., (np.arange(nc) - shift * np.arange(m)[:, None]) % nc]
+    return np.swapaxes(turned, -3, -2).reshape(*head.shape[:-2], m * s, nc)
 
 
 def _p1(x):
@@ -240,33 +255,21 @@ def _graded_pairs(pool, obs, src, rows, cols, a, order, integrate):
     _gather(futures)
 
 
-def _circulant(row, m):
-    """The element table ``(..., m * so, ns, 2, 2)`` of its block row
-    ``row[..., e, f]``, ``e < so``: the turn of order ``m`` moves ``e`` to
-    ``e + so`` and ``f`` to ``f + ns / m`` and keeps every pair integral."""
-    if m == 1:
-        return row
-    ns = row.shape[-3]
-    cols = (np.arange(ns) - ns // m * np.arange(m)[:, None]) % ns
-    full = np.swapaxes(row[..., cols, :, :], -5, -4)
-    return full.reshape(*row.shape[:-4], -1, *row.shape[-3:])
-
-
 def _smooth_pair_tables(mesh, a, order, pool=None):
     """Tensor-Gauss V/K pair integrals for the element pairs that share no
     node, on ``pool`` or on a pool of its own.
 
-    Returns ``(v_loc, k_loc)`` where ``v_loc[e, f]`` is the 2x2
-    single-layer block of the ordered pair and ``k_loc`` the double-layer
-    block (kernel ``d/dn(y) G``).  The self and adjacent blocks are zero,
-    left to the singular tables.
+    Returns the block row ``(v_loc, k_loc)``, ``(n / m, n, 2, 2)`` on a
+    mesh of rotation order m (the whole table for m = 1), where ``v_loc[e,
+    f]`` is the 2x2 single-layer block of the ordered pair and ``k_loc``
+    the double-layer block (kernel ``d/dn(y) G``).  The self and adjacent
+    blocks are zero, left to the singular tables.
 
-    On a mesh of rotation order m only the block row ``e < n / m`` is
-    integrated, and ``_circulant`` fills the rest.  Its partner, the (f, e)
-    block turned into that row, is the transposed (e, f) one, the double
-    layer with ``-n_e`` in place of ``n_f``: K0 and K1 are evaluated once
-    per pair and partner (for m = 1, once per ``e < f``).  A pair that is
-    its own partner (opposite elements, m even) gets a symmetrized V.
+    The partner of a pair, the (f, e) block turned into the row, is the
+    transposed (e, f) one, the double layer with ``-n_e`` in place of
+    ``n_f``: K0 and K1 are evaluated once per pair and partner (for m = 1,
+    once per ``e < f``).  A pair that is its own partner (opposite
+    elements, m even) gets a symmetrized V.
     """
     if pool is None:
         with ThreadPoolExecutor(_WORKERS) as pool:
@@ -297,7 +300,7 @@ def _smooth_pair_tables(mesh, a, order, pool=None):
 
     _graded_pairs(pool, mesh, mesh, rows[keep], cols[keep], a, order,
                   integrate)
-    return _circulant(v_loc, m), _circulant(k_loc, m)
+    return v_loc, k_loc
 
 
 def _coincident_tables(L, a, order):
@@ -399,47 +402,43 @@ def assemble_operators(mesh, params):
 
 
 def _assemble_operators(mesh, params):
-    a = params.a
-    # adjacent pairs (e, next(e)), tabulated from the shared node, the end
-    # node of e (its basis axis reversed); (next(e), e) is the transpose.
-    # With rotation order m, the tables of elements e < n / m repeat.
-    s, nxt = mesh.n_elements // mesh.rotation_order, mesh.next_element()
-    e, f = np.arange(s), nxt[:s]
+    # the block row e < s = n / m; adjacent pairs (e, e + 1) tabulated from
+    # the shared node, the end node of e (its basis axis reversed); (e, e -
+    # 1) is the transposed table of e - 1, turned into the row at e = 0
+    a, n, m = params.a, mesh.n_elements, mesh.rotation_order
+    s = n // m
+    e = np.arange(s)
+    nxt = (e + 1) % n
     d, L, nrm = mesh.directions, mesh.lengths, mesh.normals
     with ThreadPoolExecutor(_WORKERS) as pool:
         # the singular tables go first: the adjacent one is the longest task
         singular = [
-            pool.submit(_adjacent_pair_tables, -d[e], d[f], L[e], L[f],
-                        nrm[e], nrm[f], a, params.singular_order),
+            pool.submit(_adjacent_pair_tables, -d[e], d[nxt], L[e], L[nxt],
+                        nrm[e], nrm[nxt], a, params.singular_order),
             pool.submit(_coincident_tables, L[e], a, params.singular_order)]
         v_loc, k_loc = _smooth_pair_tables(mesh, a, params.quad_order, pool)
         (v_adj, k_adj), v_self = _gather(singular)
-    ar = np.arange(mesh.n_elements)
-    v_adj, k_adj, v_self = v_adj[ar % s], k_adj[:, ar % s], v_self[ar % s]
 
     # the singular tables overwrite whatever the smooth table holds there;
     # the double layer vanishes on a straight element
-    v_loc[ar, ar] = v_self
-    k_loc[ar, ar] = 0.0
-    v_loc[ar, nxt] = v_adj[:, ::-1]
-    v_loc[nxt, ar] = v_adj[:, ::-1].transpose(0, 2, 1)
-    k_loc[ar, nxt] = k_adj[0, :, ::-1]
-    k_loc[nxt, ar] = k_adj[1, :, ::-1].transpose(0, 2, 1)
+    v_loc[e, e] = v_self
+    k_loc[e, e] = 0.0
+    v_loc[e, nxt] = v_adj[:, ::-1]
+    v_loc[e, e - 1] = v_adj[e - 1, ::-1].transpose(0, 2, 1)
+    k_loc[e, nxt] = k_adj[0, :, ::-1]
+    k_loc[e, e - 1] = k_adj[1, e - 1, ::-1].transpose(0, 2, 1)
+    v_loc, k_loc = (_with_previous(x, s) for x in (v_loc, k_loc))
 
-    LL = L[:, None] * L[None, :]
-    s0_full = v_loc.sum(axis=(2, 3)) / LL     # partition of unity
-    nn = mesh.normals @ mesh.normals.T
+    # W of the element rows -1 .. s - 1, from the lengths and normals of
+    # the elements n - 1, 0 .. s - 1 themselves
+    r = np.arange(-1, s)
+    s0 = v_loc.sum(axis=(2, 3)) / (L[r, None] * L[None, :])  # partition of 1
+    nn = nrm[r] @ nrm.T
     sgn = np.outer(_DSIGN, _DSIGN)
-    w_loc = (s0_full[:, :, None, None] * sgn[None, None, :, :]
+    w_loc = (s0[:, :, None, None] * sgn[None, None, :, :]
              + (a * a) * nn[:, :, None, None] * v_loc)
 
-    n = mesh.n_nodes
-    V = np.zeros((n, n))
-    K = np.zeros((n, n))
-    W = np.zeros((n, n))
-    _scatter(V, v_loc)
-    _scatter(K, k_loc)
-    _scatter(W, w_loc)
+    V, K, W = (_scatter(x, m, s) for x in (v_loc, k_loc, w_loc))
     mats = (V, K, K.T.copy(), W, mass_matrix(mesh))
     for x in mats:
         x.flags.writeable = False
@@ -553,8 +552,7 @@ def _cross_blocks(obs_mesh, src_mesh, a, quad_order):
     if _segments_meet(obs_mesh, src_mesh, tol):
         raise ValueError("curves intersect or touch")
     # concentric curves share a group of order g: integrate one block row
-    g = (math.gcd(obs_mesh.rotation_order, src_mesh.rotation_order)
-         if np.array_equal(obs_mesh.center, src_mesh.center) else 1)
+    g = common_rotation_order((obs_mesh, src_mesh))
     mo, ms = obs_mesh.n_elements // g, src_mesh.n_elements
     rows, cols = np.divmod(np.arange(mo * ms), ms)
     blocks = np.empty((4, mo, ms, 2, 2))
@@ -576,9 +574,7 @@ def _cross_blocks(obs_mesh, src_mesh, a, quad_order):
     with ThreadPoolExecutor(_WORKERS) as pool:
         _graded_pairs(pool, obs_mesh, src_mesh, rows, cols, a, quad_order,
                       integrate)
-    R = np.zeros((4, obs_mesh.n_nodes, src_mesh.n_nodes))
-    _scatter(R, _circulant(blocks, g))
-    return tuple(R)
+    return tuple(_scatter(_with_previous(blocks, ms // g), g, ms // g))
 
 
 @dataclass(frozen=True)

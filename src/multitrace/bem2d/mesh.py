@@ -12,6 +12,7 @@ pairs, and ``spectra`` solves ``q`` per Fourier mode.  A mesh built by
 hand declares none (order 1).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,9 +114,12 @@ class BoundaryMesh:
     def total_length(self):
         return float(self.lengths.sum())
 
-    def next_element(self):
-        """``nxt[e]`` = element starting at the end node of ``e``."""
-        return np.roll(np.arange(self.n_elements), -1)
+
+def common_rotation_order(curves):
+    """Gcd of the curves' rotation orders if all share a centre, else 1."""
+    curves = list(curves)
+    same = all(np.array_equal(c.center, curves[0].center) for c in curves)
+    return math.gcd(*(c.rotation_order for c in curves)) if same else 1
 
 
 def _check_count(count, least, what):

@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 import argparse
 import hashlib
 import json
-import math
 import os
 import platform
 import sys
@@ -30,6 +29,7 @@ from . import interval1d, line1d, spectra
 from .bem2d import (MAX_QUAD_ORDER, KernelParams, assemble_calderon_2d,
                     assemble_coupling, assembly, make_circle, make_square,
                     make_three_domain)
+from .bem2d.mesh import common_rotation_order
 from .linalg import DIMENSION_CAP, SingularMatrixError, eig_dense
 
 GEOMETRIES = ("circle", "square")
@@ -243,25 +243,24 @@ def _setup_2d(cfg, a, report):
     ``cfg.geometry``; equal ones share its operator set, and then only
     the interior is returned (:func:`spectra.calderon_map`).  Three give
     ``(inner, outer, coupling)`` of the annulus, its middle sigma first.
-    The report records the rotation order and the mode pencil count.
+    The report records the curves' common rotation order, which is also
+    the count of mode pencils.
     """
     par = [KernelParams(a_k, cfg.quad_order) for a_k in a]
     if len(a) == 2:
         mesh = (make_circle(cfg.n_elements) if cfg.geometry == "circle"
                 else make_square(cfg.n_elements // 4))
-        report.results["rotation_order"] = mesh.rotation_order
         P1 = assemble_calderon_2d(mesh, par[0], "interior")
         records = ((P1,) if par[0] == par[1] else
                    (P1, assemble_calderon_2d(mesh, par[1], "exterior")))
     else:
         inner, outer = make_three_domain(cfg.n_elements, cfg.n_elements,
                                          cfg.radii[0], cfg.radii[1])
-        report.results["rotation_order"] = math.gcd(inner.rotation_order,
-                                                    outer.rotation_order)
         records = (assemble_calderon_2d(inner, par[1], "interior"),
                    assemble_calderon_2d(outer, par[2], "exterior"),
                    assemble_coupling(inner, outer, par[0]))
-    report.results["pencil_modes"] = spectra._group_order(records)
+    report.results["rotation_order"] = report.results["pencil_modes"] = (
+        common_rotation_order(c for sd in records for c in sd.curves))
     return records
 
 

@@ -1,9 +1,12 @@
 """Dense linear algebra substrate.
 
 Thin, contract-enforcing wrappers around LAPACK for the small-to-medium
-dense problems of discretized multitrace operators.  The drivers are
-called directly, in the precision scipy picks for the same arrays, so
-results equal scipy's bit for bit without its per-call wrapper cost.
+dense problems of discretized multitrace operators.  A matrix goes to
+scipy's drivers, called directly in the precision scipy picks for the
+same arrays, so its results equal scipy's bit for bit without its
+per-call wrapper cost.  A stack of Fourier modes goes to numpy's batched
+``solve`` and ``eigvals``, which link numpy's own LAPACK build; their
+results may differ from scipy's in the last bits.
 Real input stays in real arithmetic (eigenvalues of real matrices then
 come in exact conjugate pairs); complex input, as from complex
 relaxation parameters, takes the complex LAPACK path.  Every function is
@@ -80,21 +83,24 @@ def _check_pivots(diag, name):
         )
 
 
-def _check_modes(A, name):
-    """:func:`_check_pivots` of the LU of each mode of a stack ``A``, from
-    one driver lookup, a failing ``A[k]`` rejected as ``name in mode k``."""
+def _check_lu(A, name):
+    """:func:`_check_pivots` of the LU of ``A``, or of each mode of a stack
+    ``A`` from one driver lookup, a failing ``A[k]`` rejected as ``name in
+    mode k``."""
     getrf, = get_lapack_funcs(("getrf",), (A,))
-    diag = np.abs([getrf(a)[0].diagonal() for a in A])
+    modes = A if A.ndim == 3 else A[None]
+    diag = np.abs([getrf(a)[0].diagonal() for a in modes])
     tol = A.shape[-1] * np.finfo(float).eps * diag.max(axis=1)
     for k in np.flatnonzero(diag.min(axis=1) <= tol):
-        _check_pivots(diag[k], f"{name} in mode {k}")
+        _check_pivots(diag[k], f"{name} in mode {k}" if A.ndim == 3
+                      else name)
 
 
 def _solve_checked(A, B, name):
     """``A^-1 B`` by pivoted LU, rejected at a noise-level pivot of ``A``;
     a stack is checked per mode, then solved in one batch."""
     if A.ndim == 3:
-        _check_modes(A, name)
+        _check_lu(A, name)
         return np.linalg.solve(A, B)
     # getrf's info > 0 is an exactly zero pivot: the test below rejects it
     lu, piv, _ = get_lapack_funcs(("getrf",), (A,))[0](A)

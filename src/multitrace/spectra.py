@@ -23,14 +23,14 @@ eigenbasis and keep the pencil.  On curves that turn about one centre,
 ``q`` and the pencil split into Fourier modes (:func:`_symbols`).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from . import line1d
-from .linalg import _check_modes, _check_pivots, eig_generalized, solve_dense
+from .bem2d.mesh import common_rotation_order
+from .linalg import _check_lu, _check_pivots, eig_generalized, solve_dense
 
 
 def theoretical_points(sigmas):
@@ -131,13 +131,6 @@ def _symbols(X, curves, g, fft):
     return fft(X[first][:, cols], axis=1).transpose(1, 0, 2)
 
 
-def _group_order(subdomains):
-    """Gcd of the curves' rotation orders if all share a centre, else 1."""
-    curves = [c for sd in subdomains for c in sd.curves]
-    same = all(np.array_equal(c.center, curves[0].center) for c in curves)
-    return math.gcd(*(c.rotation_order for c in curves)) if same else 1
-
-
 def jacobi_pencil(subdomains, sigmas):
     """Half-size pencil ``(A, B)`` whose eigenvalues are the squares of
     the block Jacobi spectrum.
@@ -161,10 +154,11 @@ def jacobi_pencil(subdomains, sigmas):
     matrices are real when every relaxation parameter is.
 
     Curves turning about one centre with a common rotation order ``g >
-    1`` (:func:`_group_order`) give ``(g, r, r)`` stacks, the same layout
-    on the Fourier modes of :func:`_symbols`: modes 0 .. g // 2 and their
-    conjugates for real relaxation parameters, else all g.  A singular
-    diagonal block raises ``SingularMatrixError`` naming it and its mode.
+    1`` (``bem2d.mesh.common_rotation_order``) give ``(g, r, r)`` stacks,
+    the same layout on the Fourier modes of :func:`_symbols`: modes 0 ..
+    g // 2 and their conjugates for real relaxation parameters, else all
+    g.  A singular diagonal block raises ``SingularMatrixError`` naming
+    it, and its mode on a stack.
     """
     sigmas = [s.real if s.imag == 0 else s
               for s in _relaxations(len(subdomains), sigmas)]
@@ -183,7 +177,7 @@ def jacobi_pencil(subdomains, sigmas):
                              "subdomain(s); an interface needs exactly two")
     colour = _two_colouring(len(subdomains), sides)
 
-    g = _group_order(subdomains)
+    g = common_rotation_order(c for sd in subdomains for c in sd.curves)
     real = all(np.isrealobj(s) for s in sigmas)
     fft = np.fft.rfft if real else np.fft.fft
     P, M = ([getattr(sd, name) if g == 1 else
@@ -218,8 +212,8 @@ def jacobi_pencil(subdomains, sigmas):
         if c == 1:
             A_KR[..., rows[j], :] = solve_dense(
                 diagonal[j], A_KR[..., rows[j], :], name)
-        elif g > 1:
-            _check_modes(diagonal[j], name)
+        else:
+            _check_lu(diagonal[j], name)
     A = A_RK @ A_KR
     B_R = scipy.linalg.block_diag(*(d for d, c in zip(diagonal, colour)
                                     if c == 0))

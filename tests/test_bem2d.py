@@ -586,10 +586,17 @@ class TestFastPathOracle:
         ) <= 1e-14
 
 
+def turned_into_row(mesh, e, f):
+    """The pair ``(e, f)`` turned into the block row of ``mesh``: the
+    element pairs ``e < n / m`` that assembly tables."""
+    s = mesh.n_elements // mesh.rotation_order
+    return e % s, (f - e // s * s) % mesh.n_elements
+
+
 class TestPairTableSymmetry:
     """The smooth pair tables and the adjacent singular tables evaluate
     K0/K1 once per unordered element pair and fill the (f, e) blocks from
-    the (e, f) ones."""
+    the (e, f) ones, turned into the block row."""
 
     @pytest.mark.parametrize("geometry, a", [("circle", 1.0), ("square", 5.0)])
     def test_chunk_size_changes_nothing(self, geometry, a, monkeypatch):
@@ -614,8 +621,11 @@ class TestPairTableSymmetry:
             v, _ = assembly._smooth_pair_tables(mesh, a, 8)
         else:
             v, _ = element_tables(mesh, a, monkeypatch)
-        off = ~np.eye(mesh.n_elements, dtype=bool)
-        assert np.array_equal(v.transpose(1, 0, 3, 2)[off], v[off])
+        assert v.shape[:2] == (mesh.n_elements // mesh.rotation_order,
+                               mesh.n_elements)
+        e, f = np.nonzero(~np.eye(*v.shape[:2], dtype=bool))
+        assert np.array_equal(v[turned_into_row(mesh, f, e)],
+                              v[e, f].transpose(0, 2, 1))
 
     def test_bessel_points_of_one_assembly(self, monkeypatch):
         """Points passed to the K0, K1, I0 and I1 that ``assembly`` looks
@@ -644,14 +654,14 @@ class TestPairTableSymmetry:
     def test_smooth_table_leaves_touching_pairs_zero(self, geometry):
         mesh = make_circle(33) if geometry == "circle" else make_square(8)
         v, k = assembly._smooth_pair_tables(mesh, 1.0, 8)
-        ar, nxt = np.arange(mesh.n_elements), mesh.next_element()
+        n = mesh.n_elements
+        e = np.arange(n // mesh.rotation_order)
+        apart = np.ones(v.shape[:2], dtype=bool)
+        apart[e, e] = apart[e, (e + 1) % n] = apart[e, (e - 1) % n] = False
         for table in (v, k):
-            for e, f in ((ar, ar), (ar, nxt), (nxt, ar)):
-                assert not table[e, f].any()
+            assert not table[~apart].any()
         # every other pair has its single layer (the double layer of
         # two elements on one side of the square is zero)
-        apart = np.ones(v.shape[:2], dtype=bool)
-        apart[ar, ar] = apart[ar, nxt] = apart[nxt, ar] = False
         assert np.all(v[apart].any(axis=(1, 2)))
 
 
@@ -716,7 +726,7 @@ class TestGradedOrders:
     def test_touching_pairs_keep_quad_order(self, geometry, a):
         mesh = make_circle(64) if geometry == "circle" else make_square(16)
         mid, L = mesh.first_nodes + 0.5 * mesh.directions, mesh.lengths
-        for other in (np.arange(mesh.n_elements), mesh.next_element()):
+        for other in (np.arange(mesh.n_elements), mesh.elements[:, 1]):
             q = assembly._pair_orders(mid, L, mid[other], L[other], a, 8)
             assert np.all(q == 8)
 
@@ -830,16 +840,47 @@ class TestRotationGroup:
         assert total == 2828
         assert total - sum(points) == 2052
 
+    @pytest.mark.parametrize("name", ["circle-128", "square-32", "annulus"])
+    def test_scatter_gets_one_block_row(self, name, monkeypatch):
+        # element rows -1 .. n / m - 1 of each table, never the n x n one
+        rows = []
+        scatter = assembly._scatter
+
+        def record(table, m, shift):
+            rows.append((table.shape[-4], m))
+            return scatter(table, m, shift)
+
+        monkeypatch.setattr(assembly, "_scatter", record)
+        if name == "annulus":
+            obs, src = make_three_domain(24, 32)
+            cross_block(obs, src, KernelParams(1.0))
+            assert rows == [(24 // 8 + 1, 8)]
+        else:
+            mesh = make_circle(128) if name == "circle-128" else make_square(32)
+            assemble_operators(mesh, KernelParams(1.0))
+            m = mesh.rotation_order
+            assert rows == [(mesh.n_elements // m + 1, m)] * 3
+
+    @pytest.mark.parametrize("name", GROUP_MESHES)
+    def test_operators_equal_their_turn(self, name):
+        mesh = GROUP_MESHES[name]()
+        ops = assemble_operators(mesh, KernelParams(1.0))
+        s = mesh.n_nodes // mesh.rotation_order
+        for op in ("single_layer", "double_layer", "hypersingular"):
+            X = getattr(ops, op)
+            assert np.array_equal(np.roll(X, (s, s), axis=(0, 1)), X), op
+
 
 def element_tables(mesh, a, monkeypatch):
-    """The ``(m, m, 2, 2)`` V and K element tables that
-    ``assemble_operators`` scatters, read by wrapping ``_scatter``."""
+    """The ``(n / m, n, 2, 2)`` V and K element rows that
+    ``assemble_operators`` scatters, read by wrapping ``_scatter`` (whose
+    rows start at element -1)."""
     tables = []
     scatter = assembly._scatter
 
-    def record(target, loc):
-        tables.append(loc)
-        scatter(target, loc)
+    def record(rows, m, shift):
+        tables.append(rows[1:])
+        return scatter(rows, m, shift)
 
     monkeypatch.setattr(assembly, "_scatter", record)
     assemble_operators(mesh, KernelParams(a))
@@ -847,18 +888,24 @@ def element_tables(mesh, a, monkeypatch):
 
 
 def test_scatter_matches_element_loop():
-    """``_scatter`` adds ``loc[..., e, f, k, l]`` at the node pair
-    ``(elements[e, k], elements[f, l])`` of two meshes, bit for bit."""
-    obs, src = make_circle(5), make_square(2)
-    loc = np.random.default_rng(0).standard_normal((3, 5, 8, 2, 2))
-    ref = np.zeros((3, obs.n_nodes, src.n_nodes))
-    for k, l in np.ndindex(2, 2):
-        for e, f in np.ndindex(5, 8):
-            ref[:, obs.elements[e, k], src.elements[f, l]] += loc[:, e, f,
-                                                                  k, l]
-    out = np.zeros_like(ref)
-    assembly._scatter(out, loc)
-    assert np.array_equal(out, ref)
+    """``_scatter`` of the element rows -1 .. s - 1 of a table that the
+    turn of order m moves by s rows and 9 / m columns adds ``loc[..., e,
+    f, k, l]`` at the node pair ``(elements[e, k], elements[f, l])`` of two
+    meshes, bit for bit; ``_with_previous`` gives row -1."""
+    obs, src = make_circle(6), make_circle(9)
+    for m in (1, 3):
+        s, shift = 6 // m, 9 // m
+        row = np.random.default_rng(m).standard_normal((3, s, 9, 2, 2))
+        loc = np.stack([np.roll(row, p * shift, axis=-3) for p in range(m)],
+                       axis=1).reshape(3, 6, 9, 2, 2)
+        ref = np.zeros((3, obs.n_nodes, src.n_nodes))
+        for k, l in np.ndindex(2, 2):
+            for e, f in np.ndindex(6, 9):
+                ref[:, obs.elements[e, k], src.elements[f, l]] += loc[
+                    :, e, f, k, l]
+        rows = assembly._with_previous(row, shift)
+        assert np.array_equal(rows, np.concatenate([loc[:, -1:], row], 1))
+        assert np.array_equal(assembly._scatter(rows, m, shift), ref), m
 
 
 def dblquad_blocks(mesh, a, e, f):
@@ -895,7 +942,8 @@ class TestSingularCorrectionOracle:
     """The coincident and adjacent element blocks that overwrite the
     smooth table match adaptive quadrature of the pointwise kernels.  On
     the square, (1, 2) and (2, 1) meet the corner as (e, next(e)) and as
-    (e, prev(e)); (1, 0) is a straight adjacent pair."""
+    (e, prev(e)); (1, 0) is a straight adjacent pair.  A pair beyond the
+    block row is read as its turn: the square's (2, 1) is (0, 7)."""
 
     # QUADPACK may report roundoff at the 1e-13 request next to the log
     # singularity; the asserted bound is on the actual difference
@@ -909,11 +957,12 @@ class TestSingularCorrectionOracle:
         v_loc, k_loc = element_tables(mesh, a, monkeypatch)
         for e, f in pairs:
             ref_v, ref_k = dblquad_blocks(mesh, a, e, f)
-            assert relative_error(v_loc[e, f], ref_v) <= 1e-12, (e, f)
+            v, k = (x[turned_into_row(mesh, e, f)] for x in (v_loc, k_loc))
+            assert relative_error(v, ref_v) <= 1e-12, (e, f)
             if e == f:
-                assert np.all(k_loc[e, f] == 0.0)
+                assert np.all(k == 0.0)
             else:
-                err = np.linalg.norm(k_loc[e, f] - ref_k)
+                err = np.linalg.norm(k - ref_k)
                 assert err <= 1e-12 * (np.linalg.norm(ref_k)
                                         or np.linalg.norm(ref_v)), (e, f)
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multitrace.bem2d.mesh import (BoundaryMesh, make_circle, make_square,
-                                   make_three_domain)
+from multitrace.bem2d.mesh import (BoundaryMesh, common_rotation_order,
+                                   make_circle, make_square, make_three_domain)
 
 
 class TestCircle:
@@ -92,13 +92,13 @@ class TestValidation:
             build(count)
         build(np.int64(4))                  # numpy integers are counts too
 
-    def test_next_element_cyclic(self):
+    def test_elements_are_cyclic(self):
         mesh = make_circle(10)
-        nxt = mesh.next_element()
-        assert sorted(nxt) == list(range(10))
-        assert np.all(mesh.elements[nxt, 0] == mesh.elements[:, 1])
+        first, second = mesh.elements.T
+        assert np.array_equal(first, np.arange(10))
+        assert np.array_equal(second, np.roll(first, -1))
         assert mesh.elements.dtype == np.int64
-        assert np.array_equal(mesh.second_nodes, mesh.nodes[nxt])
+        assert np.array_equal(mesh.second_nodes, mesh.nodes[second])
 
 
 class TestRotationGroup:
@@ -126,6 +126,15 @@ class TestRotationGroup:
         with pytest.raises(ValueError, match="rotation_order .* does not "
                                              "map node i onto node i \\+"):
             BoundaryMesh(nodes, order, center)
+
+    def test_common_order_is_the_gcd_about_one_centre(self):
+        inner, outer = make_three_domain(12, 16)
+        assert common_rotation_order((inner,)) == 12
+        assert common_rotation_order((inner, outer, inner)) == 4
+        assert common_rotation_order(
+            (inner, make_circle(16, center=(3.0, 0.0)))) == 1
+        assert common_rotation_order(
+            (inner, BoundaryMesh(outer.nodes))) == 1
 
     def test_rounding_of_the_nodes_is_tolerated(self):
         nodes = make_circle(12).nodes.copy()

@@ -351,6 +351,20 @@ class TestJacobiPencil:
         with pytest.raises(ValueError, match="odd cycle"):
             jacobi_pencil(triangle, (0.1, 0.1, 0.1))
 
+    @pytest.mark.parametrize("subdomain", [0, 1])
+    def test_singular_block_names_subdomain(self, subdomain):
+        # as TestModePencils' test on the same nodes without a group: the
+        # red block (subdomain 0) is checked apart from the pencil's
+        # eigensolve, so it is named as the black one is
+        P1, P2 = two_sides(without_group(make_circle(64)))
+        q = calderon_eigenvalues(P1).real
+        sigmas = (q.max() - 1, 0.1) if subdomain == 0 else (0.1, -q.min())
+        with pytest.raises(SingularMatrixError, match=(
+                f"^the diagonal block of subdomain {subdomain} is "
+                "singular")) as err:
+            jacobi_2d_2dom(P1, P2, sigmas)
+        assert 0.0 <= err.value.pivot_magnitude < 1e-13
+
     def test_curve_bounding_one_subdomain_rejected(self, circle_projectors):
         P1, P2 = circle_projectors
         other = dataclasses.replace(P2, mesh=make_circle(48))
@@ -381,6 +395,51 @@ class TestJacobiPencil:
     def test_sigma_count_must_match(self, circle_projectors):
         with pytest.raises(ValueError, match="2 subdomains"):
             jacobi_pencil(circle_projectors, (0.1,))
+
+
+def line_records(a, count):
+    """The line of ``count`` (2 or 3) subdomains as records: the ``line1d``
+    projectors against a unit mass, each interface a one-node curve about
+    a centre of its own."""
+    def point(x):
+        return types.SimpleNamespace(n_nodes=1, rotation_order=1,
+                                     center=(x, 0.0))
+
+    def record(P, *curves):
+        return types.SimpleNamespace(P=P, M_block=np.eye(len(P)),
+                                     curves=curves)
+
+    half = line1d.calderon_halfline(a)
+    if count == 2:
+        c = point(0.0)
+        return record(half, c), record(half, c)
+    left, right = point(-1.0), point(1.0)
+    return (record(half, left),
+            record(line1d.calderon_middle_3dom(a), left, right),
+            record(half, right))
+
+
+class TestLineOracle:
+    """On 1D line records ``jacobi_pencil`` gives the spectrum of the exact
+    line operators ``jacobi_operator_2dom/_3dom``.  Distinct and complex
+    sigma agree to 1.6e-15; equal sigma on three subdomains gives both
+    operators Jordan blocks, which the eigensolvers resolve to about
+    sqrt(eps) (6.0e-9 at most, measured on these cases)."""
+
+    @pytest.mark.parametrize("a", [0.5, 1.3, 7.0])
+    @pytest.mark.parametrize("sigmas, tol", [
+        ((0.3, 0.7), 1e-13), ((0.2 + 0.4j, -0.3), 1e-13),
+        ((0.5, 0.5), 1e-13), ((0.3, 0.7, 1.1), 1e-13),
+        ((0.2 + 0.4j, -0.3, 2.0), 1e-13), ((0.5, 0.5, 0.5), 1e-7),
+        ((-0.3, -0.3, -0.3), 1e-7)], ids=str)
+    def test_line_records_give_the_line_spectrum(self, a, sigmas, tol):
+        # sigmas list the middle subdomain first, the records left to right
+        order = sigmas if len(sigmas) == 2 else (sigmas[1], sigmas[0],
+                                                 sigmas[2])
+        A, B = jacobi_pencil(line_records(a, len(sigmas)), order)
+        assert A.shape == B.shape == (2 * len(sigmas) - 2,) * 2
+        match_multisets(pencil_spectrum(A, B, sigmas).eigenvalues,
+                        line_spectrum(a, sigmas).eigenvalues, tol)
 
 
 # grouped records from a mesh map (identity or ``without_group``), their
