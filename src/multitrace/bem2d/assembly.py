@@ -38,15 +38,16 @@ the weighted basis ``wb = w[:, None] * basis`` as a batched ``wb.T @ ker
 @ wb``; a cross-curve point gives all four coupling kernels from one K0
 and one K1.
 
-Each ``_assemble_operators`` and ``_cross_blocks`` call runs its pair
-work on one thread pool, opened and joined by that call, so no thread
-outlives it.  The tasks are the ``_CHUNK`` batches of ``_graded_pairs``,
-the coincident table and the adjacent tables; each writes its own element
-blocks, and scipy's Bessel functions and numpy's array loops release the
-interpreter lock, so they run side by side.  A pair's blocks do not
-depend on its batch or its thread, and the matrices are bit for bit those
-of a serial run.  The pool has one thread per CPU this process may run
-on, so ``taskset`` restricts it.
+Each ``_assemble_operators`` and ``_cross_blocks`` call whose element pairs
+span more than one ``_CHUNK`` runs its pair work on a thread pool, opened
+and joined by that call, so no thread outlives it; a smaller call runs it
+on the calling thread.  The tasks are the ``_CHUNK`` batches of
+``_graded_pairs``, the coincident table and the adjacent tables; each
+writes its own element blocks, and scipy's Bessel functions and numpy's
+array loops release the interpreter lock.  A pair's blocks do not depend on
+its batch or its thread: the matrices are bit for bit those of a serial
+run.  The pool has one thread per CPU this process may run on, so
+``taskset`` restricts it.
 
 ``assemble_operators`` keeps one set per mesh object and ``KernelParams``,
 so every subdomain that meets a curve shares its V, K, K' and W.  Meshes
@@ -58,7 +59,7 @@ Two threads that miss at once each assemble an equal set, harmlessly.
 import math
 import os
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -206,6 +207,19 @@ def _pair_orders(mid1, L1, mid2, L2, a, quad_order):
     return np.minimum(quad_order, np.maximum(q_sep, q_exp)).astype(int)
 
 
+class _Inline(Executor):
+    """Runs each task on the calling thread at submit, raising its error."""
+
+    def submit(self, fn, /, *args):
+        (future := Future()).set_result(fn(*args))
+        return future
+
+
+def _executor(pairs):
+    """A pool for more than one ``_CHUNK`` of element pairs, else inline."""
+    return ThreadPoolExecutor(_WORKERS) if pairs > _CHUNK else _Inline()
+
+
 def _gather(futures):
     """The results of ``futures`` in order.  The first error cancels the
     tasks that have not started and propagates."""
@@ -257,7 +271,7 @@ def _graded_pairs(pool, obs, src, rows, cols, a, order, integrate):
 
 def _smooth_pair_tables(mesh, a, order, pool=None):
     """Tensor-Gauss V/K pair integrals for the element pairs that share no
-    node, on ``pool`` or on a pool of its own.
+    node, on ``pool`` or on the ``_executor`` of its block row.
 
     Returns the block row ``(v_loc, k_loc)``, ``(n / m, n, 2, 2)`` on a
     mesh of rotation order m (the whole table for m = 1), where ``v_loc[e,
@@ -271,11 +285,11 @@ def _smooth_pair_tables(mesh, a, order, pool=None):
     once per ``e < f``).  A pair that is its own partner (opposite
     elements, m even) gets a symmetrized V.
     """
-    if pool is None:
-        with ThreadPoolExecutor(_WORKERS) as pool:
-            return _smooth_pair_tables(mesh, a, order, pool)
     n, m = mesh.n_elements, mesh.rotation_order
     s = n // m
+    if pool is None:
+        with _executor(s * n) as pool:
+            return _smooth_pair_tables(mesh, a, order, pool)
     nx, ny = mesh.normals[:, 0, None, None], mesh.normals[:, 1, None, None]
 
     def partner(e, f):                      # (f, e) rotated into the row
@@ -410,7 +424,7 @@ def _assemble_operators(mesh, params):
     e = np.arange(s)
     nxt = (e + 1) % n
     d, L, nrm = mesh.directions, mesh.lengths, mesh.normals
-    with ThreadPoolExecutor(_WORKERS) as pool:
+    with _executor(s * n) as pool:
         # the singular tables go first: the adjacent one is the longest task
         singular = [
             pool.submit(_adjacent_pair_tables, -d[e], d[nxt], L[e], L[nxt],
@@ -445,11 +459,12 @@ def _assemble_operators(mesh, params):
     return BemOperatorSet(*mats)
 
 
-def _segments_meet(obs, src, tol):
-    """Whether an element of ``obs`` crosses an element of ``src`` or
-    comes within ``tol`` of it (points as complex numbers)."""
-    p, u = (x[:, None] @ [1, 1j] for x in (obs.first_nodes, obs.directions))
-    q, v = (x @ [1, 1j] for x in (src.first_nodes, src.directions))
+def _segments_meet(obs, src, tol, rows):
+    """Whether one of the first ``rows`` elements of ``obs`` crosses an
+    element of ``src`` or comes within ``tol`` of it: on curves of a
+    common rotation order g, n_obs / g rows stand for all the others."""
+    p, u = (x[:rows, None] @ [1, 1j] for x in (obs.nodes, obs.directions))
+    q, v = (x @ [1, 1j] for x in (src.nodes, src.directions))
 
     def side(d, x):                          # sign of the cross product
         return np.sign((d.conjugate() * x).imag)
@@ -548,12 +563,12 @@ def cross_block(obs_mesh, src_mesh, params, obs_normal_sign=1.0,
 
 def _cross_blocks(obs_mesh, src_mesh, a, quad_order):
     """Unsigned ``(vv, vq, qv, qq)`` node matrices of ``cross_block``."""
-    tol = 1e-12 * max(obs_mesh.lengths.max(), src_mesh.lengths.max())
-    if _segments_meet(obs_mesh, src_mesh, tol):
-        raise ValueError("curves intersect or touch")
-    # concentric curves share a group of order g: integrate one block row
+    # concentric curves of a common order g: test and integrate one block row
     g = common_rotation_order((obs_mesh, src_mesh))
     mo, ms = obs_mesh.n_elements // g, src_mesh.n_elements
+    tol = 1e-12 * max(obs_mesh.lengths.max(), src_mesh.lengths.max())
+    if _segments_meet(obs_mesh, src_mesh, tol, mo):
+        raise ValueError("curves intersect or touch")
     rows, cols = np.divmod(np.arange(mo * ms), ms)
     blocks = np.empty((4, mo, ms, 2, 2))
 
@@ -571,7 +586,7 @@ def _cross_blocks(obs_mesh, src_mesh, a, quad_order):
                 gp * ro)):
             blocks[k, e, f] = ll * (wb.T @ ker @ wb)
 
-    with ThreadPoolExecutor(_WORKERS) as pool:
+    with _executor(mo * ms) as pool:
         _graded_pairs(pool, obs_mesh, src_mesh, rows, cols, a, quad_order,
                       integrate)
     return tuple(_scatter(_with_previous(blocks, ms // g), g, ms // g))

@@ -15,6 +15,7 @@ from multitrace.bem2d import (MAX_QUAD_ORDER, KernelParams,
                               assemble_operators, cross_block, make_circle,
                               make_square, make_three_domain, mass_matrix)
 from multitrace.bem2d import assembly
+from multitrace.bem2d.mesh import common_rotation_order
 from multitrace.bem2d.kernels import (kernel_2d, kernel_gradient_dot,
                                       kernel_radial_deriv)
 from multitrace import spectra
@@ -279,14 +280,31 @@ class _Boom(Exception):
     """Raised by a monkeypatched Bessel function."""
 
 
+def count_pools(monkeypatch):
+    """The worker counts of the thread pools that assembly opens from now."""
+    opened, pool = [], assembly.ThreadPoolExecutor
+
+    def counted(workers):
+        opened.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(assembly, "ThreadPoolExecutor", counted)
+    return opened
+
+
 class TestAssemblyThreads:
-    """Each assembly call runs its pair tasks on a pool of ``_WORKERS``
-    threads that it opens and joins; the matrices do not depend on how
-    many threads there are or how the tasks interleave."""
+    """An assembly call whose element pairs span more than one ``_CHUNK``
+    runs its pair tasks on a pool of ``_WORKERS`` threads that it opens
+    and joins; a smaller one, such as one block row of a grouped curve,
+    runs them on the calling thread.  The matrices do not depend on how
+    many threads there are or how the tasks interleave.  At the default
+    ``_CHUNK`` the ``THREAD_MESHES`` run inline, so the tests of the pool
+    shrink ``_CHUNK``."""
 
     def test_one_worker_changes_nothing(self, monkeypatch):
         default = operator_arrays(*THREAD_MESHES)
         monkeypatch.setattr(assembly, "_WORKERS", 1)
+        monkeypatch.setattr(assembly, "_CHUNK", 7)      # a pool of one
         for x, y in zip(operator_arrays(*THREAD_MESHES), default,
                         strict=True):
             assert np.array_equal(x, y)
@@ -306,7 +324,29 @@ class TestAssemblyThreads:
         for x, y in zip(stressed, default, strict=True):
             assert np.array_equal(x, y)
 
-    def test_no_thread_outlives_an_assembly(self, monkeypatch):
+    def test_one_block_row_opens_no_pool(self, monkeypatch):
+        opened = count_pools(monkeypatch)
+        assemble_operators(make_circle(128), KernelParams(1.0))
+        cross_block(*make_three_domain(128, 128), KernelParams(1.0))
+        assert opened == []
+
+    def test_more_pairs_than_a_chunk_open_one_pool_per_call(self,
+                                                            monkeypatch):
+        opened = count_pools(monkeypatch)
+        for mesh in (make_square(32), without_group(make_circle(64))):
+            del opened[:]
+            assemble_operators(mesh, KernelParams(1.0))
+            assert opened == [assembly._WORKERS]
+            assembly._smooth_pair_tables(mesh, 1.0, 8)
+            assert opened == [assembly._WORKERS] * 2
+        inner, outer = make_three_domain(64, 64)
+        del opened[:]
+        cross_block(without_group(inner), without_group(outer),
+                    KernelParams(1.0))
+        assert opened == [assembly._WORKERS]
+
+    @staticmethod
+    def assert_no_thread_outlives(monkeypatch):
         before = threading.active_count()
         operator_arrays(*THREAD_MESHES)
         assert threading.active_count() == before
@@ -324,6 +364,19 @@ class TestAssemblyThreads:
         monkeypatch.undo()
         assert assemble_operators(inner, KernelParams(1.0)).mass.size
 
+    def test_no_thread_outlives_an_assembly(self, monkeypatch):
+        # a small _CHUNK puts the THREAD_MESHES on the pool, whose first
+        # error cancels the tasks not yet started
+        monkeypatch.setattr(assembly, "_CHUNK", 7)
+        opened = count_pools(monkeypatch)
+        self.assert_no_thread_outlives(monkeypatch)
+        assert len(opened) == 5     # three assemblies, then the two errors
+
+    def test_inline_error_propagates(self, monkeypatch):
+        opened = count_pools(monkeypatch)
+        self.assert_no_thread_outlives(monkeypatch)
+        assert opened == []
+
 
 # curve pairs that cross or touch somewhere other than at Gauss points,
 # and disjoint ones, the coarse annuli among them with midpoint
@@ -339,6 +392,15 @@ DISJOINT_CURVES = {
     "annulus-12-16": lambda: make_three_domain(12, 16),
     "annulus-3-3": lambda: make_three_domain(3, 3),
     "far-circles": lambda: (make_circle(12), make_circle(12, center=(5.0, 0.0))),
+}
+# concentric curves of a common rotation order that touch or cross, whose
+# segment test reads one block row of the obs curve
+GROUPED_MEETING_CURVES = {
+    "equal-radii": lambda: (make_circle(16), make_circle(24)),
+    "gap-1e-13": lambda: (make_circle(16), make_circle(16, 1.0 + 1e-13)),
+    "circle-through-corners": lambda: (make_square(4),
+                                       make_circle(16, math.sqrt(0.5))),
+    "circle-across-sides": lambda: (make_square(4), make_circle(16, 0.6)),
 }
 
 
@@ -358,6 +420,29 @@ class TestCoupling:
         for pair in ((obs, src), (src, obs)):
             with pytest.raises(ValueError, match="intersect or touch"):
                 cross_block(*pair, KernelParams(1.0))
+
+    @pytest.mark.parametrize("name", GROUPED_MEETING_CURVES)
+    def test_grouped_meeting_curves_rejected(self, name):
+        curves = GROUPED_MEETING_CURVES[name]()
+        assert common_rotation_order(curves) >= 2
+        twins = tuple(without_group(c) for c in curves)
+        for obs, src in (curves, curves[::-1], twins, twins[::-1]):
+            with pytest.raises(ValueError, match="intersect or touch"):
+                cross_block(obs, src, KernelParams(1.0))
+
+    @pytest.mark.parametrize("name", [*MEETING_CURVES, *DISJOINT_CURVES,
+                                      *GROUPED_MEETING_CURVES])
+    def test_one_block_row_decides_the_segment_test(self, name):
+        # every other obs row is a turn of one in the block row, so the
+        # block row decides as all rows do; uncommon centres give g = 1
+        curves = {**MEETING_CURVES, **DISJOINT_CURVES,
+                  **GROUPED_MEETING_CURVES}[name]()
+        g = common_rotation_order(curves)
+        for obs, src in (curves, curves[::-1]):
+            tol = 1e-12 * max(obs.lengths.max(), src.lengths.max())
+            n = obs.n_elements
+            assert (assembly._segments_meet(obs, src, tol, n // g)
+                    == assembly._segments_meet(obs, src, tol, n)), obs
 
     @pytest.mark.parametrize("name", DISJOINT_CURVES)
     def test_disjoint_curves_assemble(self, name):
