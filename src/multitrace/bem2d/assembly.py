@@ -23,8 +23,9 @@ the adjacent Duffy tables integrate each unordered pair once: the (f, e)
 blocks are the transposed (e, f) ones, the double layer with the other
 element's normal.  On a mesh that declares a rotation group of order m,
 all three tables, and the cross blocks of concentric curves, integrate
-one block row of n / m elements, and ``_scatter`` turns that row into
-node matrices whose further rows are its exact turns.
+one block row of n / m elements; ``_scatter`` sums it into node rows, and
+the operator sets and records keep those rows, whose turns give the
+whole matrices (``_expand``).
 
 ``quad_order`` is the tensor-Gauss order of near pairs.  The element
 pairs of one curve and the cross-curve pairs go through the same graded
@@ -105,31 +106,63 @@ class KernelParams:
         return self.quad_order + 4
 
 
+def _frozen(arrays):
+    """``arrays``, each made read-only."""
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+def _whole_part(i, cache="_whole"):
+    """Part ``i`` of a record's whole matrices ``cache``, built on first
+    use."""
+    return property(lambda self: getattr(self, cache)[i])
+
+
+def mass_matrix(L, rows=None):
+    """The first ``rows`` rows (all by default) of the P1 mass matrix of
+    elements of lengths ``L``, each from its node's elements i and i - 1."""
+    n = len(L)
+    i = np.arange(n if rows is None else rows)
+    M = np.zeros((len(i), n))
+    M[i, i] = L[i] * (1.0 / 3.0) + L[i - 1] * (1.0 / 3.0)
+    M[i, (i + 1) % n] = L[i] * (1.0 / 6.0)
+    M[i, i - 1] = L[i - 1] * (1.0 / 6.0)
+    return M
+
+
 @dataclass(frozen=True)
 class BemOperatorSet:
     """Galerkin matrices of the four boundary operators plus the mass.
 
-    ``single_layer`` and ``hypersingular`` are symmetric up to assembly
-    tolerance; ``adj_double_layer`` is exactly the transpose of
-    ``double_layer`` (valid since trial and test spaces coincide).  The
-    arrays are read-only: one set serves every caller on its mesh.
+    The set keeps the first block row, ``n / m`` by ``n`` on a mesh of
+    rotation order m, of V, K, K' and W, and the element lengths of the
+    mass; ``rows(g)`` reads them at an order g dividing m.  The whole
+    matrices below are built on first use.  ``single_layer`` and
+    ``hypersingular`` are symmetric up to assembly tolerance;
+    ``adj_double_layer`` is exactly the transpose of ``double_layer``
+    (valid since trial and test spaces coincide).  The arrays are
+    read-only: one set serves every caller on its mesh.
     """
 
-    single_layer: np.ndarray
-    double_layer: np.ndarray
-    adj_double_layer: np.ndarray
-    hypersingular: np.ndarray
-    mass: np.ndarray
+    V: np.ndarray
+    K: np.ndarray
+    Kt: np.ndarray
+    W: np.ndarray
+    lengths: np.ndarray
 
+    def rows(self, g=1):
+        """V, K, K', W and the mass, each its first ``n / g`` rows.  Mass
+        rows come from their own elements: a turned length differs in its
+        last bits, and the whole mass must stay exactly symmetric."""
+        m, n = self.V.shape[1] // len(self.V), len(self.lengths)
+        return (*(_expand(x, m, g) for x in (self.V, self.K, self.Kt,
+                                             self.W)),
+                mass_matrix(self.lengths, n // g))
 
-def mass_matrix(mesh):
-    """P1 mass matrix of the polyline."""
-    n, L, els = mesh.n_nodes, mesh.lengths, mesh.elements
-    loc = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
-    M = np.zeros((n, n))
-    for k, l in np.ndindex(2, 2):
-        M[els[:, k], els[:, l]] += L * loc[k, l]
-    return M
+    _whole = cached_property(lambda self: _frozen(self.rows()))
+    single_layer, double_layer, adj_double_layer, hypersingular, mass = map(
+        _whole_part, range(5))
 
 
 def _with_previous(rows, shift):
@@ -139,18 +172,36 @@ def _with_previous(rows, shift):
                            rows], axis=-4)
 
 
-def _scatter(rows, m, shift):
-    """Node matrices of the element rows ``rows[..., 1 + e, f, k, l]``, ``e
-    = -1 .. s - 1``: element ``e`` joins its nodes ``e`` and ``e + 1``,
-    cyclically, so node row ``i < s`` sums elements ``i`` and ``i - 1``.
-    The turn of order ``m`` moves rows by ``s`` and columns by ``shift``,
-    and gives the node rows beyond the first ``s``."""
+def _scatter(rows):
+    """Node rows of the element rows ``rows[..., 1 + e, f, k, l]``, ``e =
+    -1 .. s - 1``: element ``e`` joins its nodes ``e`` and ``e + 1``,
+    cyclically, so node row ``i < s`` sums elements ``i`` and ``i - 1``."""
     s, nc = rows.shape[-4] - 1, rows.shape[-3]
     head = np.zeros((*rows.shape[:-4], s, nc))
     for k, l in np.ndindex(2, 2):
         head += np.roll(rows[..., 1 - k:s + 1 - k, :, k, l], l, axis=-1)
-    turned = head[..., (np.arange(nc) - shift * np.arange(m)[:, None]) % nc]
-    return np.swapaxes(turned, -3, -2).reshape(*head.shape[:-2], m * s, nc)
+    return head
+
+
+def _expand(row, m, g=1, blocks=1):
+    """The first ``n / g`` rows of each of the ``blocks`` by ``blocks``
+    blocks of the matrix whose first ``n / m`` are ``row``: the turn of
+    order m moves each block's rows by ``n / m`` and its columns by a
+    ``1 / m`` share.  At g = 1 the matrix is whole."""
+    if m == g:
+        return row
+    r, c = len(row) // blocks, row.shape[1] // blocks
+    cols = (np.arange(c) - c // m * np.arange(m // g)[:, None]) % c
+    turned = row.reshape(blocks, r, blocks, c)[..., cols]
+    return np.moveaxis(turned, -2, 1).reshape(-1, row.shape[1])
+
+
+def _transposed(row, m):
+    """The first block row of the transpose of ``_expand(row, m)``: the
+    row's m column blocks, each transposed, in the order 0, m - 1 .. 1."""
+    r, c = row.shape
+    return (row.reshape(r, m, c // m)[:, -np.arange(m) % m]
+            .transpose(2, 1, 0).reshape(c // m, m * r))
 
 
 def _p1(x):
@@ -452,11 +503,8 @@ def _assemble_operators(mesh, params):
     w_loc = (s0[:, :, None, None] * sgn[None, None, :, :]
              + (a * a) * nn[:, :, None, None] * v_loc)
 
-    V, K, W = (_scatter(x, m, s) for x in (v_loc, k_loc, w_loc))
-    mats = (V, K, K.T.copy(), W, mass_matrix(mesh))
-    for x in mats:
-        x.flags.writeable = False
-    return BemOperatorSet(*mats)
+    V, K, W = (_scatter(x) for x in (v_loc, k_loc, w_loc))
+    return BemOperatorSet(*_frozen((V, K, _transposed(K, m), W, L)))
 
 
 def _segments_meet(obs, src, tol, rows):
@@ -486,18 +534,41 @@ class DiscreteCalderon:
 
     ``P`` is the mass-paired matrix; the actual coefficient-space
     operator is ``M_block^{-1} P`` and is only approximately a projector
-    (residual vanishing under mesh refinement).
+    (residual vanishing under mesh refinement).  The record keeps
+    ``P_row`` and ``M_row``, the first ``n / m`` rows of each trace block
+    of ``P`` and ``M_block`` on a mesh of rotation order m, and ``ops``,
+    their operator set; ``P`` and ``M_block`` are built on first use.
     """
 
-    P: np.ndarray
-    M_block: np.ndarray
+    P_row: np.ndarray
+    M_row: np.ndarray
     side: str
     mesh: object
     params: KernelParams
+    ops: BemOperatorSet = None
 
     @property
     def curves(self):
         return (self.mesh,)
+
+    def rows(self, g):
+        """``P`` and ``M_block`` at an order g dividing m: the stored rows
+        if they hold ``n / g`` of each trace block, else rows from ``ops``."""
+        if len(self.P_row) * g == 2 * self.mesh.n_nodes:
+            return self.P_row, self.M_row
+        return _calderon_rows(self.ops, self.side, g)
+
+    _whole = cached_property(lambda self: self.rows(1))
+    P, M_block = map(_whole_part, range(2))
+
+
+def _calderon_rows(ops, side, g):
+    """``P`` and ``M_block`` rows at order g from ``ops`` on ``side``, the
+    jump-relation 1/2 carried by the mass block."""
+    V, K, Kt, W, M = ops.rows(g)
+    k = 1.0 if side == "interior" else -1.0     # double-layer sign
+    M_row = scipy.linalg.block_diag(M, M)
+    return 0.5 * M_row + np.block([[-k * K, V], [W, k * Kt]]), M_row
 
 
 def assemble_calderon_2d(mesh, params, side="interior"):
@@ -511,12 +582,8 @@ def assemble_calderon_2d(mesh, params, side="interior"):
     if side not in ("interior", "exterior"):
         raise ValueError(f"side must be 'interior' or 'exterior', got {side!r}")
     ops = assemble_operators(mesh, params)
-    V, K, Kt, W, M = (ops.single_layer, ops.double_layer,
-                      ops.adj_double_layer, ops.hypersingular, ops.mass)
-    k = 1.0 if side == "interior" else -1.0     # double-layer sign
-    M_block = scipy.linalg.block_diag(M, M)
-    P = 0.5 * M_block + np.block([[-k * K, V], [W, k * Kt]])
-    return DiscreteCalderon(P, M_block, side, mesh, params)
+    return DiscreteCalderon(*_calderon_rows(ops, side, mesh.rotation_order),
+                            side, mesh, params, ops)
 
 
 def cross_block(obs_mesh, src_mesh, params, obs_normal_sign=1.0,
@@ -524,7 +591,9 @@ def cross_block(obs_mesh, src_mesh, params, obs_normal_sign=1.0,
     """Trace-on-obs of the potential generated on a disjoint source curve.
 
     Returns the 2x2 block matrix pairing P1 tests on the observation
-    curve with P1 densities on the source curve.  All kernels are smooth
+    curve with P1 densities on the source curve, as the first ``n_obs /
+    g`` rows of each trace block on curves of a common rotation order g
+    (``_expand`` makes it whole).  All kernels are smooth
     because the curves do not meet (checked segment by segment), so plain
     tensor Gauss applies to the (obs, src) element pairs of
     ``_graded_pairs``.  The normal signs, each -1 or 1, select the
@@ -538,7 +607,8 @@ def cross_block(obs_mesh, src_mesh, params, obs_normal_sign=1.0,
 
     A curve pair is integrated unsigned once per ``KernelParams`` and
     kept until either curve is freed; a swapped call reads it as ``[[-qq^T,
-    vq^T], [qv^T, -vv^T]]``, and each call signs it exactly.
+    vq^T], [qv^T, -vv^T]]`` (by ``_transposed``), and each call signs it
+    exactly.
     """
     if obs_mesh is src_mesh:
         raise ValueError("cross blocks require two distinct curves")
@@ -549,8 +619,9 @@ def cross_block(obs_mesh, src_mesh, params, obs_normal_sign=1.0,
     if blocks is None:
         swapped = _CROSS.get(src_mesh, {}).get(obs_mesh, {}).get(params)
         if swapped is not None:
-            vv, vq, qv, qq = swapped
-            blocks = (-qq.T, vq.T, qv.T, -vv.T)
+            g = common_rotation_order((obs_mesh, src_mesh))
+            vv, vq, qv, qq = (_transposed(x, g) for x in swapped)
+            blocks = (-qq, vq, qv, -vv)
         else:
             blocks = _cross_blocks(obs_mesh, src_mesh, params.a,
                                    params.quad_order)
@@ -562,7 +633,7 @@ def cross_block(obs_mesh, src_mesh, params, obs_normal_sign=1.0,
 
 
 def _cross_blocks(obs_mesh, src_mesh, a, quad_order):
-    """Unsigned ``(vv, vq, qv, qq)`` node matrices of ``cross_block``."""
+    """Unsigned ``(vv, vq, qv, qq)`` node rows of ``cross_block``."""
     # concentric curves of a common order g: test and integrate one block row
     g = common_rotation_order((obs_mesh, src_mesh))
     mo, ms = obs_mesh.n_elements // g, src_mesh.n_elements
@@ -589,7 +660,7 @@ def _cross_blocks(obs_mesh, src_mesh, a, quad_order):
     with _executor(mo * ms) as pool:
         _graded_pairs(pool, obs_mesh, src_mesh, rows, cols, a, quad_order,
                       integrate)
-    return tuple(_scatter(_with_previous(blocks, ms // g), g, ms // g))
+    return tuple(_scatter(_with_previous(blocks, ms // g)))
 
 
 @dataclass(frozen=True)
@@ -597,33 +668,37 @@ class CouplingSet:
     """Blocks of the middle-subdomain projector on two disjoint curves.
 
     As a subdomain record it is ``P = [[P1~, R12], [R21, P2~]]`` over the
-    curves ``(inner, outer)``, with the matching block-diagonal mass;
-    both are built on first use and read-only, one array for every caller.
-    ``R21`` is ``R12``'s signed block transpose, from one integration.
+    curves ``(inner, outer)``, with the matching block-diagonal mass,
+    from the ``cross_block`` rows ``R12_row`` and ``R21_row``; ``R21`` is
+    ``R12``'s signed block transpose, from one integration.  The whole
+    matrices are built on first use and read-only, one for every caller.
     """
 
-    R12: np.ndarray
-    R21: np.ndarray
+    R12_row: np.ndarray
+    R21_row: np.ndarray
     P1_tilde: DiscreteCalderon
     P2_tilde: DiscreteCalderon
-
-    @cached_property
-    def P(self):
-        P = np.block([[self.P1_tilde.P, self.R12],
-                      [self.R21, self.P2_tilde.P]])
-        P.flags.writeable = False
-        return P
-
-    @cached_property
-    def M_block(self):
-        M = scipy.linalg.block_diag(self.P1_tilde.M_block,
-                                    self.P2_tilde.M_block)
-        M.flags.writeable = False
-        return M
 
     @property
     def curves(self):
         return (self.P1_tilde.mesh, self.P2_tilde.mesh)
+
+    def _crossed(self, g):
+        return [_expand(R, 2 * c.n_nodes // len(R), g, 2) for R, c in
+                zip((self.R12_row, self.R21_row), self.curves)]
+
+    def rows(self, g):
+        """``P`` and ``M_block`` at an order g dividing the curves' own."""
+        (P1, M1), (P2, M2) = (p.rows(g) for p in (self.P1_tilde,
+                                                   self.P2_tilde))
+        R12, R21 = self._crossed(g)
+        return (np.block([[P1, R12], [R21, P2]]),
+                scipy.linalg.block_diag(M1, M2))
+
+    _whole = cached_property(lambda self: _frozen(self.rows(1)))
+    _cross = cached_property(lambda self: _frozen(self._crossed(1)))
+    P, M_block = map(_whole_part, range(2))
+    R12, R21 = (_whole_part(i, "_cross") for i in range(2))
 
 
 def assemble_coupling(inner_mesh, outer_mesh, params):

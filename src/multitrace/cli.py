@@ -33,6 +33,9 @@ from .bem2d.mesh import common_rotation_order
 from .linalg import DIMENSION_CAP, SingularMatrixError, eig_dense
 
 GEOMETRIES = ("circle", "square")
+# largest n_elements measured per 2D geometry, None the annulus (README,
+# "Command line")
+LARGEST_RUN = {"circle": 32768, "square": 2000, None: 8192}
 
 
 def _split_list(text, cast):
@@ -294,6 +297,9 @@ def _run_spectrum(cfg, out, report):
               ["set size ratio -1", 'set xlabel "Re"', 'set ylabel "Im"'],
               'with points pt 7 ps 0.5 title "Jacobi spectrum"')
     rho = result.spectral_radius
+    law = ("the paper predicts convergence" if len(set(a)) == 1 else "the "
+           "subdomains' a differ, and the paper's law, which needs one "
+           "operator on both sides of each curve, does not apply")
     return {
         "spectral_radius": rho,
         "theoretical_points": _jsonable(result.theoretical_points),
@@ -302,7 +308,7 @@ def _run_spectrum(cfg, out, report):
         "n_eigenvalues": len(result.eigenvalues),
         **health,
         "warnings": [f"spectral radius {rho:.6g} >= 1 although every Re "
-                     "sigma > -1/2: the paper predicts convergence"]
+                     f"sigma > -1/2: {law}"]
         if rho >= 1 and all(complex(s).real > -0.5 for s in sigmas) else [],
     }
 
@@ -542,10 +548,14 @@ def _validate(cfg):
                           f"sweep kind '2d', not by {run!r}")
     if rows == 2 and cfg.geometry == "square" and cfg.n_elements % 4:
         raise ConfigError("n_elements must be divisible by 4 for the square")
-    dim = rows * cfg.n_elements
+    if rows and cfg.n_elements > (cap := LARGEST_RUN[cfg.geometry]):
+        raise ConfigError(f"n_elements {cfg.n_elements} is beyond the cap "
+                          f"{cap}, the largest run measured on its curves")
+    # one mode pencil per turn: n of them on the circle and the annulus
+    dim = rows * (cfg.n_elements // 4 if cfg.geometry == "square" else 1)
     if dim > DIMENSION_CAP:
-        raise ConfigError(f"n_elements {cfg.n_elements} gives a pencil of "
-                          f"dimension {dim} beyond the cap {DIMENSION_CAP}")
+        raise ConfigError(f"n_elements {cfg.n_elements} gives mode pencils "
+                          f"of dimension {dim} beyond the cap {DIMENSION_CAP}")
 
 
 def run(cfg):

@@ -120,15 +120,15 @@ def _relaxations(count, sigmas):
 
 
 def _symbols(X, curves, g, fft):
-    """Symbols ``(modes, r, r)`` of ``X`` over the trace blocks of
-    ``curves``, block circulant as the turn of order ``g`` moves each
-    block by ``n / g`` nodes: mode k is ``sum_d X_0d exp(-2 pi i d k /
-    g)`` over the first sector's blocks, by ``fft`` (``np.fft.rfft``
+    """Symbols ``(modes, r, r)`` of the first ``n / g`` rows ``X`` of each
+    trace block of ``curves``, block circulant as the turn of order ``g``
+    moves each block by ``n / g`` nodes: mode k is ``sum_d X_0d exp(-2 pi
+    i d k / g)`` over the first sector's blocks, by ``fft`` (``np.fft.rfft``
     gives modes 0 .. g // 2, mode ``g - k`` being their conjugate)."""
     per = np.repeat([c.n_nodes // g for c in curves], 2)  # of each block
     first = np.flatnonzero(np.concatenate([np.arange(g * p) < p for p in per]))
     cols = first + np.repeat(per, per) * np.arange(g)[:, None]     # (g, r)
-    return fft(X[first][:, cols], axis=1).transpose(1, 0, 2)
+    return fft(X[:, cols], axis=1).transpose(1, 0, 2)
 
 
 def jacobi_pencil(subdomains, sigmas):
@@ -136,8 +136,9 @@ def jacobi_pencil(subdomains, sigmas):
     the block Jacobi spectrum.
 
     A subdomain record has ``P``, its mass-paired Calderon matrix over
-    its boundary curves, the block-diagonal mass ``M_block`` and
-    ``curves``, the curve meshes in trace-block order.  Every curve must
+    its boundary curves, the block-diagonal mass ``M_block``, ``curves``,
+    the curve meshes in trace-block order, and at g > 1 (below) ``rows(g)``,
+    the first ``n / g`` rows of each trace block of both.  Every curve must
     bound exactly two subdomains.  Subdomain ``j`` has the diagonal block
     ``B_j = (1 + s_j) M_j - P_j`` and reaches its neighbours' traces
     through ``s_j M_j X`` (``X`` negates the Neumann trace), or ``M_j``
@@ -168,9 +169,6 @@ def jacobi_pencil(subdomains, sigmas):
         for curve in sd.curves:
             sides.setdefault(id(curve), []).append((j, local, curve.n_nodes))
             local += 2 * curve.n_nodes
-        if local != sd.P.shape[0]:
-            raise ValueError(f"subdomain {j}: P has {sd.P.shape[0]} rows "
-                             f"but its curves carry {local} traces")
     for curve_sides in sides.values():
         if len(curve_sides) != 2:
             raise ValueError(f"a curve bounds {len(curve_sides)} "
@@ -180,9 +178,16 @@ def jacobi_pencil(subdomains, sigmas):
     g = common_rotation_order(c for sd in subdomains for c in sd.curves)
     real = all(np.isrealobj(s) for s in sigmas)
     fft = np.fft.rfft if real else np.fft.fft
-    P, M = ([getattr(sd, name) if g == 1 else
-             _symbols(getattr(sd, name), sd.curves, g, fft)
-             for sd in subdomains] for name in ("P", "M_block"))
+    P, M = [], []
+    for j, sd in enumerate(subdomains):
+        X = (sd.P, sd.M_block) if g == 1 else sd.rows(g)
+        local = 2 * sum(c.n_nodes for c in sd.curves)
+        if X[0].shape[1] != local:
+            raise ValueError(f"subdomain {j}: the rows of P have "
+                             f"{X[0].shape[1]} columns but its curves "
+                             f"carry {local} traces")
+        for out, Y in zip((P, M), X):
+            out.append(Y if g == 1 else _symbols(Y, sd.curves, g, fft))
     rows, ends = [], [0, 0]         # unknowns of each subdomain in its half
     for P_j, c in zip(P, colour):
         rows.append(slice(ends[c], ends[c] + P_j.shape[-1]))
@@ -231,7 +236,7 @@ def calderon_eigenvalues(interior):
     if m == 1:
         return eig_generalized(interior.P, interior.M_block).eigenvalues
     q = eig_generalized(*(_symbols(X, interior.curves, m, np.fft.rfft)
-                          for X in (interior.P, interior.M_block))).eigenvalues
+                          for X in interior.rows(m))).eigenvalues
     return np.concatenate([q, q[1:(m + 1) // 2].conj()]).ravel()
 
 

@@ -42,9 +42,22 @@ def pencil_projector_residual(cal):
 class TestMassMatrix:
     def test_row_sums_are_lengths(self):
         mesh = make_circle(16)
-        M = mass_matrix(mesh)
+        M = mass_matrix(mesh.lengths)
         assert abs(M.sum() - mesh.total_length) < 1e-13
         assert np.max(np.abs(M - M.T)) == 0.0
+
+    @pytest.mark.parametrize("mesh", [make_circle(24), make_square(3)],
+                             ids=["circle", "square"])
+    def test_rows_match_the_element_loop(self, mesh):
+        # the element-by-element sum of the local P1 mass, bit for bit
+        L, els = mesh.lengths, mesh.elements
+        loc = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
+        ref = np.zeros((mesh.n_nodes,) * 2)
+        for k, l in np.ndindex(2, 2):
+            ref[els[:, k], els[:, l]] += L * loc[k, l]
+        assert np.array_equal(mass_matrix(L), ref)
+        for rows in (1, 3, 8):
+            assert np.array_equal(mass_matrix(L, rows), ref[:rows])
 
 
 @pytest.fixture(scope="module")
@@ -503,10 +516,10 @@ class TestCoupling:
     def test_signs_are_applied_exactly(self):
         inner, outer = make_three_domain(24, 32)
         par = KernelParams(1.0)
-        R12 = assemble_coupling(inner, outer, par).R12
+        R12 = assemble_coupling(inner, outer, par).R12_row
         unsigned = cross_block(*make_three_domain(24, 32), par)
         signed = unsigned.copy()
-        signed[inner.n_nodes:] *= -1.0      # obs_normal_sign = -1
+        signed[len(signed) // 2:] *= -1.0   # obs_normal_sign = -1
         assert np.array_equal(R12, signed)
 
     @pytest.mark.parametrize("freed", [0, 1])
@@ -885,10 +898,12 @@ class TestRotationGroup:
     def test_cross_blocks_match_per_pair_path(self, n_inner, n_outer, a):
         curves = make_three_domain(n_inner, n_outer)
         dense = [without_group(c) for c in curves]
+        g = common_rotation_order(curves)
         for order in (1, -1):
             group = cross_block(*curves[::order], KernelParams(a), -1.0, 1.0)
             ref = cross_block(*dense[::order], KernelParams(a), -1.0, 1.0)
-            assert relative_error(group, ref) <= GROUP_CROSS_GAP
+            assert relative_error(assembly._expand(group, g, blocks=2),
+                                  ref) <= GROUP_CROSS_GAP
 
     def test_curves_about_other_centres_take_the_per_pair_path(self):
         near, far = make_circle(12), make_circle(12, center=(3.0, 0.0))
@@ -931,20 +946,22 @@ class TestRotationGroup:
         rows = []
         scatter = assembly._scatter
 
-        def record(table, m, shift):
-            rows.append((table.shape[-4], m))
-            return scatter(table, m, shift)
+        def record(table):
+            rows.append(table.shape[-4])
+            return scatter(table)
 
         monkeypatch.setattr(assembly, "_scatter", record)
         if name == "annulus":
             obs, src = make_three_domain(24, 32)
-            cross_block(obs, src, KernelParams(1.0))
-            assert rows == [(24 // 8 + 1, 8)]
+            assert cross_block(obs, src, KernelParams(1.0)).shape == (6, 64)
+            assert rows == [24 // 8 + 1]
         else:
             mesh = make_circle(128) if name == "circle-128" else make_square(32)
-            assemble_operators(mesh, KernelParams(1.0))
-            m = mesh.rotation_order
-            assert rows == [(mesh.n_elements // m + 1, m)] * 3
+            ops = assemble_operators(mesh, KernelParams(1.0))
+            s = mesh.n_elements // mesh.rotation_order
+            assert rows == [s + 1] * 3
+            for row in (ops.V, ops.K, ops.Kt, ops.W):
+                assert row.shape == (s, mesh.n_elements)
 
     @pytest.mark.parametrize("name", GROUP_MESHES)
     def test_operators_equal_their_turn(self, name):
@@ -963,9 +980,9 @@ def element_tables(mesh, a, monkeypatch):
     tables = []
     scatter = assembly._scatter
 
-    def record(rows, m, shift):
+    def record(rows):
         tables.append(rows[1:])
-        return scatter(rows, m, shift)
+        return scatter(rows)
 
     monkeypatch.setattr(assembly, "_scatter", record)
     assemble_operators(mesh, KernelParams(a))
@@ -974,9 +991,10 @@ def element_tables(mesh, a, monkeypatch):
 
 def test_scatter_matches_element_loop():
     """``_scatter`` of the element rows -1 .. s - 1 of a table that the
-    turn of order m moves by s rows and 9 / m columns adds ``loc[..., e,
-    f, k, l]`` at the node pair ``(elements[e, k], elements[f, l])`` of two
-    meshes, bit for bit; ``_with_previous`` gives row -1."""
+    turn of order m moves by s rows and 9 / m columns, made whole by
+    ``_expand``, adds ``loc[..., e, f, k, l]`` at the node pair
+    ``(elements[e, k], elements[f, l])`` of two meshes, bit for bit;
+    ``_with_previous`` gives row -1."""
     obs, src = make_circle(6), make_circle(9)
     for m in (1, 3):
         s, shift = 6 // m, 9 // m
@@ -990,7 +1008,10 @@ def test_scatter_matches_element_loop():
                     :, e, f, k, l]
         rows = assembly._with_previous(row, shift)
         assert np.array_equal(rows, np.concatenate([loc[:, -1:], row], 1))
-        assert np.array_equal(assembly._scatter(rows, m, shift), ref), m
+        node_rows = assembly._scatter(rows)
+        assert node_rows.shape == (3, s, 9)
+        assert np.array_equal(
+            [assembly._expand(x, m) for x in node_rows], ref), m
 
 
 def dblquad_blocks(mesh, a, e, f):

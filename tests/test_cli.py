@@ -298,9 +298,10 @@ class TestRejectedInput:
         (["1d-2dom", "--steps", "-3"], "steps"),
         (["spectrum-2d", "--geometry", "circle", "--quad-order", "1"],
          "quad_order"),
-        (["spectrum-2d", "--geometry", "circle", "--n", "2001"], "n_elements"),
-        (["spectrum-2d-3dom", "--n", "1001"], "n_elements"),
-        (["sweep", "--kind", "2d", "--geometry", "circle", "--n", "2001"],
+        (["spectrum-2d", "--geometry", "circle", "--n", "32769"],
+         "n_elements"),
+        (["spectrum-2d-3dom", "--n", "8193"], "n_elements"),
+        (["sweep", "--kind", "2d", "--geometry", "circle", "--n", "32769"],
          "n_elements"),
         (["sweep", "--kind", "2d"], "geometry"),
         (["spectrum-2d", "--geometry", "square", "--n", "13"], "n_elements"),
@@ -453,6 +454,23 @@ class TestHelp:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_cli_import_loads_only_linalg_and_special(self):
+        # import time is the start-up of every run: no further scipy
+        # subpackage and no mpmath
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import sys, multitrace.cli; print(sorted(name for name, mod "
+                "in sys.modules.items() if name.count('.') == 1 and "
+                "name.startswith('scipy.') and not name[6:].startswith('_') "
+                "and hasattr(mod, '__path__'))); print('mpmath' in "
+                "sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == [
+            "['scipy.linalg', 'scipy.special']", "False"]
+
     def test_help_lists_every_flag_and_choice(self):
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -469,16 +487,19 @@ class TestHelp:
 
 
 class TestDimensionCap:
-    """The cap applies to the half-size red pencil the eigensolve runs
-    on: 2n rows on one curve, 4n on the annulus."""
+    """``n_elements`` is capped at the largest run measured per geometry
+    (``cli.LARGEST_RUN``), and ``DIMENSION_CAP`` applies to one mode
+    pencil of the half-size red pencil: 2n rows on one curve and 4n on
+    the annulus, split into as many modes as the curves' rotation order,
+    n on the circle and the annulus and 4 on the square."""
 
     @pytest.mark.parametrize("argv", [
-        ["spectrum-2d", "--geometry", "circle", "--n", "1001"],
+        ["spectrum-2d", "--geometry", "circle", "--n", "32768"],
         ["spectrum-2d", "--geometry", "square", "--n", "2000"],
         ["sweep", "--kind", "2d", "--geometry", "circle", "--n", "2000"],
-        ["spectrum-2d-3dom", "--n", "501"],
+        ["spectrum-2d-3dom", "--n", "8192"],
         ["spectrum-2d-3dom", "--n", "1000"],
-        ["sweep", "--kind", "2d-3dom", "--n", "1000"],
+        ["sweep", "--kind", "2d-3dom", "--n", "8192"],
     ])
     def test_accepted_up_to_the_cap(self, argv, monkeypatch):
         monkeypatch.setattr(assembly, "_assemble_operators", None)  # never called
@@ -487,11 +508,20 @@ class TestDimensionCap:
 
     @pytest.mark.parametrize("argv", [
         ["spectrum-2d", "--geometry", "square", "--n", "2004"],
-        ["sweep", "--kind", "2d-3dom", "--n", "1001"],
+        ["sweep", "--kind", "2d-3dom", "--n", "8193"],
     ])
     def test_rejected_beyond_the_cap(self, argv):
         with pytest.raises(ConfigError, match="^n_elements .* beyond the cap"):
             parse_config(argv)
+
+    def test_mode_pencil_rows_follow_the_rotation_order(self, monkeypatch):
+        # past a larger measured square, its n / 2-row modes meet the cap
+        monkeypatch.setitem(cli.LARGEST_RUN, "square", 10 ** 6)
+        square = ["spectrum-2d", "--geometry", "square", "--n"]
+        assert parse_config(square + ["8000"]).n_elements == 8000
+        with pytest.raises(ConfigError, match="^n_elements 8004 gives mode "
+                                              "pencils of dimension 4002"):
+            parse_config(square + ["8004"])
 
 
 class TestOperatorSetReuse:
@@ -647,16 +677,19 @@ class TestRunReport2d:
             ["--config", str(CONFIGS_DIR / "fig4_square_heterogeneous.json")],
             tmp_path)
         assert round(rho, 4) == 1.0673
-        assert len(warnings) == 1
-        assert warnings[0].startswith(f"spectral radius {rho:.6g} >= 1")
+        assert warnings == [
+            f"spectral radius {rho:.6g} >= 1 although every Re sigma > -1/2: "
+            "the subdomains' a differ, and the paper's law, which needs one "
+            "operator on both sides of each curve, does not apply"]
 
     def test_divergence_band_warns(self, tmp_path):
         rho, warnings = self._warnings(
             ["spectrum-2d", "--geometry", "circle", "--n", "64", "--sigma",
              "0.00373"], tmp_path)
         assert round(rho, 2) == 3.93
-        assert len(warnings) == 1
-        assert warnings[0].startswith(f"spectral radius {rho:.6g} >= 1")
+        assert warnings == [
+            f"spectral radius {rho:.6g} >= 1 although every Re sigma > -1/2: "
+            "the paper predicts convergence"]
 
     def test_fig2_has_no_warning(self, tmp_path):
         rho, warnings = self._warnings(

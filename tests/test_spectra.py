@@ -8,11 +8,12 @@ import scipy.linalg
 import scipy.optimize
 
 from multitrace import line1d
-from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
+from multitrace.bem2d import (CouplingSet, KernelParams, assemble_calderon_2d,
                               assemble_coupling, make_circle, make_square,
-                              make_three_domain)
+                              make_three_domain, mass_matrix)
+from multitrace.bem2d.mesh import common_rotation_order
 from multitrace.linalg import SingularMatrixError, eig_generalized
-from multitrace.spectra import (calderon_eigenvalues, calderon_map,
+from multitrace.spectra import (_symbols, calderon_eigenvalues, calderon_map,
                                 cluster_report, jacobi_2d_2dom,
                                 jacobi_2d_3dom, jacobi_pencil,
                                 pencil_spectrum, sigma_sweep,
@@ -496,6 +497,87 @@ class TestModePencils:
                 f"{at // q.shape[1]} is singular")) as err:
             jacobi_2d_2dom(P1, P2, sigmas)
         assert 0.0 <= err.value.pivot_magnitude < 1e-13
+
+
+def whole_matrices(sd):
+    """``P`` and ``M_block`` of a record formed whole, as they were before
+    the records kept rows: the operator set's whole matrices, the mass of
+    every element, and the coupling's whole cross blocks."""
+    if isinstance(sd, CouplingSet):
+        (P1, M1), (P2, M2) = map(whole_matrices, (sd.P1_tilde, sd.P2_tilde))
+        return (np.block([[P1, sd.R12], [sd.R21, P2]]),
+                scipy.linalg.block_diag(M1, M2))
+    ops, k = sd.ops, 1.0 if sd.side == "interior" else -1.0
+    M = scipy.linalg.block_diag(*[mass_matrix(sd.mesh.lengths)] * 2)
+    P = 0.5 * M + np.block([[-k * ops.double_layer, ops.single_layer],
+                            [ops.hypersingular, k * ops.adj_double_layer]])
+    return P, M
+
+
+def whole_symbols(X, curves, g, fft):
+    """The symbols of the whole matrix ``X`` as they were read before the
+    records kept rows: its first ``n / g`` rows of each trace block
+    gathered, then transformed as ``_symbols`` transforms rows."""
+    per = np.repeat([c.n_nodes // g for c in curves], 2)
+    first = np.flatnonzero(np.concatenate([np.arange(g * p) < p for p in per]))
+    cols = first + np.repeat(per, per) * np.arange(g)[:, None]
+    return fft(X[first][:, cols], axis=1).transpose(1, 0, 2)
+
+
+# grouped records and their common rotation order; the 24/32 annulus reads
+# curves of orders 24 and 32 at g = 8
+ROW_CASES = {
+    "circle-128": (lambda: two_sides(make_circle(128), (1.0, 5.0)), 128),
+    "square-32": (lambda: two_sides(make_square(32), (1.0, 5.0)), 4),
+    "annulus-24-32": (lambda: annulus(*make_three_domain(24, 32)), 8),
+    "annulus-128-128": (lambda: annulus(*make_three_domain(128, 128)), 128),
+}
+
+
+def held_bytes(record):
+    """Bytes of the arrays a record holds itself."""
+    return sum(x.nbytes for x in vars(record).values()
+               if isinstance(x, np.ndarray))
+
+
+class TestRowRecords:
+    """Grouped records keep the first block row of each matrix.  The
+    symbols read from the rows equal those of the whole matrices bit for
+    bit, and no whole matrix is built on the way to q or to a pencil."""
+
+    @pytest.mark.parametrize("fft", [np.fft.rfft, np.fft.fft],
+                             ids=["rfft", "fft"])
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_symbols_of_rows_equal_those_of_whole_matrices(self, case, fft):
+        build, g = ROW_CASES[case]
+        records = build()
+        assert common_rotation_order(
+            c for sd in records for c in sd.curves) == g
+        for sd in records:
+            wholes = whole_matrices(sd)
+            for X, whole in zip(wholes, (sd.P, sd.M_block)):
+                assert np.array_equal(X, whole)
+            for rows, whole in zip(sd.rows(g), wholes):
+                assert rows.shape == (len(whole) // g, len(whole))
+                assert np.array_equal(_symbols(rows, sd.curves, g, fft),
+                                      whole_symbols(whole, sd.curves, g, fft))
+
+    def test_records_hold_rows_and_build_no_whole_matrix(self):
+        circle = two_sides(make_circle(4096), (1.0, 5.0))
+        ring = annulus(*make_three_domain(1024, 1024))
+        records = (*circle, *ring, ring[1].P1_tilde, ring[1].P2_tilde)
+        sets = [sd.ops for sd in records if hasattr(sd, "ops")]
+        for sd in records:
+            assert held_bytes(sd) <= 128 * sum(c.n_nodes for c in sd.curves)
+        for ops in sets:
+            assert held_bytes(ops) <= 128 * ops.lengths.size
+        calderon_eigenvalues(circle[0])
+        jacobi_pencil(circle, (0.1, 0.2))
+        jacobi_2d_3dom(ring[0], ring[2], ring[1], (0.25, 0.25, 0.25))
+        for x in (*records, *sets):
+            assert vars(x).keys() == {f.name for f in dataclasses.fields(x)}
+        circle[0].P                     # the whole P is kept once built
+        assert "_whole" in vars(circle[0])
 
 
 @pytest.fixture(scope="module", params=["circle", "square"])
