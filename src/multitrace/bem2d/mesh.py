@@ -110,10 +110,6 @@ class BoundaryMesh:
         t = self.tangents
         return np.column_stack([t[:, 1], -t[:, 0]])
 
-    @property
-    def total_length(self):
-        return float(self.lengths.sum())
-
 
 def common_rotation_order(curves):
     """Gcd of the curves' rotation orders if all share a centre, else 1."""

@@ -36,6 +36,10 @@ GEOMETRIES = ("circle", "square")
 # largest n_elements measured per 2D geometry, None the annulus (README,
 # "Command line")
 LARGEST_RUN = {"circle": 32768, "square": 2000, None: 8192}
+# least gap * quad_order between the annulus circles, in outer elements
+# 2 pi r_outer / n: below it the near cross-curve pairs are under-resolved
+# and rho is garbage (README, "Command line")
+ANNULUS_GAP = 5.0
 
 
 def _split_list(text, cast):
@@ -551,6 +555,14 @@ def _validate(cfg):
     if rows and cfg.n_elements > (cap := LARGEST_RUN[cfg.geometry]):
         raise ConfigError(f"n_elements {cfg.n_elements} is beyond the cap "
                           f"{cap}, the largest run measured on its curves")
+    gap = cfg.radii[1] - cfg.radii[0]
+    least = (ANNULUS_GAP * 2 * np.pi * cfg.radii[1] / cfg.n_elements
+             / cfg.quad_order)
+    if rows == 4 and gap < least:
+        raise ConfigError(f"radii {cfg.radii} leave a gap of {gap:.3g}, "
+                          f"below {ANNULUS_GAP:g} h / quad_order = "
+                          f"{least:.3g} with h = 2 pi r_outer / n_elements: "
+                          f"widen it, or raise quad_order or n_elements")
     # one mode pencil per turn: n of them on the circle and the annulus
     dim = rows * (cfg.n_elements // 4 if cfg.geometry == "square" else 1)
     if dim > DIMENSION_CAP:

@@ -47,9 +47,6 @@ class SchwarzState:
     u2: float
     du2: float
 
-    def as_array(self):
-        return np.array([self.u1, self.du1, self.u2, self.du2])
-
 
 # Overflow-free hyperbolic ratios.  All take nonnegative u, v, w with
 # u + v <= w and use only exp of nonpositive arguments.

@@ -73,13 +73,15 @@ def _lapack(name, arrays, *args, **kwargs):
 
 
 def _check_pivots(diag, name):
-    """Reject ``name`` at a pivot magnitude ``<= dim x eps x`` the largest."""
-    scale = diag.max()
-    if scale == 0.0 or diag.min() <= len(diag) * np.finfo(float).eps * scale:
+    """Reject ``name`` at a pivot magnitude ``<= dim x eps x`` the largest;
+    the message gives the smallest pivot and its ratio to the largest."""
+    low, scale = diag.min(), diag.max()
+    if scale == 0.0 or low <= len(diag) * np.finfo(float).eps * scale:
+        ratio = f"{low / scale:.3e} of" if scale else "and"
         raise SingularMatrixError(
-            f"{name} is singular to working precision "
-            f"(smallest pivot magnitude {diag.min():.3e})",
-            pivot_magnitude=float(diag.min()),
+            f"{name} is singular to working precision (smallest pivot "
+            f"magnitude {low:.3e}, {ratio} the largest {scale:.3e})",
+            pivot_magnitude=float(low),
         )
 
 

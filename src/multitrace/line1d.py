@@ -4,7 +4,6 @@ Solutions decaying at infinity admit closed-form representation through
 the Green's function ``g(x) = exp(-a|x|) / (2a)``.  This module builds,
 without any discretization:
 
-* representation formulas from prescribed Dirichlet/Neumann jumps,
 * the 2x2 Calderon projectors of the two half lines and the 4x4
   projector of a middle interval, as plain arrays,
 * the multitrace system of a line of subdomains listed left to right,
@@ -76,7 +75,7 @@ class JacobiOperator1D:
         """See :func:`jacobi_fixed_point`."""
         J, F = self.matrix, self.rhs_tilde
         if any(self.sigmas):
-            U = solve_dense(np.eye(len(F)) - J, F)
+            U = solve_dense(np.eye(len(F)) - J, F, "Id - J")
         else:
             # exact for nilpotent J; at the Schwarz equivalence check's
             # points (sigma = 0, F = 0) it returns after one matvec, and an
@@ -109,32 +108,6 @@ def green_1d(a, x):
     """Decaying fundamental solution ``exp(-a|x|) / (2a)``."""
     a = _check_a(a)
     return np.exp(-a * np.abs(x)) / (2.0 * a)
-
-
-def green_1d_deriv(a, x):
-    """Derivative of the fundamental solution, ``-sign(x) exp(-a|x|)/2``."""
-    a = _check_a(a)
-    return -np.sign(x) * np.exp(-a * np.abs(x)) / 2.0
-
-
-def represent_1d(a, jump):
-    """Solution with prescribed jumps at one point, as a callable.
-
-    Returns ``u`` with ``u(x) = beta * g(x - x0) - alpha * g'(x - x0)``;
-    it solves the equation away from ``x0``, decays at infinity, and
-    realizes the jumps ``(alpha, beta)``.  Evaluation exactly at the
-    jump location raises ``ValueError``.
-    """
-    a = _check_a(a)
-    x0 = jump.location
-
-    def u(x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x == x0):
-            raise ValueError(f"evaluation at the jump location x = {x0}")
-        return jump.beta * green_1d(a, x - x0) - jump.alpha * green_1d_deriv(a, x - x0)
-
-    return u
 
 
 def calderon_halfline(a):
@@ -328,14 +301,3 @@ def block_jacobi_run(op, U0, n_steps):
     iters = np.array(iters)
     errors = np.max(np.abs(iters - star[None, :]), axis=1)
     return JacobiHistory(iters, errors, star)
-
-
-def represent_1d_3dom(a, jump_left, jump_right):
-    """Solution with jumps at both interfaces of the middle interval
-    ``(-1, 1)``: the sum of one :func:`represent_1d` field per interface.
-    The right jump is oriented middle-minus-right, so its ``alpha`` flips
-    sign; evaluation at either interface raises ``ValueError``.
-    """
-    left = represent_1d(a, JumpData(jump_left.alpha, jump_left.beta, -1.0))
-    right = represent_1d(a, JumpData(-jump_right.alpha, jump_right.beta, 1.0))
-    return lambda x: left(x) + right(x)

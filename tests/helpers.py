@@ -5,13 +5,13 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import i0, i1, k0, k1
 
 from multitrace.bem2d import BoundaryMesh
-from multitrace.bem2d.kernels import (kernel_2d, kernel_gradient_dot,
-                                      kernel_hessian_bilinear)
 from multitrace.bem2d.quadrature import gauss01
 from multitrace.line1d import (JumpData, jacobi_operator_2dom,
                                jacobi_operator_3dom)
 from multitrace.linalg import eig_dense
 from multitrace.spectra import summarize_spectrum
+from oracle_kernels import (kernel_2d, kernel_gradient_dot,
+                            kernel_hessian_bilinear)
 
 
 def match_multisets(values, reference, tol, label=""):

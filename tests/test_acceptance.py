@@ -15,10 +15,10 @@ from multitrace import interval1d, line1d, spectra
 from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
                               assemble_coupling, make_circle, make_square,
                               make_three_domain)
-from multitrace.bem2d.kernels import kernel_2d, kernel_radial_deriv
 from multitrace.linalg import eig_dense
 from helpers import match_multisets, trace_flip
 from oracle_bessel import oracle_k0, oracle_k1
+from oracle_kernels import kernel_2d, kernel_radial_deriv
 
 TWO_PI = 2.0 * np.pi
 

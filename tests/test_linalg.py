@@ -37,6 +37,19 @@ def test_solve_reports_singularity_with_pivot():
     assert err.value.pivot_magnitude < 1e-12
 
 
+def test_singular_message_gives_the_pivot_ratio():
+    # a small pivot of a badly scaled matrix: its magnitude alone looks
+    # harmless, its ratio to the largest is below dim x eps
+    with pytest.raises(SingularMatrixError, match=r"\(smallest pivot "
+                       r"magnitude 3\.500e-01, 3\.500e-17 of the largest "
+                       r"1\.000e\+16\)$") as err:
+        solve_dense(np.diag([1e16, 0.35]), np.ones(2))
+    assert err.value.pivot_magnitude == 0.35
+    with pytest.raises(SingularMatrixError, match=r"magnitude 0\.000e\+00, "
+                       r"and the largest 0\.000e\+00\)$"):
+        solve_dense(np.zeros((2, 2)), np.ones(2))
+
+
 def test_solve_roundtrip_well_conditioned():
     rng = np.random.default_rng(3)
     for n in (5, 40):

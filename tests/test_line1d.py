@@ -8,10 +8,10 @@ from multitrace.line1d import (JumpData, X2, assemble_mtf, block_jacobi_run,
                                calderon_halfline, calderon_middle_3dom,
                                green_1d, jacobi_fixed_point, jacobi_operator,
                                jacobi_operator_2dom, jacobi_operator_3dom,
-                               middle_coupling_matrix, represent_1d,
-                               represent_1d_3dom)
+                               middle_coupling_matrix)
 from multitrace.linalg import eig_dense, solve_dense
 from helpers import match_multisets
+from oracle_line import represent_1d, represent_1d_3dom
 
 
 def mtf_2dom(a, sigma1, sigma2, jump):

@@ -10,7 +10,7 @@ from multitrace.bem2d.mesh import (BoundaryMesh, common_rotation_order,
 class TestCircle:
     def test_perimeter_close_to_circle(self):
         mesh = make_circle(64)
-        assert abs(mesh.total_length - 2 * np.pi) / (2 * np.pi) < 0.002
+        assert abs(mesh.lengths.sum() - 2 * np.pi) / (2 * np.pi) < 0.002
 
     def test_normals_radial_outward(self):
         mesh = make_circle(32, radius=2.0)
@@ -35,7 +35,7 @@ class TestSquare:
 
     def test_total_length(self):
         mesh = make_square(5, side=2.0)
-        assert abs(mesh.total_length - 8.0) < 1e-12
+        assert abs(mesh.lengths.sum() - 8.0) < 1e-12
 
 
 class TestThreeDomain:

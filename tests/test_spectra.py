@@ -8,9 +8,10 @@ import scipy.linalg
 import scipy.optimize
 
 from multitrace import line1d
-from multitrace.bem2d import (CouplingSet, KernelParams, assemble_calderon_2d,
+from multitrace.bem2d import (KernelParams, assemble_calderon_2d,
                               assemble_coupling, make_circle, make_square,
-                              make_three_domain, mass_matrix)
+                              make_three_domain)
+from multitrace.bem2d.assembly import CouplingSet, mass_matrix
 from multitrace.bem2d.mesh import common_rotation_order
 from multitrace.linalg import SingularMatrixError, eig_generalized
 from multitrace.spectra import (_symbols, calderon_eigenvalues, calderon_map,
