@@ -50,6 +50,11 @@ its batch or its thread: the matrices are bit for bit those of a serial
 run.  The pool has one thread per CPU this process may run on, so
 ``taskset`` restricts it.
 
+What a pair integral does not depend on is built once, read-only: per
+order the reference-element tables (``_weighted_basis``,
+``_coincident_reference``, ``_adjacent_reference``), per mesh its
+geometry (from its read-only ``BoundaryMesh.nodes``).
+
 ``assemble_operators`` keeps one set per mesh object and ``KernelParams``,
 so every subdomain that meets a curve shares its V, K, K' and W.  Meshes
 compare by identity, the stored matrices are read-only, and a set is
@@ -62,7 +67,7 @@ import os
 import weakref
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -177,9 +182,11 @@ def _scatter(rows):
     -1 .. s - 1``: element ``e`` joins its nodes ``e`` and ``e + 1``,
     cyclically, so node row ``i < s`` sums elements ``i`` and ``i - 1``."""
     s, nc = rows.shape[-4] - 1, rows.shape[-3]
+    turn = np.arange(-1, nc - 1)            # column j reads column j - 1
     head = np.zeros((*rows.shape[:-4], s, nc))
-    for k, l in np.ndindex(2, 2):
-        head += np.roll(rows[..., 1 - k:s + 1 - k, :, k, l], l, axis=-1)
+    for k in range(2):
+        head += rows[..., 1 - k:s + 1 - k, :, k, 0]
+        head += rows[..., 1 - k:s + 1 - k, turn, k, 1]
     return head
 
 
@@ -207,6 +214,13 @@ def _transposed(row, m):
 def _p1(x):
     """Nodal basis values at parameters ``x``: stack of (1 - x, x)."""
     return np.stack([1.0 - x, x], axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _weighted_basis(q):
+    """``w[:, None] * _p1(s)`` of the q-point Gauss rule, read-only."""
+    s, w = gauss01(q)
+    return _frozen([w[:, None] * _p1(s)])[0]
 
 
 def _gauss_rules(order):
@@ -251,9 +265,10 @@ def _pair_orders(mid1, L1, mid2, L2, a, quad_order):
     with np.errstate(divide="ignore"):
         q_sep = np.ceil(-np.log(_EPS) / (2.0 * log_rho))
     c = 0.5 * a * L
+    log_c = np.log(c)
     q_exp = np.full(L.shape, quad_order)
     for q in range(quad_order - 1, 1, -1):      # the smallest passing q wins
-        log_err = _log_gauss_error_constant(q) + 2 * q * np.log(c) + c
+        log_err = _log_gauss_error_constant(q) + 2 * q * log_c + c
         q_exp[log_err <= np.log(_EPS)] = q
     return np.minimum(quad_order, np.maximum(q_sep, q_exp)).astype(int)
 
@@ -294,9 +309,9 @@ def _graded_pairs(pool, obs, src, rows, cols, a, order, integrate):
     Gauss points go only to ``obs`` elements up to the last row used.
     """
     k = rows.max(initial=-1) + 1
-    (xo, do), (xs, ds) = ((m.first_nodes[:n], m.directions[:n])
-                          for m, n in ((obs, k), (src, None)))
-    Lo, Ls = np.linalg.norm(do, axis=1), np.linalg.norm(ds, axis=1)
+    (xo, do, Lo), (xs, ds, Ls) = (
+        (m.first_nodes[:n], m.directions[:n], m.lengths[:n])
+        for m, n in ((obs, k), (src, None)))
     rules = _gauss_rules(order)
     pair_q = _pair_orders(xo[rows] + 0.5 * do[rows], Lo[rows],
                           xs[cols] + 0.5 * ds[cols], Ls[cols], a, order)
@@ -308,9 +323,8 @@ def _graded_pairs(pool, obs, src, rows, cols, a, order, integrate):
         integrate(e, f, dx, dy, r, (Lo[e] * Ls[f])[:, None, None], wb)
 
     futures = []
-    for q in np.unique(pair_q):
-        s, w = rules[q]
-        wb = w[:, None] * _p1(s)                             # (q, 2)
+    for q in np.unique(pair_q).tolist():
+        s, wb = rules[q][0], _weighted_basis(q)              # (q, 2)
         po, ps = (x[:, None, :] + s[None, :, None] * d[:, None, :]
                   for x, d in ((xo, do), (xs, ds)))
         sel = np.flatnonzero(pair_q == q)
@@ -368,6 +382,23 @@ def _smooth_pair_tables(mesh, a, order, pool=None):
     return v_loc, k_loc
 
 
+@lru_cache(maxsize=None)
+def _coincident_reference(order):
+    """The read-only part of ``_coincident_tables`` at ``order``: the grid
+    ``|s - t|``, its log, the weighted bases and the symmetrized strip."""
+    su, wu = gauss01(order)
+    sv, wv = gauss01(order + 1)    # distinct orders: nodes never coincide
+    u = np.abs(su[:, None] - sv[None, :])                    # z / (a L)
+    ulog, _ = log_gauss01(order)
+    # inner integral over the diagonal strip of width 1 - u, s = w + u;
+    # the (s, t) and (t, s) halves are transposes of each other
+    wpts = (1.0 - ulog)[:, None] * su[None, :]               # (nlog, q)
+    strip = np.einsum("nk,nkp,nkq->npq", (1.0 - ulog)[:, None] * wu,
+                      _p1(wpts + ulog[:, None]), _p1(wpts))  # (nlog, 2, 2)
+    return _frozen((u, np.log(u), (wu[:, None] * _p1(su)).T,
+                    wv[:, None] * _p1(sv), strip + strip.transpose(0, 2, 1)))
+
+
 def _coincident_tables(L, a, order):
     """Singular self-pair single-layer blocks of elements of lengths
     ``L``, vectorized over elements.
@@ -376,24 +407,32 @@ def _coincident_tables(L, a, order):
     reference square with ``r = L |s - t|``; the log part reduces to an
     integral over ``u = |s - t|`` against the log-weighted rule.
     """
-    su, wu = gauss01(order)
-    sv, wv = gauss01(order + 1)    # distinct orders: nodes never coincide
-    u = np.abs(su[:, None] - sv[None, :])                    # z / (a L)
+    u, log_u, bu, bv, strip = _coincident_reference(order)
     z = a * (L[:, None, None] * u[None, :, :])
-    smooth = (k0(z) + np.log(u) * i0(z)) / TWO_PI
-    part_a = (wu[:, None] * _p1(su)).T @ smooth @ (wv[:, None] * _p1(sv))
-
+    smooth = (k0(z) + log_u * i0(z)) / TWO_PI
+    part_a = bu @ smooth @ bv
     ulog, wlog = log_gauss01(order)
-    sw, ww = gauss01(order)
-    # inner integral over the diagonal strip of width 1 - u, s = w + u;
-    # the (s, t) and (t, s) halves are transposes of each other
-    wpts = (1.0 - ulog)[:, None] * sw[None, :]               # (nlog, q)
-    strip = np.einsum("nk,nkp,nkq->npq", (1.0 - ulog)[:, None] * ww,
-                      _p1(wpts + ulog[:, None]), _p1(wpts))  # (nlog, 2, 2)
     i0u = i0(a * L[:, None] * ulog[None, :])                 # (m, nlog)
-    part_b = np.tensordot(i0u * wlog, strip + strip.transpose(0, 2, 1),
-                          axes=(1, 0)) / TWO_PI
+    part_b = np.tensordot(i0u * wlog, strip, axes=(1, 0)) / TWO_PI
     return (L ** 2)[:, None, None] * (part_a + part_b)
+
+
+@lru_cache(maxsize=None)
+def _adjacent_reference(order):
+    """Read-only ``(q, q, 2, 2)`` weighted basis products of the adjacent
+    blocks at ``order``: smooth and log part of triangle 1, then of 2."""
+    sg, wg = gauss01(order)
+    ul, wl = log_gauss01(order)
+
+    def wbb(outer, w_outer, sign):
+        b_out = _p1(outer)[:, None, :]                       # (k, 1, 2)
+        b_in = _p1(outer[:, None] * sg[None, :])             # (k, v, 2)
+        be, bf = (b_out, b_in) if sign > 0 else (b_in, b_out)
+        return ((w_outer[:, None] * wg[None, :])[..., None, None]
+                * be[..., :, None] * bf[..., None, :])
+
+    return _frozen([wbb(x, w, sign) for sign in (1.0, -1.0)
+                    for x, w in ((sg, wg), (ul, wl))])
 
 
 def _adjacent_pair_tables(d1, d2, L1, L2, n1, n2, a, order):
@@ -403,34 +442,27 @@ def _adjacent_pair_tables(d1, d2, L1, L2, n1, n2, a, order):
     basis index 0 on both, so the distance on each Duffy triangle is
     ``s * m(v)`` with ``m(v) = |d1 - v d2|`` bounded away from zero;
     ``log s`` goes to the log-weighted rule.  The weighted basis products
-    of a triangle are one ``(q, q, 2, 2)`` array shared by all pairs.
+    are those of ``_adjacent_reference``.
     Returns V and K ``(2, npair, 2, 2)``: the double layer of (e, f) with
     normal ``n2``, and that of (f, e), transposed, with normal ``n1`` and
     the offset reversed, from the same Bessel values.
     """
-    sg, wg = gauss01(order)
-    ul, wl = log_gauss01(order)
+    (sg, _), (ul, _) = gauss01(order), log_gauss01(order)
+    bw = _adjacent_reference(order)
     v_loc = k_loc = 0.0
 
     def pair(ker, bw):
         return np.tensordot(ker, bw, axes=([-2, -1], [0, 1]))
 
     # triangle 1: (x, y) at (s, s v); triangle 2: at (s v, s)
-    for sign, dd1, dd2 in ((1.0, d1, d2), (-1.0, d2, d1)):
+    for sign, dd1, dd2, bw_g, bw_l in ((1.0, d1, d2, *bw[:2]),
+                                       (-1.0, d2, d1, *bw[2:])):
         mv = dd1[:, None, :] - sg[None, :, None] * dd2[:, None, :]
         m = np.linalg.norm(mv, axis=-1)                      # (npair, qv)
         # n . (x - y) / s for (e, f); (f, e) sees y - x
         c = sign * np.einsum("pnd,nvd->pnv", np.stack([n2, -n1]), mv)
 
-        def wbb(outer, w_outer):
-            b_out = _p1(outer)[:, None, :]                   # (k, 1, 2)
-            b_in = _p1(outer[:, None] * sg[None, :])         # (k, v, 2)
-            be, bf = (b_out, b_in) if sign > 0 else (b_in, b_out)
-            return ((w_outer[:, None] * wg[None, :])[..., None, None]
-                    * be[..., :, None] * bf[..., None, :])
-
         # smooth part on the unit square in (outer, v)
-        bw_g = wbb(sg, wg)
         z = a * sg[None, :, None] * m[:, None, :]
         log_s = np.log(sg)[None, :, None]                    # log(z / (a m))
         ker_v = (k0(z) + log_s * i0(z)) / TWO_PI
@@ -441,7 +473,6 @@ def _adjacent_pair_tables(d1, d2, L1, L2, n1, n2, a, order):
         k_loc += pair(ker_k, bw_g)
 
         # log-in-outer-coordinate part (weight -log s)
-        bw_l = wbb(ul, wl)
         zl = a * ul[None, :, None] * m[:, None, :]
         v_loc += pair(i0(zl) * ul[None, :, None], bw_l) / TWO_PI
         k_loc -= pair((a / TWO_PI) * (c / m)[:, :, None, :]
@@ -567,8 +598,13 @@ def _calderon_rows(ops, side, g):
     jump-relation 1/2 carried by the mass block."""
     V, K, Kt, W, M = ops.rows(g)
     k = 1.0 if side == "interior" else -1.0     # double-layer sign
-    M_row = scipy.linalg.block_diag(M, M)
-    return 0.5 * M_row + np.block([[-k * K, V], [W, k * Kt]]), M_row
+    r, c = M.shape
+    M_row = np.zeros((2 * r, 2 * c))
+    M_row[:r, :c] = M_row[r:, c:] = M
+    P = 0.5 * M_row
+    for i, j, x in ((0, 0, -k * K), (0, 1, V), (1, 0, W), (1, 1, k * Kt)):
+        P[i * r:(i + 1) * r, j * c:(j + 1) * c] += x
+    return P, M_row
 
 
 def assemble_calderon_2d(mesh, params, side="interior"):
@@ -629,7 +665,11 @@ def cross_block(obs_mesh, src_mesh, params, obs_normal_sign=1.0,
                               ).setdefault(src_mesh, {})[params] = blocks
     vv, vq, qv, qq = blocks
     so, ss = obs_normal_sign, src_normal_sign
-    return np.block([[ss * vv, vq], [so * ss * qv, so * qq]])
+    r, c = vv.shape
+    out = np.empty((2 * r, 2 * c))
+    out[:r, :c], out[:r, c:] = ss * vv, vq
+    out[r:, :c], out[r:, c:] = so * ss * qv, so * qq
+    return out
 
 
 def _cross_blocks(obs_mesh, src_mesh, a, quad_order):

@@ -27,9 +27,11 @@ class BoundaryMesh:
     """One closed polyline with P1 node/element connectivity.
 
     ``nodes``: (n, 2) coordinates traversed counterclockwise; the ``n``
-    elements and their node pairs are derived from that order.  Meshes
-    compare and hash by identity: two meshes with equal nodes are
-    distinct curves.
+    elements and their node pairs are derived from that order.  The mesh
+    keeps its own read-only copy of the nodes, and computes its geometry
+    (``second_nodes``, ``directions``, ``lengths``, ``normals``) once, in
+    the constructor, as read-only arrays.  Meshes compare and hash by
+    identity: two meshes with equal nodes are distinct curves.
     """
 
     nodes: np.ndarray
@@ -37,8 +39,7 @@ class BoundaryMesh:
     center: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "nodes", nodes)
+        nodes = np.array(self.nodes, dtype=float, order="C")
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise ValueError("nodes must have shape (n, 2)")
         if len(nodes) < 3:
@@ -46,17 +47,19 @@ class BoundaryMesh:
                              f"got {len(nodes)}")
         if not np.all(np.isfinite(nodes)):
             raise ValueError("nodes must be finite")
+        second = np.roll(nodes, -1, axis=0)
         with np.errstate(over="ignore"):
-            lengths = self.lengths
+            directions = second - nodes
+            lengths = np.linalg.norm(directions, axis=1)
         if not np.all(np.isfinite(lengths)):
             raise ValueError("element lengths overflow to inf")
-        if np.any(lengths[np.any(self.directions != 0, axis=1)] == 0):
+        if np.any(lengths[np.any(directions != 0, axis=1)] == 0):
             raise ValueError("element lengths underflow to zero between "
                              "distinct nodes")
         if np.any(lengths == 0):
             raise ValueError("degenerate element of zero length")
-        a, b = self.first_nodes, self.second_nodes
-        if np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]) <= 0:
+        if np.sum(nodes[:, 0] * second[:, 1]
+                  - second[:, 0] * nodes[:, 1]) <= 0:
             raise ValueError("curve is not counterclockwise; outward normals "
                              "would point into the enclosed region")
         m, n = self.rotation_order, len(nodes)
@@ -69,6 +72,13 @@ class BoundaryMesh:
             raise ValueError(f"rotation_order {m} about center {self.center} "
                              f"does not map node i onto node i + {n // m}: "
                              f"they lie {gap:.3e} apart")
+        t = directions / lengths[:, None]
+        normals = np.column_stack([t[:, 1], -t[:, 0]])      # unit, outward
+        for name, x in (("nodes", nodes), ("second_nodes", second),
+                        ("directions", directions), ("lengths", lengths),
+                        ("normals", normals)):
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
 
     @property
     def n_nodes(self):
@@ -87,28 +97,6 @@ class BoundaryMesh:
     @property
     def first_nodes(self):
         return self.nodes
-
-    @property
-    def second_nodes(self):
-        return np.roll(self.nodes, -1, axis=0)
-
-    @property
-    def directions(self):
-        return self.second_nodes - self.first_nodes
-
-    @property
-    def lengths(self):
-        return np.linalg.norm(self.directions, axis=1)
-
-    @property
-    def tangents(self):
-        return self.directions / self.lengths[:, None]
-
-    @property
-    def normals(self):
-        """Unit normals pointing out of the enclosed region."""
-        t = self.tangents
-        return np.column_stack([t[:, 1], -t[:, 0]])
 
 
 def common_rotation_order(curves):

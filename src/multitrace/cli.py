@@ -20,6 +20,7 @@ import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field, make_dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +436,8 @@ class RunConfig(make_dataclass("RunConfig", list(_FIELDS))):
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+# built once: parse_args leaves the parser as it was
+@cache
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="mtf",

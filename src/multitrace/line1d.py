@@ -42,11 +42,9 @@ class JumpData:
 
     alpha: float
     beta: float
-    location: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)
-                and np.isfinite(self.location)):
+        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
             raise ValueError("jump data must be finite")
 
 

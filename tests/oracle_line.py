@@ -18,8 +18,8 @@ def green_1d_deriv(a, x):
     return -np.sign(x) * np.exp(-a * np.abs(x)) / 2.0
 
 
-def represent_1d(a, jump):
-    """Solution with prescribed jumps at one point, as a callable.
+def represent_1d(a, jump, x0=0.0):
+    """Solution with prescribed jumps at the point ``x0``, as a callable.
 
     Returns ``u`` with ``u(x) = beta * g(x - x0) - alpha * g'(x - x0)``;
     it solves the equation away from ``x0``, decays at infinity, and
@@ -27,7 +27,6 @@ def represent_1d(a, jump):
     jump location raises ``ValueError``.
     """
     a = _check_a(a)
-    x0 = jump.location
 
     def u(x):
         x = np.asarray(x, dtype=float)
@@ -44,6 +43,6 @@ def represent_1d_3dom(a, jump_left, jump_right):
     The right jump is oriented middle-minus-right, so its ``alpha`` flips
     sign; evaluation at either interface raises ``ValueError``.
     """
-    left = represent_1d(a, JumpData(jump_left.alpha, jump_left.beta, -1.0))
-    right = represent_1d(a, JumpData(-jump_right.alpha, jump_right.beta, 1.0))
+    left = represent_1d(a, jump_left, -1.0)
+    right = represent_1d(a, JumpData(-jump_right.alpha, jump_right.beta), 1.0)
     return lambda x: left(x) + right(x)

@@ -34,6 +34,22 @@ def circle_traces(mesh, a, x0):
                            kernel_gradient_dot(a, d, r, radial)])
 
 
+def count_bessel_points(monkeypatch):
+    """A list that collects the number of points of each call of the K0,
+    K1, I0 and I1 that ``assembly`` looks up, from now on."""
+    points = []
+
+    def counting(bessel):
+        def counted(z):
+            points.append(np.size(z))
+            return bessel(z)
+        return counted
+
+    for name in ("k0", "k1", "i0", "i1"):
+        monkeypatch.setattr(assembly, name, counting(getattr(assembly, name)))
+    return points
+
+
 def pencil_projector_residual(cal):
     Q = scipy.linalg.solve(cal.M_block, cal.P)
     return np.linalg.norm(cal.P @ Q - cal.P, 2)
@@ -731,16 +747,7 @@ class TestPairTableSymmetry:
         adjacent singular corrections), on the 16-element circle without
         its rotation group.  The smooth table integrates no self or adjacent pair, and it runs
         beside the singular tables, so its points are counted alone."""
-        points = []
-
-        def counting(bessel):
-            def counted(z):
-                points.append(np.size(z))
-                return bessel(z)
-            return counted
-
-        for name in ("k0", "k1", "i0", "i1"):
-            monkeypatch.setattr(assembly, name, counting(getattr(assembly, name)))
+        points = count_bessel_points(monkeypatch)
         assemble_operators(without_group(make_circle(16)), KernelParams(1.0))
         total = sum(points)
         points.clear()
@@ -923,16 +930,7 @@ class TestRotationGroup:
         integrates one element row, 776 smooth points where the per-pair
         path takes 11,632, and one coincident and two adjacent singular
         pairs, 2052 points where it takes 32,832."""
-        points = []
-
-        def counting(bessel):
-            def counted(z):
-                points.append(np.size(z))
-                return bessel(z)
-            return counted
-
-        for name in ("k0", "k1", "i0", "i1"):
-            monkeypatch.setattr(assembly, name, counting(getattr(assembly, name)))
+        points = count_bessel_points(monkeypatch)
         assemble_operators(make_circle(16), KernelParams(1.0))
         total = sum(points)
         points.clear()
@@ -971,6 +969,40 @@ class TestRotationGroup:
         for op in ("single_layer", "double_layer", "hypersingular"):
             X = getattr(ops, op)
             assert np.array_equal(np.roll(X, (s, s), axis=(0, 1)), X), op
+
+
+class TestBuiltOnce:
+    """What a pair integral does not depend on is built once: the weighted
+    bases and singular tables once per order, the geometry once per mesh.
+    No Bessel value is kept."""
+
+    def test_bessel_points_of_the_three_subdomain_assembly(self,
+                                                           monkeypatch):
+        """The points of the benchmark's calderon-assembly iteration (both
+        projectors, then the coupling, on fresh n = 128 curves at a = 1),
+        counted at 14,910 before the per-order tables.  A kept Bessel
+        value or a pair integrated twice would change the count."""
+        points = count_bessel_points(monkeypatch)
+        for _ in range(2):                  # cold tables, then built ones
+            points.clear()
+            inner, outer = make_three_domain(128, 128)
+            par = KernelParams(1.0)
+            assemble_calderon_2d(inner, par, "interior")
+            assemble_calderon_2d(outer, par, "exterior")
+            assemble_coupling(inner, outer, par)
+            assert sum(points) == 14_910
+
+    @pytest.mark.parametrize("table", [
+        lambda order: [assembly._weighted_basis(order)],
+        assembly._coincident_reference, assembly._adjacent_reference],
+        ids=["weighted-basis", "coincident", "duffy"])
+    def test_per_order_tables_are_shared_and_read_only(self, table):
+        for order in (2, 12):
+            arrays = table(order)
+            assert all(x is y for x, y in zip(arrays, table(order)))
+            for x in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    x[...] = 0.0
 
 
 def element_tables(mesh, a, monkeypatch):

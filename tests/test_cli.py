@@ -43,6 +43,18 @@ class TestParseConfig:
         assert cfg.a == [5.0]
         assert cfg.mode == "1d-2dom"
 
+    def test_flags_do_not_leak_into_the_next_call(self, tmp_path):
+        # the parser is built once and shared by every call
+        assert cli._build_parser() is cli._build_parser()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "sweep", "kind": "1d"}))
+        first = parse_config(["--config", str(path), "--a", "5",
+                              "--steps", "7"])
+        assert (first.mode, first.a, first.steps) == ("sweep", [5.0], 7)
+        again = parse_config(["1d-2dom"])
+        assert again == parse_config(["1d-2dom"])
+        assert (again.mode, again.a, again.steps) == ("1d-2dom", [1.0], 12)
+
     def test_mode_from_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mode": "sweep", "kind": "1d"}))
@@ -465,6 +477,20 @@ class TestHelp:
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_import_builds_no_table(self):
+        # the quadrature rules and per-order tables are built on first use
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import multitrace.cli; from multitrace.bem2d import assembly "
+                "as a; print([f.cache_info().currsize for f in (a.gauss01, "
+                "a.log_gauss01, a._weighted_basis, a._coincident_reference,"
+                " a._adjacent_reference)])")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0, 0]"
 
     def test_cli_import_loads_only_linalg_and_special(self):
         # import time is the start-up of every run: no further scipy

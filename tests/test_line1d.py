@@ -79,7 +79,7 @@ class TestRepresentation:
         assert np.all(u(np.array([-2.0, -0.7, 0.3, 1.1, 2.0])) == 0.0)
 
     def test_evaluation_at_jump_rejected(self):
-        u = represent_1d(1.0, JumpData(1.0, 1.0, location=0.25))
+        u = represent_1d(1.0, JumpData(1.0, 1.0), 0.25)
         with pytest.raises(ValueError):
             u(0.25)
 

@@ -101,6 +101,33 @@ class TestValidation:
         assert np.array_equal(mesh.second_nodes, mesh.nodes[second])
 
 
+# the geometry a mesh computes once, in its constructor
+GEOMETRY = ("nodes", "second_nodes", "directions", "lengths", "normals")
+
+
+class TestGeometryOnce:
+    @pytest.mark.parametrize("name", GEOMETRY)
+    def test_each_read_returns_the_stored_array(self, name):
+        mesh = make_square(3)
+        assert getattr(mesh, name) is getattr(mesh, name)
+        assert mesh.first_nodes is mesh.nodes
+
+    @pytest.mark.parametrize("name", GEOMETRY)
+    def test_geometry_is_read_only(self, name):
+        mesh = make_circle(8)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(mesh, name)[0] = 1.0
+
+    def test_callers_array_is_copied_not_frozen(self):
+        nodes = make_circle(12).nodes.copy()
+        before = nodes.copy()
+        mesh = BoundaryMesh(nodes)
+        assert nodes.flags.writeable and np.array_equal(nodes, before)
+        assert not np.shares_memory(mesh.nodes, nodes)
+        nodes[0] = (5.0, 5.0)           # the mesh keeps its own copy
+        assert np.array_equal(mesh.nodes, before)
+
+
 class TestRotationGroup:
     def test_builders_declare_their_groups(self):
         assert make_circle(12).rotation_order == 12
