@@ -108,15 +108,10 @@ def calderon_bounded(geom):
     a, gamma = geom.a, geom.gamma
     p, q = a * gamma, a * (1.0 - gamma)
     w = p + q
-    P1 = np.array([
-        [_sh_ch_over_sh(p, q, w), _sh_sh_over_sh(p, q, w) / a],
-        [a * _ch_ch_over_sh(p, q, w), _sh_ch_over_sh(q, p, w)],
-    ])
-    P2 = np.array([
-        [_sh_ch_over_sh(q, p, w), _sh_sh_over_sh(p, q, w) / a],
-        [a * _ch_ch_over_sh(p, q, w), _sh_ch_over_sh(p, q, w)],
-    ])
-    return P1, P2
+    pq, qp = _sh_ch_over_sh(p, q, w), _sh_ch_over_sh(q, p, w)
+    upper, lower = _sh_sh_over_sh(p, q, w) / a, a * _ch_ch_over_sh(p, q, w)
+    return (np.array([[pq, upper], [lower, qp]]),
+            np.array([[qp, upper], [lower, pq]]))
 
 
 def dtn_operators(geom):
@@ -211,9 +206,9 @@ def equivalence_check(geom, state0, n_steps=4, sigma=0.0):
     """
     schwarz = optimal_schwarz_run(geom, state0, n_steps)
     schwarz_traces = np.array([state_to_traces(s) for s in schwarz])
-    P1, P2 = calderon_bounded(geom)
-    op = jacobi_operator([P1, P2], (sigma, sigma), np.zeros((1, 2)))
-    jac = block_jacobi_run(op, state_to_traces(state0), n_steps)
-    deviations = np.max(np.abs(schwarz_traces - jac.iterates), axis=1)
+    op = jacobi_operator(calderon_bounded(geom), (sigma, sigma),
+                         np.zeros((1, 2)))
+    jac = block_jacobi_run(op, schwarz_traces[0], n_steps)
+    deviations = np.abs(schwarz_traces - jac.iterates).max(axis=1)
     return EquivalenceReport(float(deviations.max()), deviations,
                              schwarz_traces, jac.iterates)

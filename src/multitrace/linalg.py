@@ -2,11 +2,11 @@
 
 Thin, contract-enforcing wrappers around LAPACK for the small-to-medium
 dense problems of discretized multitrace operators.  A matrix goes to
-scipy's drivers, called directly in the precision scipy picks for the
-same arrays, so its results equal scipy's bit for bit without its
-per-call wrapper cost.  A stack of Fourier modes goes to numpy's batched
-``solve`` and ``eigvals``, which link numpy's own LAPACK build; their
-results may differ from scipy's in the last bits.
+scipy's drivers, looked up once and called directly in the precision
+scipy picks for the same arrays, so its results equal scipy's bit for
+bit without its per-call wrapper cost.  A stack of Fourier modes goes to
+numpy's batched ``solve`` and ``eigvals``, which link numpy's own LAPACK
+build; their results may differ from scipy's in the last bits.
 Real input stays in real arithmetic (eigenvalues of real matrices then
 come in exact conjugate pairs); complex input, as from complex
 relaxation parameters, takes the complex LAPACK path.  Every function is
@@ -14,6 +14,7 @@ pure (inputs are never mutated), so concurrent use is safe.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.linalg
@@ -23,6 +24,8 @@ from scipy.linalg.lapack import get_lapack_funcs
 # Dense eigendecompositions beyond this size are out of scope; every
 # desk-scale experiment in this package stays well below it.
 DIMENSION_CAP = 4000
+
+_EPS = np.finfo(float).eps
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -46,7 +49,8 @@ class EigenResult:
     residual_norm: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.eigenvalues)):
+        finite = np.isfinite(self.eigenvalues)
+        if np.count_nonzero(finite) < finite.size:
             raise ValueError("non-finite eigenvalues in result")
 
 
@@ -59,13 +63,19 @@ def _as_square(A, name="A", stacked=False):
         raise ValueError(
             f"{name} has dimension {A.shape[-1]} beyond the cap {DIMENSION_CAP}"
         )
-    if not np.all(np.isfinite(A)):
+    if np.count_nonzero(np.isfinite(A)) < A.size:
         raise ValueError(f"{name} contains non-finite entries")
-    return A.astype(np.result_type(A, float), copy=False)
+    return A.astype(np.promote_types(A.dtype, float), copy=False)
 
 
-def _lapack(name, arrays, *args, **kwargs):
-    driver, = get_lapack_funcs((name,), arrays)
+@cache
+def _driver(name, *dtypes):
+    """scipy's LAPACK ``name`` for arrays of ``dtypes``, looked up once."""
+    return get_lapack_funcs((name,), [np.empty(0, d) for d in dtypes])[0]
+
+
+def _lapack(name, dtypes, *args, **kwargs):
+    driver = _driver(name, *dtypes)
     *out, info = driver(*args, **kwargs)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK {driver.__name__} info = {info}")
@@ -75,8 +85,9 @@ def _lapack(name, arrays, *args, **kwargs):
 def _check_pivots(diag, name):
     """Reject ``name`` at a pivot magnitude ``<= dim x eps x`` the largest;
     the message gives the smallest pivot and its ratio to the largest."""
-    low, scale = diag.min(), diag.max()
-    if scale == 0.0 or low <= len(diag) * np.finfo(float).eps * scale:
+    ordered = np.sort(diag)     # a NaN sorts last: it passes, as with max
+    low, scale = ordered[0], ordered[-1]
+    if scale == 0.0 or low <= len(diag) * _EPS * scale:
         ratio = f"{low / scale:.3e} of" if scale else "and"
         raise SingularMatrixError(
             f"{name} is singular to working precision (smallest pivot "
@@ -89,10 +100,10 @@ def _check_lu(A, name):
     """:func:`_check_pivots` of the LU of ``A``, or of each mode of a stack
     ``A`` from one driver lookup, a failing ``A[k]`` rejected as ``name in
     mode k``."""
-    getrf, = get_lapack_funcs(("getrf",), (A,))
+    getrf = _driver("getrf", A.dtype)
     modes = A if A.ndim == 3 else A[None]
     diag = np.abs([getrf(a)[0].diagonal() for a in modes])
-    tol = A.shape[-1] * np.finfo(float).eps * diag.max(axis=1)
+    tol = A.shape[-1] * _EPS * diag.max(axis=1)
     for k in np.flatnonzero(diag.min(axis=1) <= tol):
         _check_pivots(diag[k], f"{name} in mode {k}" if A.ndim == 3
                       else name)
@@ -105,10 +116,17 @@ def _solve_checked(A, B, name):
         _check_lu(A, name)
         return np.linalg.solve(A, B)
     # getrf's info > 0 is an exactly zero pivot: the test below rejects it
-    lu, piv, _ = get_lapack_funcs(("getrf",), (A,))[0](A)
-    _check_pivots(np.abs(np.diag(lu)), name)
-    X, = _lapack("getrs", (lu, B), lu, piv, B)
+    lu, piv, _ = _driver("getrf", A.dtype)(A)
+    _check_pivots(np.abs(lu.diagonal()), name)
+    X, = _lapack("getrs", (lu.dtype, B.dtype), lu, piv, B)
     return X
+
+
+@cache
+def _geev_lwork(n, dtype):
+    """geev's optimal workspace for eigenvalues of ``n x n`` ``dtype``."""
+    lwork, = _lapack("geev_lwork", (dtype,), n, compute_vl=0, compute_vr=0)
+    return int(lwork.real)
 
 
 def _eig(C, compute_vectors, A, B=None):
@@ -117,9 +135,8 @@ def _eig(C, compute_vectors, A, B=None):
     if compute_vectors:
         w, v = scipy.linalg.eig(C, right=True)
         return EigenResult(w, v, _residual(A, w, v, B))
-    lwork, = _lapack("geev_lwork", (C,), len(C), compute_vl=0, compute_vr=0)
-    *w, _, _ = _lapack("geev", (C,), C, compute_vl=0, compute_vr=0,
-                       lwork=int(lwork.real))
+    *w, _, _ = _lapack("geev", (C.dtype,), C, compute_vl=0, compute_vr=0,
+                       lwork=_geev_lwork(len(C), C.dtype))
     return EigenResult(w[0] if len(w) == 1 else w[0] + 1j * w[1], None, 0.0)
 
 
@@ -138,7 +155,7 @@ def solve_dense(A, B, name="A"):
         B = B[..., None]
     if B.shape[:-1] != A.shape[:-1]:
         raise ValueError(f"rhs rows {B.shape[-2]} != matrix dimension {A.shape[-1]}")
-    if not np.all(np.isfinite(B)):
+    if np.count_nonzero(np.isfinite(B)) < B.size:
         raise ValueError("B contains non-finite entries")
     X = _solve_checked(A, B, name)
     return X[..., 0] if vector_rhs else X

@@ -14,7 +14,7 @@ without any discretization:
 
 Relaxation parameters are checked in one place, :func:`_check_sigmas`,
 which every engine of the package calls: -1 makes a diagonal block
-singular.
+singular, and they must be finite.
 
 Trace convention: each subdomain carries the pair
 ``(u, outward normal derivative)`` on its interface side, so the
@@ -24,9 +24,9 @@ and the one to the left stores ``(u(x0-), +u'(x0-))``.  Jump data
 ``alpha = u(x0+) - u(x0-)``, ``beta = -u'(x0+) + u'(x0-)``.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,32 +73,34 @@ class JacobiOperator1D:
         """See :func:`jacobi_fixed_point`."""
         J, F = self.matrix, self.rhs_tilde
         if any(self.sigmas):
-            U = solve_dense(np.eye(len(F)) - J, F, "Id - J")
+            U = solve_dense(_layout(len(F)).eye - J, F, "Id - J")
         else:
             # exact for nilpotent J; at the Schwarz equivalence check's
-            # points (sigma = 0, F = 0) it returns after one matvec, and an
-            # LU solve here made the line-1d benchmark workload 3% slower
+            # points (sigma = 0, F = 0) it returns after one matvec
             U, term = np.zeros(len(F), dtype=complex), F
             for _ in range(len(F)):
                 U, term = U + term, J @ term
-                if not np.any(term):
+                if not term.any():
                     break
         U.flags.writeable = False
         return U
 
 
 def _check_a(a):
-    if not (np.isrealobj(a) and 0 < a < np.inf):
+    # a Python float is real: np.isrealobj, the slow part, is skipped
+    if not ((type(a) is float or np.isrealobj(a)) and 0 < a < np.inf):
         raise ValueError(f"material constant a must be finite and positive, "
                          f"got {a}")
     return float(a)
 
 
 def _check_sigmas(sigmas):
-    sigmas = tuple(complex(s) for s in sigmas)
+    sigmas = tuple(map(complex, sigmas))
     for s in sigmas:
         if s == -1:
             raise ValueError("relaxation parameter -1 makes a diagonal block singular")
+        if not (abs(s.real) < np.inf and abs(s.imag) < np.inf):
+            raise ValueError(f"relaxation parameter {s} is not finite")
     return sigmas
 
 
@@ -115,8 +117,7 @@ def calderon_halfline(a):
     left and the right half line thanks to the trace sign convention.
     """
     a = _check_a(a)
-    A = np.array([[0.0, 1.0 / a], [a, 0.0]])
-    return (np.eye(2) + A) / 2.0
+    return np.array([[0.5, 1.0 / a / 2.0], [a / 2.0, 0.5]])
 
 
 def middle_coupling_matrix(a):
@@ -143,21 +144,40 @@ def calderon_middle_3dom(a, interfaces=(-1.0, 1.0)):
     return P0
 
 
-class _Line(NamedTuple):
-    """Trace layout of a line of subdomains listed left to right.
+_Layout = namedtuple("_Layout", "shapes blocks owner jump flip same_block "
+                                 "swap sign eye")
 
-    Interface ``i`` carries trace block ``2i`` (its left side) and
-    ``2i+1`` (its right side), each an ``(u, outward derivative)`` pair,
-    so ``E`` swaps blocks ``2i <-> 2i+1`` through ``X2``.
-    """
 
-    P: np.ndarray       # block-diagonal projector, one block per subdomain
-    S: np.ndarray       # relaxation parameter of each unknown
-    data: np.ndarray    # jump data of each unknown
-    sigmas: tuple       # relaxation parameter of each subdomain
+@lru_cache
+def _layout(n):
+    """Read-only tables of a line of ``n = 4 (k - 1)`` unknowns, built once:
+    the ``shapes`` and ``blocks`` (slices) of the k projectors, and per
+    unknown its ``owner`` subdomain and ``jump`` datum, ``flip`` -1 on an
+    alpha left of an interface.  Interface ``i`` carries trace blocks
+    ``2i`` (its left side) and ``2i+1``, each an ``(u, outward
+    derivative)`` pair, so unknown ``t`` is in 2x2 block ``t // 2``
+    (``same_block``) and ``E`` swaps it with ``t ^ 2`` (``swap``) through
+    ``X2`` (``sign``).  Tables met by complex operands are complex, so no
+    operation mixes types."""
+    k = n // 4 + 1
+    sizes = [2] + [4] * (k - 2) + [2]
+    ends = np.cumsum(sizes).tolist()
+    t = np.arange(n)
+    layout = _Layout([(s, s) for s in sizes],
+                     tuple(slice(e - s, e) for s, e in zip(sizes, ends)),
+                     np.repeat(np.arange(k), sizes), 2 * (t // 4) + t % 2,
+                     np.where(t % 4, 1.0, -1.0),
+                     (t[:, None] // 2 == t // 2).astype(complex), t ^ 2,
+                     np.tile(X2.diagonal(), n // 2).astype(complex),
+                     np.eye(n, dtype=complex))
+    for table in layout[2:]:
+        table.flags.writeable = False
+    return layout
 
 
 def _line(projectors, sigmas, data):
+    """Complex block-diagonal projector, relaxation and jump data per
+    unknown, checked relaxation per subdomain, and ``_layout``."""
     mats = [np.asarray(p, dtype=float) for p in projectors]
     sigmas = _check_sigmas(sigmas)
     k = len(mats)
@@ -165,24 +185,21 @@ def _line(projectors, sigmas, data):
         raise ValueError(f"a line needs at least two subdomains and one "
                          f"relaxation parameter each, got {k} and "
                          f"{len(sigmas)}")
-    sizes = [2] + [4] * (k - 2) + [2]
-    if [m.shape for m in mats] != [(s, s) for s in sizes]:
+    n = 4 * (k - 1)
+    layout = _layout(n)
+    if [m.shape for m in mats] != layout.shapes:
         raise ValueError(f"a line needs 2x2 projectors at both ends and 4x4 "
                          f"ones in between, got {[m.shape for m in mats]}")
     jumps = np.asarray(data, dtype=float)
     if jumps.shape != (k - 1, 2):
         raise ValueError(f"need (alpha, beta) at each of the {k - 1} "
                          f"interface(s), got shape {jumps.shape}")
-    n = 4 * (k - 1)
-    P = np.zeros((n, n))
-    start = 0
-    for m, size in zip(mats, sizes):
-        P[start:start + size, start:start + size] = m
-        start += size
-    d = np.repeat(jumps, 2, axis=0)
-    d[0::2, 0] *= -1    # left side of an interface carries (-alpha, beta)
-    S = np.repeat(np.array(sigmas), sizes)
-    return _Line(P, S, d.ravel(), sigmas)
+    P = np.zeros((n, n), dtype=complex)
+    for m, block in zip(mats, layout.blocks):
+        P[block, block] = m
+    # left side of an interface carries (-alpha, beta)
+    d = (jumps.take(layout.jump) * layout.flip).astype(complex)
+    return P, np.array(sigmas).take(layout.owner), d, sigmas, layout
 
 
 def assemble_mtf(projectors, sigmas, data):
@@ -199,21 +216,14 @@ def assemble_mtf(projectors, sigmas, data):
     ``d`` is ``(-alpha, beta)`` left of an interface and ``(alpha, beta)``
     right of it.  At vanishing relaxation the system loses the jump data.
     """
-    line = _line(projectors, sigmas, data)
-    n = len(line.S)
+    P, S, d, sigmas, _ = _line(projectors, sigmas, data)
+    n = len(S)
     blocks = np.arange(n // 2)
-    M = -line.P.astype(complex)
-    M[np.diag_indices(n)] += 1 + line.S
+    M = -P
+    M[np.diag_indices(n)] += 1 + S
     M.reshape(n // 2, 2, n // 2, 2)[blocks, :, blocks ^ 1, :] = (
-        -line.S[::2, None, None] * X2)
-    return MtfSystem(M, line.S * line.data, line.sigmas)
-
-
-@lru_cache
-def _block_layout(n):
-    idx = np.arange(n)  # trace t is in 2x2 block t // 2, swapped with t ^ 2
-    return ((idx[:, None] // 2 == idx // 2).astype(float), idx ^ 2,
-            np.tile(X2.diagonal(), n // 2))
+        -S[::2, None, None] * X2)
+    return MtfSystem(M, S * d, sigmas)
 
 
 def jacobi_operator(projectors, sigmas, data):
@@ -226,15 +236,16 @@ def jacobi_operator(projectors, sigmas, data):
     by ``s``), where ``J`` is nilpotent of order ``2 (k - 1)`` for ``k``
     subdomains.  The returned arrays are read-only.
     """
-    line = _line(projectors, sigmas, data)
-    same_block, swap, sign = _block_layout(len(line.S))
-    D = line.P * same_block
-    Q = D + np.diag(line.S)
-    J = (line.P - D) + Q[:, swap] * sign
-    J /= (1 + line.S)[:, None]
-    F = Q @ line.data / (1 + line.S)
+    P, S, d, sigmas, layout = _line(projectors, sigmas, data)
+    D = P * layout.same_block
+    Q = D + np.diag(S)
+    J = P - D
+    J += Q.take(layout.swap, axis=1) * layout.sign
+    scale = 1 + S
+    J /= scale[:, None]
+    F = Q @ d / scale
     J.flags.writeable = F.flags.writeable = False
-    return JacobiOperator1D(J, F, line.sigmas)
+    return JacobiOperator1D(J, F, sigmas)
 
 
 def jacobi_operator_2dom(a, sigma1, sigma2, jump):
@@ -247,8 +258,8 @@ def _line_3dom(a, sigma0, sigma1, sigma2, jump_left, jump_right):
     """Left-to-right line arguments of a middle interval ``0`` on
     ``(-1, 1)`` between half lines ``1`` and ``2``; the right jump is
     oriented middle-minus-right, so its ``alpha`` flips sign."""
-    P = calderon_halfline(a)
     middle = calderon_middle_3dom(a)
+    P = middle[:2, :2]          # the half-line projector
     return ([P, middle, P], (sigma1, sigma0, sigma2),
             [(jump_left.alpha, jump_left.beta),
              (-jump_right.alpha, jump_right.beta)])
@@ -293,9 +304,10 @@ def block_jacobi_run(op, U0, n_steps):
             f"start vector has shape {U0.shape}, expected ({op.matrix.shape[0]},)"
         )
     star = jacobi_fixed_point(op)
-    iters = [U0]
-    for _ in range(n_steps):
-        iters.append(op.matrix @ iters[-1] + op.rhs_tilde)
-    iters = np.array(iters)
-    errors = np.max(np.abs(iters - star[None, :]), axis=1)
+    iters = np.empty((max(n_steps, 0) + 1, len(U0)), dtype=complex)
+    iters[0] = U0
+    for previous, row in zip(iters, iters[1:]):
+        np.dot(op.matrix, previous, out=row)
+        row += op.rhs_tilde
+    errors = np.abs(iters - star).max(axis=1)
     return JacobiHistory(iters, errors, star)

@@ -1,15 +1,19 @@
-"""Exact solutions on the real line from prescribed interface jumps.
+"""Exact solutions on the real line from prescribed interface jumps, and
+the line's Jacobi operator by its formulas written out.
 
 Built from the Green's function ``g(x) = exp(-a|x|) / (2a)`` of
 ``-u'' + a^2 u = 0`` and its derivative, these are the closed-form fields
 the tests check the line projectors and the multitrace systems against.
 Jump data ``(alpha, beta)`` is oriented right minus left, as in
-``multitrace.line1d``.
+``multitrace.line1d``.  ``jacobi_reference`` and ``jacobi_run_reference``
+are the per-call formulas the tests hold the line builder to, byte for
+byte.
 """
 
 import numpy as np
 
 from multitrace.line1d import JumpData, _check_a, green_1d
+from multitrace.linalg import solve_dense
 
 
 def green_1d_deriv(a, x):
@@ -46,3 +50,49 @@ def represent_1d_3dom(a, jump_left, jump_right):
     left = represent_1d(a, jump_left, -1.0)
     right = represent_1d(a, JumpData(-jump_right.alpha, jump_right.beta), 1.0)
     return lambda x: left(x) + right(x)
+
+
+def jacobi_reference(projectors, sigmas, data):
+    """``(J, F)`` of ``line1d.jacobi_operator`` by its formulas written out
+    per call: a dense real block-diagonal ``P``, relaxations and jump data
+    repeated per trace, the 2x2 block mask and the interface swap built on
+    the spot, and real tables meeting complex ones in mixed operations."""
+    mats = [np.asarray(p, dtype=float) for p in projectors]
+    sigmas = tuple(complex(s) for s in sigmas)
+    sizes = [2] + [4] * (len(mats) - 2) + [2]
+    n = sum(sizes)
+    P = np.zeros((n, n))
+    start = 0
+    for m, size in zip(mats, sizes):
+        P[start:start + size, start:start + size] = m
+        start += size
+    d = np.repeat(np.asarray(data, dtype=float), 2, axis=0)
+    d[0::2, 0] *= -1
+    S = np.repeat(np.array(sigmas), sizes)
+    idx = np.arange(n)
+    D = P * (idx[:, None] // 2 == idx // 2).astype(float)
+    Q = D + np.diag(S)
+    J = (P - D) + Q[:, idx ^ 2] * np.tile([1.0, -1.0], n // 2)
+    J /= (1 + S)[:, None]
+    F = Q @ d.ravel() / (1 + S)
+    return J, F
+
+
+def jacobi_run_reference(J, F, sigmas, U0, n_steps):
+    """``(iterates, errors, fixed_point)`` of ``line1d.block_jacobi_run``:
+    the fixed point solved with a real identity, or summed as the
+    nilpotent series at vanishing relaxation, and the iterates stacked
+    from a list."""
+    if any(complex(s) for s in sigmas):
+        star = solve_dense(np.eye(len(F)) - J, F, "Id - J")
+    else:
+        star, term = np.zeros(len(F), dtype=complex), F
+        for _ in range(len(F)):
+            star, term = star + term, J @ term
+            if not np.any(term):
+                break
+    iters = [np.asarray(U0, dtype=complex)]
+    for _ in range(n_steps):
+        iters.append(J @ iters[-1] + F)
+    iters = np.array(iters)
+    return iters, np.max(np.abs(iters - star[None, :]), axis=1), star

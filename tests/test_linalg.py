@@ -182,15 +182,16 @@ def test_exactly_singular_matrix_reports_zero_pivot_silently():
 
 
 def test_lapack_failure_raises(monkeypatch):
-    lookup = linalg.get_lapack_funcs
+    lookup = linalg._driver
 
-    def failing_geev(names, arrays):
-        if names != ("geev",):
-            return lookup(names, arrays)
-        geev, = lookup(names, arrays)
-        return (lambda *args, **kwargs: (*geev(*args, **kwargs)[:-1], 1),)
+    def failing_geev(name, *dtypes):
+        driver = lookup(name, *dtypes)
+        if name != "geev":
+            return driver
+        return lambda *args, **kwargs: (*driver(*args, **kwargs)[:-1], 1)
 
-    monkeypatch.setattr(linalg, "get_lapack_funcs", failing_geev)
+    # the cached lookup is where every LAPACK call takes its driver
+    monkeypatch.setattr(linalg, "_driver", failing_geev)
     A = np.diag([1.0, 2.0, 3.0])
     with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
         eig_dense(A)

@@ -1,8 +1,11 @@
+import collections
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from multitrace import line1d
+from multitrace import line1d, linalg
 from multitrace.interval1d import BoundedGeometry, calderon_bounded
 from multitrace.line1d import (JumpData, X2, assemble_mtf, block_jacobi_run,
                                calderon_halfline, calderon_middle_3dom,
@@ -11,7 +14,8 @@ from multitrace.line1d import (JumpData, X2, assemble_mtf, block_jacobi_run,
                                middle_coupling_matrix)
 from multitrace.linalg import eig_dense, solve_dense
 from helpers import match_multisets
-from oracle_line import represent_1d, represent_1d_3dom
+from oracle_line import (jacobi_reference, jacobi_run_reference,
+                         represent_1d, represent_1d_3dom)
 
 
 def mtf_2dom(a, sigma1, sigma2, jump):
@@ -477,6 +481,115 @@ class TestJacobiDenseOracle:
             np.testing.assert_allclose(op.rhs_tilde, F, rtol=0, atol=1e-12)
 
 
+def same_bytes(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestReferenceArithmetic:
+    """The builder, the run and the eigensolve give the bytes of the
+    per-call formulas of ``oracle_line``, signbits included: real, complex,
+    zero and signed-zero relaxation, and at a = 2000 middle intervals whose
+    coupling underflows to signed zeros."""
+
+    @staticmethod
+    def relaxations(kind, count, rng):
+        if kind == "zero":
+            return np.zeros(count)
+        sig = rng.uniform(-0.9, 3.0, count)
+        if kind == "signed zero":
+            sig[::2] = -0.0
+        if kind == "complex":
+            return sig + 1j * rng.uniform(-1.0, 1.0, count)
+        return sig
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "zero",
+                                      "signed zero"])
+    @pytest.mark.parametrize("count", [2, 3, 4, 5])
+    def test_bytes_of_the_reference(self, count, kind):
+        rng = np.random.default_rng(40 + count)
+        for a in [*np.exp(rng.uniform(np.log(0.5), np.log(20.0), 8)), 2000.0]:
+            cuts = np.cumsum(rng.uniform(0.5, 2.0, count - 1))
+            projectors = line_projectors(a, cuts)
+            sig = self.relaxations(kind, count, rng)
+            data = rng.standard_normal((count - 1, 2))
+            if kind == "signed zero":
+                data[0] = -0.0
+            op = jacobi_operator(projectors, sig, data)
+            J, F = jacobi_reference(projectors, sig, data)
+            same_bytes(op.matrix, J)
+            same_bytes(op.rhs_tilde, F)
+            U0 = rng.standard_normal(len(F))
+            hist = block_jacobi_run(op, U0, 6)
+            for got, want in zip(
+                    (hist.iterates, hist.errors, hist.fixed_point),
+                    jacobi_run_reference(J, F, sig, U0, 6)):
+                same_bytes(got, want)
+            same_bytes(eig_dense(op.matrix).eigenvalues,
+                       scipy.linalg.eigvals(J))
+
+    def test_adapters_give_the_reference_bytes(self):
+        rng = np.random.default_rng(45)
+        for a in np.exp(rng.uniform(np.log(0.5), np.log(20.0), 50)):
+            s0, s1, s2 = rng.uniform(-0.9, 3.0, 3)
+            left, right = (JumpData(*rng.standard_normal(2)) for _ in "lr")
+            H, M = calderon_halfline(a), calderon_middle_3dom(a)
+            for op, (J, F) in (
+                    (jacobi_operator_2dom(a, s1, s2, left),
+                     jacobi_reference([H, H], (s1, s2),
+                                      [(left.alpha, left.beta)])),
+                    (jacobi_operator_3dom(a, s0, s1, s2, left, right),
+                     jacobi_reference([H, M, H], (s1, s0, s2),
+                                      [(left.alpha, left.beta),
+                                       (-right.alpha, right.beta)]))):
+                same_bytes(op.matrix, J)
+                same_bytes(op.rhs_tilde, F)
+
+
+class TestLineAtItsArithmetic:
+    """After the first point of a size, a line point (operator, run, fixed
+    point, eigenvalues) calls each LAPACK step once, with no driver lookup
+    and no workspace query."""
+
+    @pytest.mark.parametrize("sigmas, steps", [
+        ((0.4, 1.3), {"geev": 1, "getrf": 1, "getrs": 1}),
+        ((0.4, 1.3, -0.2), {"geev": 1, "getrf": 1, "getrs": 1}),
+        ((0.2 + 0.5j, 1.0, 0.7), {"geev": 1, "getrf": 1, "getrs": 1}),
+        ((0.0, 0.0), {"geev": 1}), ((0.0, 0.0, 0.0), {"geev": 1})])
+    def test_one_call_per_step(self, monkeypatch, sigmas, steps):
+        calls, lookups = collections.Counter(), []
+        driver, get_funcs = linalg._driver, linalg.get_lapack_funcs
+
+        def counted(name, *dtypes):
+            run = driver(name, *dtypes)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return run(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(linalg, "_driver", counted)
+        monkeypatch.setattr(linalg, "get_lapack_funcs",
+                            lambda *args: lookups.append(1)
+                            or get_funcs(*args))
+        jumps = JumpData(0.3, -1.1), JumpData(0.8, 0.5)
+
+        def point():
+            op = (jacobi_operator_2dom(1.3, *sigmas, jumps[0])
+                  if len(sigmas) == 2
+                  else jacobi_operator_3dom(1.3, *sigmas, *jumps))
+            block_jacobi_run(op, np.ones(len(op.rhs_tilde)), 6)
+            jacobi_fixed_point(op)
+            eig_dense(op.matrix)
+
+        point()
+        calls.clear()
+        lookups.clear()
+        point()
+        assert calls == steps
+        assert lookups == []
+
+
 class TestLineBuilderInput:
     H = calderon_halfline(1.0)
     M = calderon_middle_3dom(1.0)
@@ -488,11 +601,27 @@ class TestLineBuilderInput:
         ([H, H, H], (0.1, 0.2, 0.3), np.zeros((2, 2)), "4x4 ones in between"),
         ([H, M, H], (0.1, 0.2, 0.3), np.zeros((1, 2)), "each of the 2"),
         ([H, H], (0.1, -1.0), np.zeros((1, 2)), "singular"),
+        ([H, H], (np.nan, 0.1), np.zeros((1, 2)), r"\(nan\+0j\) is not"),
+        ([H, H], (0.1, complex(0.0, np.inf)), np.zeros((1, 2)),
+         "parameter infj is not finite"),
     ])
     def test_rejected(self, projectors, sigmas, data, match):
         for build in (assemble_mtf, jacobi_operator):
             with pytest.raises(ValueError, match=match):
                 build(projectors, sigmas, data)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 complex(0.2, np.nan)])
+def test_adapters_reject_non_finite_sigma_before_building(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="relaxation parameter .* is "
+                                             "not finite"):
+            jacobi_operator_2dom(1.0, bad, 0.1, JumpData(0, 0))
+        with pytest.raises(ValueError, match="not finite"):
+            jacobi_operator_3dom(1.0, 0.1, 0.2, bad, JumpData(0, 0),
+                                 JumpData(0, 0))
 
 
 class TestRepresentThreeSubdomains:

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,21 @@ class TestTheory:
                 "relaxation parameter -1 makes a diagonal block singular")):
             SIGMA_ENGINES[engine](circle_projectors, annulus_subdomains,
                                   minus_one)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(0.1, -np.inf)],
+                             ids=["nan", "inf", "-inf", "complex-inf"])
+    @pytest.mark.parametrize("engine", SIGMA_ENGINES)
+    def test_non_finite_sigma_rejected(self, engine, bad, circle_projectors,
+                                       annulus_subdomains):
+        # named in the message, before any work and without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"relaxation parameter {complex(bad)} is not finite")):
+                SIGMA_ENGINES[engine](circle_projectors, annulus_subdomains,
+                                      bad)
 
 
 class TestClusterReport:
