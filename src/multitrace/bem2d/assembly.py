@@ -24,8 +24,8 @@ blocks are the transposed (e, f) ones, the double layer with the other
 element's normal.  On a mesh that declares a rotation group of order m,
 all three tables, and the cross blocks of concentric curves, integrate
 one block row of n / m elements; ``_scatter`` sums it into node rows, and
-the operator sets and records keep those rows, whose turns give the
-whole matrices (``_expand``).
+the operator sets (with the mass) and records keep those rows, whose
+turns give the whole matrices (``_expand``).
 
 ``quad_order`` is the tensor-Gauss order of near pairs.  The element
 pairs of one curve and the cross-curve pairs go through the same graded
@@ -141,31 +141,25 @@ class BemOperatorSet:
     """Galerkin matrices of the four boundary operators plus the mass.
 
     The set keeps the first block row, ``n / m`` by ``n`` on a mesh of
-    rotation order m, of V, K, K' and W, and the element lengths of the
-    mass; ``rows(g)`` reads them at an order g dividing m.  The whole
-    matrices below are built on first use.  ``single_layer`` and
-    ``hypersingular`` are symmetric up to assembly tolerance;
-    ``adj_double_layer`` is exactly the transpose of ``double_layer``
-    (valid since trial and test spaces coincide).  The arrays are
-    read-only: one set serves every caller on its mesh.
+    rotation order m, of V, K, K', W and the mass M; each whole matrix
+    below is its row turned (``_expand``), built on first use.
+    ``single_layer`` and ``hypersingular`` are symmetric up to assembly
+    tolerance; ``adj_double_layer`` is exactly the transpose of
+    ``double_layer`` (valid since trial and test spaces coincide), and
+    ``mass`` is exactly symmetric, the mesh's sectors having equal
+    lengths.  The arrays are read-only: one set serves every caller on
+    its mesh.
     """
 
     V: np.ndarray
     K: np.ndarray
     Kt: np.ndarray
     W: np.ndarray
-    lengths: np.ndarray
+    M: np.ndarray
 
-    def rows(self, g=1):
-        """V, K, K', W and the mass, each its first ``n / g`` rows.  Mass
-        rows come from their own elements: a turned length differs in its
-        last bits, and the whole mass must stay exactly symmetric."""
-        m, n = self.V.shape[1] // len(self.V), len(self.lengths)
-        return (*(_expand(x, m, g) for x in (self.V, self.K, self.Kt,
-                                             self.W)),
-                mass_matrix(self.lengths, n // g))
-
-    _whole = cached_property(lambda self: _frozen(self.rows()))
+    _whole = cached_property(lambda self: _frozen([
+        _expand(x, x.shape[1] // len(x))
+        for x in (self.V, self.K, self.Kt, self.W, self.M)]))
     single_layer, double_layer, adj_double_layer, hypersingular, mass = map(
         _whole_part, range(5))
 
@@ -310,7 +304,7 @@ def _graded_pairs(pool, obs, src, rows, cols, a, order, integrate):
     """
     k = rows.max(initial=-1) + 1
     (xo, do, Lo), (xs, ds, Ls) = (
-        (m.first_nodes[:n], m.directions[:n], m.lengths[:n])
+        (m.nodes[:n], m.directions[:n], m.lengths[:n])
         for m, n in ((obs, k), (src, None)))
     rules = _gauss_rules(order)
     pair_q = _pair_orders(xo[rows] + 0.5 * do[rows], Lo[rows],
@@ -535,7 +529,8 @@ def _assemble_operators(mesh, params):
              + (a * a) * nn[:, :, None, None] * v_loc)
 
     V, K, W = (_scatter(x) for x in (v_loc, k_loc, w_loc))
-    return BemOperatorSet(*_frozen((V, K, _transposed(K, m), W, L)))
+    return BemOperatorSet(*_frozen((V, K, _transposed(K, m), W,
+                                    mass_matrix(L, s))))
 
 
 def _segments_meet(obs, src, tol, rows):
@@ -567,8 +562,9 @@ class DiscreteCalderon:
     operator is ``M_block^{-1} P`` and is only approximately a projector
     (residual vanishing under mesh refinement).  The record keeps
     ``P_row`` and ``M_row``, the first ``n / m`` rows of each trace block
-    of ``P`` and ``M_block`` on a mesh of rotation order m, and ``ops``,
-    their operator set; ``P`` and ``M_block`` are built on first use.
+    of ``P`` and ``M_block`` on a mesh of rotation order m; ``rows(g)``
+    turns them, and ``P`` and ``M_block`` are built on first use.  The
+    arrays are read-only.
     """
 
     P_row: np.ndarray
@@ -576,35 +572,19 @@ class DiscreteCalderon:
     side: str
     mesh: object
     params: KernelParams
-    ops: BemOperatorSet = None
 
     @property
     def curves(self):
         return (self.mesh,)
 
     def rows(self, g):
-        """``P`` and ``M_block`` at an order g dividing m: the stored rows
-        if they hold ``n / g`` of each trace block, else rows from ``ops``."""
-        if len(self.P_row) * g == 2 * self.mesh.n_nodes:
-            return self.P_row, self.M_row
-        return _calderon_rows(self.ops, self.side, g)
+        """``P`` and ``M_block`` at an order g dividing m: the first ``n /
+        g`` rows of each trace block."""
+        return tuple(_expand(x, self.mesh.rotation_order, g, 2)
+                     for x in (self.P_row, self.M_row))
 
-    _whole = cached_property(lambda self: self.rows(1))
+    _whole = cached_property(lambda self: _frozen(self.rows(1)))
     P, M_block = map(_whole_part, range(2))
-
-
-def _calderon_rows(ops, side, g):
-    """``P`` and ``M_block`` rows at order g from ``ops`` on ``side``, the
-    jump-relation 1/2 carried by the mass block."""
-    V, K, Kt, W, M = ops.rows(g)
-    k = 1.0 if side == "interior" else -1.0     # double-layer sign
-    r, c = M.shape
-    M_row = np.zeros((2 * r, 2 * c))
-    M_row[:r, :c] = M_row[r:, c:] = M
-    P = 0.5 * M_row
-    for i, j, x in ((0, 0, -k * K), (0, 1, V), (1, 0, W), (1, 1, k * Kt)):
-        P[i * r:(i + 1) * r, j * c:(j + 1) * c] += x
-    return P, M_row
 
 
 def assemble_calderon_2d(mesh, params, side="interior"):
@@ -618,8 +598,15 @@ def assemble_calderon_2d(mesh, params, side="interior"):
     if side not in ("interior", "exterior"):
         raise ValueError(f"side must be 'interior' or 'exterior', got {side!r}")
     ops = assemble_operators(mesh, params)
-    return DiscreteCalderon(*_calderon_rows(ops, side, mesh.rotation_order),
-                            side, mesh, params, ops)
+    k = 1.0 if side == "interior" else -1.0     # double-layer sign
+    r, c = ops.M.shape
+    M_row = np.zeros((2 * r, 2 * c))
+    M_row[:r, :c] = M_row[r:, c:] = ops.M
+    P_row = 0.5 * M_row
+    for i, j, x in ((0, 0, -k * ops.K), (0, 1, ops.V), (1, 0, ops.W),
+                    (1, 1, k * ops.Kt)):
+        P_row[i * r:(i + 1) * r, j * c:(j + 1) * c] += x
+    return DiscreteCalderon(*_frozen((P_row, M_row)), side, mesh, params)
 
 
 def cross_block(obs_mesh, src_mesh, params, obs_normal_sign=1.0,

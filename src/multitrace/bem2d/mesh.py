@@ -30,8 +30,10 @@ class BoundaryMesh:
     elements and their node pairs are derived from that order.  The mesh
     keeps its own read-only copy of the nodes, and computes its geometry
     (``second_nodes``, ``directions``, ``lengths``, ``normals``) once, in
-    the constructor, as read-only arrays.  Meshes compare and hash by
-    identity: two meshes with equal nodes are distinct curves.
+    the constructor, as read-only arrays.  On a mesh of rotation order m
+    every sector has the first sector's ``lengths``, bit for bit; the
+    normals come from each element's own direction.  Meshes compare and
+    hash by identity: two meshes with equal nodes are distinct curves.
     """
 
     nodes: np.ndarray
@@ -74,6 +76,7 @@ class BoundaryMesh:
                              f"they lie {gap:.3e} apart")
         t = directions / lengths[:, None]
         normals = np.column_stack([t[:, 1], -t[:, 0]])      # unit, outward
+        lengths = np.tile(lengths[:n // m], m)  # so the mass turns exactly
         for name, x in (("nodes", nodes), ("second_nodes", second),
                         ("directions", directions), ("lengths", lengths),
                         ("normals", normals)):
@@ -93,10 +96,6 @@ class BoundaryMesh:
         """``(m, 2)`` node indices ``(e, e + 1 mod m)`` of each element."""
         first = np.arange(self.n_elements, dtype=np.int64)
         return np.column_stack([first, np.roll(first, -1)])
-
-    @property
-    def first_nodes(self):
-        return self.nodes
 
 
 def common_rotation_order(curves):

@@ -44,7 +44,7 @@ class JumpData:
     beta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+        if not (abs(self.alpha) < np.inf and abs(self.beta) < np.inf):
             raise ValueError("jump data must be finite")
 
 

@@ -59,7 +59,7 @@ def without_group(mesh):
 
 
 def _gauss_points(mesh, s):
-    return (mesh.first_nodes[:, None, :]
+    return (mesh.nodes[:, None, :]
             + s[None, :, None] * mesh.directions[:, None, :])
 
 

@@ -16,7 +16,7 @@ from multitrace.bem2d import (MAX_QUAD_ORDER, KernelParams,
                               make_square, make_three_domain)
 from multitrace.bem2d import assembly
 from multitrace.bem2d.assembly import mass_matrix
-from multitrace.bem2d.mesh import common_rotation_order
+from multitrace.bem2d.mesh import BoundaryMesh, common_rotation_order
 from multitrace import spectra
 from multitrace.linalg import eig_generalized, solve_dense
 from helpers import (cross_block_reference, match_multisets,
@@ -264,6 +264,16 @@ class TestOperatorSetCache:
         for name in ("double_layer", "adj_double_layer", "hypersingular",
                      "mass"):
             assert not getattr(ops, name).flags.writeable, name
+
+    @pytest.mark.parametrize("build", [
+        lambda: BoundaryMesh(make_circle(8).nodes), lambda: make_circle(8)],
+        ids=["hand-built", "grouped"])
+    def test_projector_rows_and_matrices_are_read_only(self, build):
+        P = assemble_calderon_2d(build(), KernelParams(1.0))
+        for x in (P.P_row, P.M_row, P.P, P.M_block):
+            assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            P.P[0, 0] = 0.0
 
     def test_sets_are_freed_with_their_mesh(self, monkeypatch):
         # meshes of other tests may still be alive: start from an empty
@@ -830,7 +840,7 @@ class TestGradedOrders:
     @pytest.mark.parametrize("geometry", ["circle", "square"])
     def test_touching_pairs_keep_quad_order(self, geometry, a):
         mesh = make_circle(64) if geometry == "circle" else make_square(16)
-        mid, L = mesh.first_nodes + 0.5 * mesh.directions, mesh.lengths
+        mid, L = mesh.nodes + 0.5 * mesh.directions, mesh.lengths
         for other in (np.arange(mesh.n_elements), mesh.elements[:, 1]):
             q = assembly._pair_orders(mid, L, mid[other], L[other], a, 8)
             assert np.all(q == 8)
@@ -877,6 +887,9 @@ class TestGradedOrders:
 GROUP_GAP = {"single_layer": 2e-14, "double_layer": 1e-13,
              "adj_double_layer": 1e-13, "hypersingular": 3e-13}
 GROUP_CROSS_GAP = 5e-15
+# the grouped mesh's lengths are its first sector's, tiled: 3.3e-15 from
+# the per-element norms' mass on the 128-element circle, 0 on the square
+GROUP_MASS_GAP = 1e-14
 GROUP_Q_GAP = 1e-13
 GROUP_MESHES = {"circle-128": lambda: make_circle(128),
                 "square-8": lambda: make_square(8)}
@@ -898,7 +911,9 @@ class TestRotationGroup:
         for op, bound in GROUP_GAP.items():
             assert relative_error(getattr(group, op),
                                   getattr(dense, op)) <= bound, op
-        assert np.array_equal(group.mass, dense.mass)
+        assert np.array_equal(group.mass, mass_matrix(mesh.lengths))
+        assert np.array_equal(group.mass, group.mass.T)
+        assert relative_error(group.mass, dense.mass) <= GROUP_MASS_GAP
 
     @pytest.mark.parametrize("a", [1.0, 30.0])
     @pytest.mark.parametrize("n_inner, n_outer", [(24, 24), (24, 32)])
@@ -1051,8 +1066,8 @@ def dblquad_blocks(mesh, a, e, f):
     adaptive quadrature of the pointwise kernels in the element
     parametrisation; the self pair is split along s = t, and its K block
     (zero on a straight element) is not integrated."""
-    (x0, x1), (dx0, dx1) = mesh.first_nodes[e], mesh.directions[e]
-    (y0, y1), (dy0, dy1) = mesh.first_nodes[f], mesh.directions[f]
+    (x0, x1), (dx0, dx1) = mesh.nodes[e], mesh.directions[e]
+    (y0, y1), (dy0, dy1) = mesh.nodes[f], mesh.directions[f]
     n0, n1 = mesh.normals[f]
     scale = mesh.lengths[e] * mesh.lengths[f] / (2.0 * np.pi)
 

@@ -624,6 +624,17 @@ def test_adapters_reject_non_finite_sigma_before_building(bad):
                                  JumpData(0, 0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 complex(0.2, np.nan), complex(np.inf, 0.0)])
+def test_jump_data_must_be_finite(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, beta in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ValueError, match="jump data must be finite"):
+                JumpData(alpha, beta)
+    JumpData(complex(0.2, -1e300), np.float64(-1e300))   # finite is kept
+
+
 class TestRepresentThreeSubdomains:
     def test_zero_jumps(self):
         u = represent_1d_3dom(1.0, JumpData(0, 0), JumpData(0, 0))

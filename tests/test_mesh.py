@@ -14,7 +14,7 @@ class TestCircle:
 
     def test_normals_radial_outward(self):
         mesh = make_circle(32, radius=2.0)
-        mids = 0.5 * (mesh.first_nodes + mesh.second_nodes)
+        mids = 0.5 * (mesh.nodes + mesh.second_nodes)
         outward = mids / np.linalg.norm(mids, axis=1, keepdims=True)
         dots = np.sum(mesh.normals * outward, axis=1)
         assert np.all(dots > 0.99)
@@ -110,7 +110,6 @@ class TestGeometryOnce:
     def test_each_read_returns_the_stored_array(self, name):
         mesh = make_square(3)
         assert getattr(mesh, name) is getattr(mesh, name)
-        assert mesh.first_nodes is mesh.nodes
 
     @pytest.mark.parametrize("name", GEOMETRY)
     def test_geometry_is_read_only(self, name):
@@ -167,6 +166,35 @@ class TestRotationGroup:
         nodes = make_circle(12).nodes.copy()
         nodes[5, 0] += 1e-14            # within ROTATION_TOL = 1e-12
         assert BoundaryMesh(nodes, 12).rotation_order == 12
+
+    @pytest.mark.parametrize("mesh", [
+        make_circle(128), make_circle(33, 2.5, (1.0, -3.0)), make_square(32),
+        make_square(7, 3.0, (0.3, 0.7)), *make_three_domain(24, 32)],
+        ids=["circle-128", "circle-off-centre", "square-32",
+             "square-off-centre", "annulus-inner", "annulus-outer"])
+    def test_sectors_share_the_first_sectors_lengths(self, mesh):
+        m = mesh.rotation_order
+        assert m > 1
+        assert np.array_equal(mesh.lengths,
+                              np.tile(mesh.lengths[:mesh.n_elements // m], m))
+        # the per-element norms differ by the rounding of the nodes: at
+        # most 8.3 eps times the largest coordinate over circles of 3 to
+        # 32768 elements and squares of 1 to 500 per side
+        norms = np.linalg.norm(mesh.directions, axis=1)
+        assert (np.abs(mesh.lengths - norms).max()
+                <= 16 * np.finfo(float).eps * np.abs(mesh.nodes).max())
+        assert np.array_equal(
+            mesh.normals, np.column_stack([mesh.directions[:, 1] / norms,
+                                           -mesh.directions[:, 0] / norms]))
+
+    @pytest.mark.parametrize("nodes", [
+        make_circle(128).nodes, make_square(7, 3.0, (0.3, 0.7)).nodes,
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.2, 0.9]]],
+        ids=["circle-128", "square", "quadrilateral"])
+    def test_hand_built_mesh_keeps_its_own_lengths(self, nodes):
+        mesh = BoundaryMesh(nodes)
+        assert np.array_equal(mesh.lengths,
+                              np.linalg.norm(mesh.directions, axis=1))
 
 
 def star_polygons():
